@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,16 +64,26 @@ def run_once(binaries, workload, seed, seconds, trace, echo=True):
     cmd = [simbench, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace),
            "--simstar", simstar, "--work", work, "--commit", commit()]
+    # Its own process group, so a timeout also stops the servers it spawned.
+    proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        out, err = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
+        out, err = None, None
         print(f"simbench: {workload} seed {seed} timed out", file=sys.stderr)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    if out is None:
         return 1, None
-    sys.stderr.write(proc.stderr)
+    sys.stderr.write(err)
     if echo:
-        sys.stdout.write(proc.stdout)
-    lines = proc.stdout.strip().splitlines()
+        sys.stdout.write(out)
+    lines = out.strip().splitlines()
     result = None
     if lines and lines[-1].startswith("{"):
         result = json.loads(lines[-1])
