@@ -28,7 +28,7 @@ pub struct CodecProbe {
 }
 
 /// `Codec::decode_request` over the phase's request frames and
-/// `Codec::encode_response` over its captured replies.
+/// `Codec::encode_response` over its captured replies, in `format`.
 pub fn codec(
     format: WireFormat,
     nodes: &[NodeId],
@@ -37,6 +37,10 @@ pub fn codec(
     spans: &mut Spans,
 ) -> Result<CodecProbe, String> {
     let codec = format.codec();
+    let (decode_span, encode_span) = match format {
+        WireFormat::Jsonl => ("codec.json.decode_request", "codec.json.encode_response"),
+        WireFormat::Ssb => ("codec.ssb.decode_request", "codec.ssb.encode_response"),
+    };
     let frames: Vec<Vec<u8>> = nodes
         .iter()
         .take(PROBE_CAP)
@@ -48,7 +52,7 @@ pub fn codec(
         })
         .collect();
     for (i, frame) in frames.iter().enumerate() {
-        let decoded = spans.time("codec.decode_request", i as u64, || codec.decode_request(frame));
+        let decoded = spans.time(decode_span, i as u64, || codec.decode_request(frame));
         if !matches!(decoded, ssr_serve::Decoded::Frame { .. }) {
             return Err(format!("frame {i} did not decode: {decoded:?}"));
         }
@@ -58,14 +62,12 @@ pub fn codec(
     for (i, reply) in replies.iter().take(PROBE_CAP).enumerate() {
         let resp = Response::Query(reply.clone());
         out.clear();
-        spans.time("codec.encode_response", i as u64, || {
-            codec.encode_response(i as u64, &resp, &mut out)
-        });
+        spans.time(encode_span, i as u64, || codec.encode_response(i as u64, &resp, &mut out));
         bytes += out.len();
     }
     Ok(CodecProbe {
-        decode_req_ns: median(&spans.durations_ns("codec.decode_request")),
-        encode_reply_ns: median(&spans.durations_ns("codec.encode_response")),
+        decode_req_ns: median(&spans.durations_ns(decode_span)),
+        encode_reply_ns: median(&spans.durations_ns(encode_span)),
         reply_bytes: bytes as f64 / replies.len().clamp(1, PROBE_CAP) as f64,
     })
 }
@@ -74,6 +76,28 @@ pub fn codec(
 /// default geometry (4096 entries, 8 shards); misses insert, as the
 /// server does, so the stream sees the same hit/evict pattern.
 pub fn cache_lookup_ns(warm: &[NodeId], stream: &[NodeId], k: usize, spans: &mut Spans) -> f64 {
+    lookups(warm, stream, k, "cache.get", spans)
+}
+
+/// `ShardedCache::get` over the same key stream after every key in it
+/// was inserted, so each call takes the hit path.
+pub fn cache_hit_lookup_ns(stream: &[NodeId], k: usize, spans: &mut Spans) -> f64 {
+    let mut keys: Vec<NodeId> = stream.iter().take(PROBE_CAP).copied().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.truncate(4096);
+    let stream: Vec<NodeId> =
+        stream.iter().copied().filter(|v| keys.binary_search(v).is_ok()).collect();
+    lookups(&keys, &stream, k, "cache.get_hit", spans)
+}
+
+fn lookups(
+    warm: &[NodeId],
+    stream: &[NodeId],
+    k: usize,
+    span: &'static str,
+    spans: &mut Spans,
+) -> f64 {
     let cache = ShardedCache::new(4096, 8);
     let value: Matches = Arc::new(Vec::new());
     let key = |node| CacheKey { epoch: 0, node, k: k as u32, params_key: 1 };
@@ -81,12 +105,12 @@ pub fn cache_lookup_ns(warm: &[NodeId], stream: &[NodeId], k: usize, spans: &mut
         cache.insert(key(v), value.clone());
     }
     for (i, &v) in stream.iter().take(PROBE_CAP).enumerate() {
-        let hit = spans.time("cache.get", i as u64, || cache.get(&key(v)));
+        let hit = spans.time(span, i as u64, || cache.get(&key(v)));
         if hit.is_none() {
             cache.insert(key(v), value.clone());
         }
     }
-    median(&spans.durations_ns("cache.get"))
+    median(&spans.durations_ns(span))
 }
 
 /// One replayed request: due → answer, with the batcher's stage split.

@@ -117,7 +117,8 @@ pub struct Admin {
     next: usize,
     next_due: Instant,
     period: Duration,
-    outstanding: Option<Instant>,
+    /// Send time and span id of the write awaiting its acknowledgement.
+    outstanding: Option<(Instant, u64)>,
     /// Epoch of the last acknowledged write (0 before any).
     pub acked_epoch: u64,
     /// Sent → acknowledged, per write, in ms.
@@ -159,7 +160,7 @@ impl Admin {
 
     /// Collects an acknowledgement or sends the next due write.
     pub fn poll(&mut self, now: Instant) -> Result<(), String> {
-        if let Some(sent) = self.outstanding {
+        if let Some((sent, id)) = self.outstanding {
             if let Some(resp) = self.conn.reader.try_recv()? {
                 let epoch = match (&self.plan[self.next - 1], resp) {
                     (Write::Delta { .. }, Response::DeltaApplied { epoch, .. }) => epoch,
@@ -173,7 +174,7 @@ impl Admin {
                     ));
                 }
                 let done = Instant::now();
-                self.spans.record("admin.write", self.next as u64, None, sent, done);
+                self.spans.record("admin.write", id, None, sent, done);
                 self.acked_epoch = epoch;
                 self.write_ms.push(done.duration_since(sent).as_secs_f64() * 1e3);
                 self.outstanding = None;
@@ -181,7 +182,7 @@ impl Admin {
         } else if now >= self.next_due && self.next < self.plan.len() {
             self.conn.writer.send(&self.plan[self.next].request())?;
             self.next += 1;
-            self.outstanding = Some(Instant::now());
+            self.outstanding = Some((Instant::now(), self.spans.reserve_ids(1)));
             self.next_due += self.period;
         }
         Ok(())
@@ -194,6 +195,20 @@ impl Admin {
         } else {
             self.next_due.max(now)
         }
+    }
+
+    /// Sends the next planned write now and waits for its acknowledgement;
+    /// returns whether it was an `edge-delta` (else a `reload`).
+    pub fn write_now(&mut self) -> Result<bool, String> {
+        self.settle()?;
+        if self.next == self.plan.len() {
+            return Err(format!("all {} planned writes are used up", self.plan.len()));
+        }
+        let delta = matches!(self.plan.get(self.next), Some(Write::Delta { .. }));
+        self.next_due = Instant::now();
+        self.poll(self.next_due)?;
+        self.settle()?;
+        Ok(delta)
     }
 
     /// Waits for any outstanding write.
@@ -316,6 +331,7 @@ pub fn open_loop(
     let start = Instant::now() + Duration::from_millis(2);
     let end = start + dur;
     let mut lag_ms = Vec::with_capacity(schedule.len());
+    let ids = spans.reserve_ids(schedule.len() as u64);
     let mut recv_spans = spans.fork();
     let mut recv_checker = std::mem::take(checker);
     let (writer, reader) = (&mut conn.writer, &mut conn.reader);
@@ -334,7 +350,8 @@ pub fn open_loop(
                     Ok(resp) => {
                         let now = Instant::now();
                         if i < SPANS_PER_PHASE {
-                            recv_spans.record("client.request", i as u64, None, sent.due, now);
+                            let id = ids + i as u64;
+                            recv_spans.record("client.request", id, None, sent.due, now);
                         }
                         got.take(resp, &sent, now, end, recv_checker);
                     }
@@ -374,7 +391,8 @@ pub fn open_loop(
                 for (j, &(off, node)) in schedule.iter().enumerate().take(i).skip(first) {
                     let due = start + Duration::from_secs_f64(off);
                     if j < SPANS_PER_PHASE {
-                        spans.record("client.send", j as u64, None, due, sent_at);
+                        let id = ids + j as u64;
+                        spans.record("client.send", id, Some("client.request"), due, sent_at);
                     }
                     lag_ms.push(sent_at.saturating_duration_since(due).as_secs_f64() * 1e3);
                     tx.send(Sent { due, node, floor })
@@ -420,6 +438,7 @@ pub fn closed_loop(
     checker: &mut Checker,
     spans: &mut Spans,
 ) -> Result<PhaseOut, String> {
+    let ids = spans.reserve_ids(SPANS_PER_PHASE as u64);
     let start = Instant::now();
     let end = start + dur;
     let mut inflight: VecDeque<Sent> = VecDeque::with_capacity(depth);
@@ -457,9 +476,9 @@ pub fn closed_loop(
         while let Some(resp) = next {
             let now = Instant::now();
             let sent = inflight.pop_front().ok_or("reply without a request")?;
-            let id = attempted - inflight.len() as u64;
-            if id < SPANS_PER_PHASE as u64 {
-                spans.record("client.request", id, None, sent.due, now);
+            let done = attempted - inflight.len() as u64;
+            if done <= SPANS_PER_PHASE as u64 {
+                spans.record("client.request", ids + done - 1, None, sent.due, now);
             }
             got.take(resp, &sent, now, end, checker);
             refill += 1;

@@ -117,7 +117,7 @@ fn run(args: &Args) -> Result<Report, String> {
         nproc,
         simstar: args.simstar.clone(),
         work: args.work.clone(),
-        graph_path,
+        graph_path: std::fs::canonicalize(&graph_path).map_err(|e| e.to_string())?,
         reload_path: std::fs::canonicalize(&reload_path).map_err(|e| e.to_string())?,
         graph,
         reload_graph,

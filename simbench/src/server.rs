@@ -7,7 +7,7 @@
 //! The announce file is polled every 0.5 ms (not `wait_for_announce`'s
 //! 25 ms) because `setup_s` is timed through it.
 
-use crate::util::peak_rss_mib;
+use crate::util::{cpu_seconds, peak_rss_mib, user_system_seconds};
 use ssr_serve::codec::SSB_MAGIC;
 use ssr_serve::{Codec, Decoded, Request, Response, StatsReply, WireFormat};
 use std::io::{ErrorKind, Read, Write};
@@ -232,6 +232,16 @@ impl ServerProc {
 
     pub fn peak_rss_mib(&self) -> Result<f64, String> {
         peak_rss_mib(&self.child.id().to_string())
+    }
+
+    /// User and system CPU seconds of the server process so far.
+    pub fn user_system_seconds(&self) -> Result<(f64, f64), String> {
+        user_system_seconds(self.child.id())
+    }
+
+    /// CPU seconds the server process has used so far.
+    pub fn cpu_seconds(&self) -> Result<f64, String> {
+        cpu_seconds(self.child.id())
     }
 
     /// Asks the server to stop and waits for the process to end.

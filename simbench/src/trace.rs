@@ -2,19 +2,23 @@
 //!
 //! Spans are recorded by the benchmark's own code around each call into a
 //! layer (the program itself is not instrumented). A span has a name, a
-//! start and an end relative to the recorder's origin, an optional parent
-//! (index into the same recorder) and a request id shared by every span of
-//! one request. Spans stay in memory and are written out as JSON lines
-//! when the run ends.
+//! start and an end relative to the recorder's origin, a request id, and
+//! an optional parent: the name of the enclosing span with the same id
+//! (`client.send` sits inside `client.request`). Request ids come from one
+//! counter shared by a recorder and its forks, so they are unique per run.
+//! Spans stay in memory and are written out as JSON lines when the run
+//! ends.
 
 use std::io::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     pub name: &'static str,
     pub id: u64,
-    pub parent: Option<usize>,
+    pub parent: Option<&'static str>,
     pub start_ns: u64,
     pub end_ns: u64,
 }
@@ -22,47 +26,56 @@ pub struct Span {
 pub struct Spans {
     origin: Instant,
     enabled: bool,
+    next_id: Arc<AtomicU64>,
     spans: Vec<Span>,
 }
 
 impl Spans {
     pub fn new(enabled: bool, origin: Instant) -> Self {
-        Spans { origin, enabled, spans: Vec::new() }
+        Spans { origin, enabled, next_id: Arc::new(AtomicU64::new(0)), spans: Vec::new() }
     }
 
-    /// A recorder sharing this one's origin and switch (for another thread).
+    /// A recorder sharing this one's origin, switch and id counter (for
+    /// another thread).
     pub fn fork(&self) -> Self {
-        Spans::new(self.enabled, self.origin)
+        Spans {
+            origin: self.origin,
+            enabled: self.enabled,
+            next_id: self.next_id.clone(),
+            spans: Vec::new(),
+        }
     }
 
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
+    /// Reserves `n` consecutive request ids; returns the first.
+    pub fn reserve_ids(&self, n: u64) -> u64 {
+        self.next_id.fetch_add(n, Ordering::Relaxed)
+    }
+
     fn offset(&self, t: Instant) -> u64 {
         t.saturating_duration_since(self.origin).as_nanos() as u64
     }
 
-    /// Records a finished span; returns its index (for children) or `None`
-    /// when tracing is off.
+    /// Records a finished span (nothing when tracing is off).
     pub fn record(
         &mut self,
         name: &'static str,
         id: u64,
-        parent: Option<usize>,
+        parent: Option<&'static str>,
         start: Instant,
         end: Instant,
-    ) -> Option<usize> {
-        if !self.enabled {
-            return None;
+    ) {
+        if self.enabled {
+            let span =
+                Span { name, id, parent, start_ns: self.offset(start), end_ns: self.offset(end) };
+            self.spans.push(span);
         }
-        let span =
-            Span { name, id, parent, start_ns: self.offset(start), end_ns: self.offset(end) };
-        self.spans.push(span);
-        Some(self.spans.len() - 1)
     }
 
-    /// Runs `f` inside a span named `name`.
+    /// Runs `f` inside a root span named `name`.
     pub fn time<T>(&mut self, name: &'static str, id: u64, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
@@ -72,10 +85,7 @@ impl Spans {
 
     pub fn absorb(&mut self, other: Spans) {
         if self.enabled {
-            let base = self.spans.len();
-            self.spans.extend(
-                other.spans.into_iter().map(|s| Span { parent: s.parent.map(|p| p + base), ..s }),
-            );
+            self.spans.extend(other.spans);
         }
     }
 
@@ -95,7 +105,7 @@ impl Spans {
     pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         for s in &self.spans {
-            let parent = s.parent.map_or("null".to_string(), |p| p.to_string());
+            let parent = s.parent.map_or("null".to_string(), |p| format!("\"{p}\""));
             writeln!(
                 out,
                 "{{\"name\":\"{}\",\"id\":{},\"parent\":{parent},\"start_ns\":{},\"end_ns\":{}}}",

@@ -109,6 +109,73 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(values, 0.5)
 }
 
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_getcpuclockid(pid: i32, clock: *mut i32) -> i32;
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// CPU time (user + system, every thread) that process `pid` has used so
+/// far, in seconds; `0` is this process. The kernel leaves out time the
+/// hypervisor took from the virtual CPU (steal), so on a shared machine
+/// this stays put while wall-clock times stretch.
+pub fn cpu_seconds(pid: u32) -> Result<f64, String> {
+    let mut clock = 0i32;
+    // SAFETY: `clock` is a valid out-pointer for the duration of the call.
+    let err = unsafe { clock_getcpuclockid(pid as i32, &mut clock) };
+    if err != 0 {
+        return Err(format!("no CPU clock for pid {pid} (error {err})"));
+    }
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid out-pointer for the duration of the call.
+    if unsafe { clock_gettime(clock, &mut ts) } != 0 {
+        return Err(format!(
+            "reading the CPU clock of pid {pid}: {}",
+            std::io::Error::last_os_error()
+        ));
+    }
+    Ok(ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9)
+}
+
+/// CPU time the hypervisor has taken from this machine's virtual CPUs
+/// (`steal` in `/proc/stat`, summed over CPUs), in seconds; 0 where the
+/// kernel does not report it.
+pub fn steal_seconds() -> f64 {
+    let text = std::fs::read_to_string("/proc/stat").unwrap_or_default();
+    let ticks: f64 = text
+        .lines()
+        .find(|l| l.starts_with("cpu "))
+        .and_then(|l| l.split_whitespace().nth(8))
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0.0);
+    // USER_HZ is 100 on every Linux ABI.
+    ticks / 100.0
+}
+
+/// User and system CPU seconds of process `pid` (`/proc/<pid>/stat`).
+pub fn user_system_seconds(pid: u32) -> Result<(f64, f64), String> {
+    let path = format!("/proc/{pid}/stat");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    // Fields after the parenthesised command name; utime and stime are
+    // fields 14 and 15 of the whole line, in USER_HZ (100) ticks.
+    let rest = text.rsplit_once(')').map(|(_, r)| r).unwrap_or_default();
+    let fields: Vec<f64> = rest.split_whitespace().map(|f| f.parse().unwrap_or(0.0)).collect();
+    match (fields.get(11), fields.get(12)) {
+        (Some(u), Some(s)) => Ok((u / 100.0, s / 100.0)),
+        _ => Err(format!("unparseable {path}")),
+    }
+}
+
+/// Mean of a sample (NaN when empty).
+pub fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
 /// Peak resident set (`VmHWM`) of process `pid`, in MiB.
 pub fn peak_rss_mib(pid: &str) -> Result<f64, String> {
     let path = format!("/proc/{pid}/status");
