@@ -94,16 +94,18 @@ struct ServerSpec {
     churn: bool,
 }
 
-/// Measurement rounds per run.
-const ROUNDS: usize = 4;
+/// Measurement rounds per run. The machine's speed drifts over seconds,
+/// so set-ups and writes, which take milliseconds, follow each of several
+/// rounds to sample the whole run.
+const ROUNDS: usize = 8;
 /// Share of each round given to the light, heavy and saturation segments.
 const PHASE_SHARE: [f64; 3] = [0.25, 0.45, 0.3];
 /// Set-ups after each round, besides the one whose server the rounds
 /// load; `setup_s` is the median of all their CPU times.
-const SETUPS_PER_ROUND: usize = 4;
+const SETUPS_PER_ROUND: usize = 2;
 /// Writes made one at a time on the idle server after each round, whose
 /// CPU cost is `write_cpu_ms` (half `edge-delta`, half `reload`).
-const WRITES_PER_ROUND: usize = 8;
+const WRITES_PER_ROUND: usize = 4;
 /// Spacing of those writes.
 const IDLE_WRITE_GAP: Duration = Duration::from_millis(50);
 
@@ -395,11 +397,13 @@ fn warm_up(
     Ok(())
 }
 
-/// The typical CPU cost of one write: the mean of the median `edge-delta`
-/// and the median `reload`, so the mix of kinds in the sample cannot move it.
+/// The CPU cost of one write: the mean of the mean `edge-delta` and the
+/// mean `reload`, so the mix of kinds in the sample cannot move it. Means,
+/// like the phases' pooled costs: a median of writes that cluster by round
+/// jumps with the machine's speed in a few rounds.
 fn write_cost_ms(writes: &[(bool, f64)]) -> f64 {
     let of_kind = |delta: bool| {
-        median(&writes.iter().filter(|w| w.0 == delta).map(|w| w.1).collect::<Vec<_>>())
+        mean(&writes.iter().filter(|w| w.0 == delta).map(|w| w.1).collect::<Vec<_>>())
     };
     (of_kind(true) + of_kind(false)) / 2.0
 }
@@ -596,10 +600,12 @@ fn serve_workload(ctx: &mut Ctx, mut spec: ServerSpec) -> Result<Report, String>
     ));
     report.note(format!(
         "# writes: {under_load_writes} under load (every 1 s), {} on the idle server ({} after each \
-         round, {} ms apart): server CPU p50 {:.2}ms; all {} acknowledged, wall p50 {:.1}ms",
+         round, {} ms apart): server CPU mean {:.2}ms p50 {:.2}ms; all {} acknowledged, wall p50 \
+         {:.1}ms",
         write_cpu.len(),
         WRITES_PER_ROUND,
         IDLE_WRITE_GAP.as_millis(),
+        mean(&write_cpu.iter().map(|w| w.1).collect::<Vec<_>>()),
         median(&write_cpu.iter().map(|w| w.1).collect::<Vec<_>>()),
         write_ms.len(),
         median(&write_ms)
@@ -869,6 +875,15 @@ const BLOCK: usize = 16;
 const ALLPAIRS_ROWS: usize = 2048;
 /// Rows per `top_k` call in the saturation phase.
 const SATURATION_ROWS: usize = 256;
+/// Rounds of an `allpairs_topk` run. The machine's speed drifts over
+/// seconds, and a set-up or a delta absorb takes milliseconds, so they
+/// follow each of many short rounds and sample the whole run, as the
+/// phases' pooled CPU costs do.
+const ALLPAIRS_ROUNDS: usize = 32;
+/// Set-ups after each `allpairs_topk` round.
+const ALLPAIRS_SETUPS_PER_ROUND: usize = 1;
+/// Delta absorbs after each `allpairs_topk` round.
+const ALLPAIRS_WRITES_PER_ROUND: usize = 3;
 
 type Ranked = Vec<Vec<(NodeId, f64)>>;
 
@@ -912,7 +927,7 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
             }
         }
     };
-    let round = ctx.seconds / ROUNDS as f64;
+    let round = ctx.seconds / ALLPAIRS_ROUNDS as f64;
     let [light_s, heavy_s, sat_s] = PHASE_SHARE.map(|f| Duration::from_secs_f64(f * round));
     let next = AtomicUsize::new(ctx.rng.below(blocks.len()));
     let chunks: Vec<(usize, &[NodeId])> = rows
@@ -923,7 +938,7 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
     let mut next_chunk = 0;
     // Writes: absorb a 64+64 edge delta into the seed graph by rebuilding
     // the engine (the plan reloads the seed graph between deltas).
-    let plan = write_plan(ctx, 2 * ROUNDS * WRITES_PER_ROUND, false);
+    let plan = write_plan(ctx, 2 * ALLPAIRS_ROUNDS * ALLPAIRS_WRITES_PER_ROUND, false);
     let mut deltas = plan.iter().filter_map(|w| match w {
         Write::Delta { add, remove } => Some((add, remove)),
         Write::Reload { .. } => None,
@@ -934,7 +949,7 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
         (CpuUse::default(), CpuUse::default(), CpuUse::default());
     let (steal0, rounds_start) = (steal_seconds(), Instant::now());
     let (mut write_ms, mut write_cpu_ms) = (Vec::new(), Vec::new());
-    for _ in 0..ROUNDS {
+    for _ in 0..ALLPAIRS_ROUNDS {
         // Light: one caller ranks one block at a time.
         let mut lat = Vec::new();
         let c = cpu()?;
@@ -996,10 +1011,10 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
         sat.push(rows_done as f64 / start.elapsed().as_secs_f64());
 
         // Between rounds: more set-ups, then delta absorbs.
-        for _ in 0..SETUPS_PER_ROUND {
+        for _ in 0..ALLPAIRS_SETUPS_PER_ROUND {
             std::hint::black_box(set_up(&mut ctx.spans)?);
         }
-        for (add, remove) in deltas.by_ref().take(WRITES_PER_ROUND) {
+        for (add, remove) in deltas.by_ref().take(ALLPAIRS_WRITES_PER_ROUND) {
             // The edge list is the harness's own work; the absorb is the
             // graph and engine build from it.
             let gone: HashSet<&(NodeId, NodeId)> = remove.iter().collect();
@@ -1018,7 +1033,7 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
     }
     let steal = steal_pct(steal0, rounds_start.elapsed().as_secs_f64(), ctx.nproc);
     let rss = peak_rss_mib("self")?;
-    for r in 0..ROUNDS {
+    for r in 0..ALLPAIRS_ROUNDS {
         report.note(format!(
             "# round {r}: light 1 caller blocks={} p50={:.3}ms; heavy {} callers blocks={} p50={:.3}ms \
              p99={:.3}ms; saturation top_k over {SATURATION_ROWS}-row chunks at threads={} rows/s={:.1}",
@@ -1042,8 +1057,9 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
         heavy_cpu.answered,
     ));
     report.note(format!(
-        "# writes: {} delta absorbs (rebuild), CPU p50 {:.2}ms, wall p50 {:.1}ms",
+        "# writes: {} delta absorbs (rebuild), CPU mean {:.2}ms p50 {:.2}ms, wall p50 {:.1}ms",
         write_ms.len(),
+        mean(&write_cpu_ms),
         median(&write_cpu_ms),
         median(&write_ms)
     ));
@@ -1067,7 +1083,8 @@ pub fn allpairs_topk(ctx: &mut Ctx) -> Result<Report, String> {
     report.e2e("sat_cpu_us_per_req", sat_cpu.us_per_request(), "us");
     report.e2e("light_cpu_us_per_req", light_cpu.us_per_request(), "us");
     report.e2e("heavy_cpu_us_per_req", heavy_cpu.us_per_request(), "us");
-    report.e2e("write_cpu_ms", median(&write_cpu_ms), "ms");
+    // The mean, as for the server's writes.
+    report.e2e("write_cpu_ms", mean(&write_cpu_ms), "ms");
     report.e2e("peak_rss_mib", rss, "MiB");
 
     // Oracle: every block ranked must equal QueryEngine::top_k_batch on
