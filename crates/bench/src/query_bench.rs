@@ -13,16 +13,22 @@
 //!   fixed-size batches from [`ssr_eval::queries::select_query_batches`],
 //!   packing query rows into the blocked 16-lane kernel;
 //!
-//! plus **engine_topk** (the partial-selection result mode). The emitted
-//! JSON schema is documented in `README.md` ("Perf trajectory"); CI's
-//! scheduled bench job runs the `--smoke` variant and uploads the file as
-//! an artifact so the trajectory accumulates per week.
+//! plus **engine_topk** (the partial-selection result mode), and a
+//! **lane_width** axis: CPU ms per query of
+//! [`simrank_star::QueryEngine::top_k_batch`] with every chunk forced to one
+//! lane or to 16, at 1/2/4/8/16 queries per call, in both
+//! non-deterministic and deterministic mode — the table behind the
+//! engine's choice of lane width. The emitted JSON schema is documented in
+//! `README.md` ("Perf trajectory"); CI's scheduled bench job runs the
+//! `--smoke` variant and uploads the file as an artifact so the trajectory
+//! accumulates per week.
 
 use crate::timed;
 use simrank_star::single_source::single_source_dense;
-use simrank_star::{QueryEngine, SimStarParams};
+use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::{select_queries, select_query_batches};
+use ssr_graph::NodeId;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -41,6 +47,10 @@ const C: f64 = 0.6;
 const K: usize = 8;
 const TOP_K: usize = 20;
 const SEED: u64 = 0x0BE7_C0DE;
+/// Queries per call on the `lane_width` axis.
+const CALL_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
+/// The lane widths the engine builds.
+const WIDTHS: [usize; 2] = [1, 16];
 
 /// Per-mode timing: one latency sample per timed unit (query or batch),
 /// `queries_per_unit` queries amortized over each sample.
@@ -96,6 +106,9 @@ struct DatasetReport {
     engine: ModeStats,
     topk: ModeStats,
     batched: ModeStats,
+    /// `lanes[det][width][size]`: CPU ms per query on the `lane_width`
+    /// axis, indexed like [`WIDTHS`] and [`CALL_SIZES`].
+    lanes: [[[f64; CALL_SIZES.len()]; WIDTHS.len()]; 2],
 }
 
 impl DatasetReport {
@@ -115,6 +128,69 @@ fn best_of(reps: usize, mut pass: impl FnMut() -> Vec<(Duration, usize)>) -> Mod
         .map(|_| ModeStats::collect(pass()))
         .min_by(|a, b| a.total.cmp(&b.total))
         .expect("at least one pass")
+}
+
+/// CPU time this thread has run so far, from
+/// `/proc/thread-self/schedstat` (steal excluded); `None` where the kernel
+/// does not expose it. The kernel brings the figure up to date at every
+/// scheduler tick, so a reading can lag by one tick (a few ms).
+fn thread_cpu() -> Option<Duration> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().next()?.parse().ok().map(Duration::from_nanos)
+}
+
+/// Which clock the `lane_width` axis reads: thread CPU time where
+/// available, wall clock otherwise.
+fn lane_clock() -> &'static str {
+    if thread_cpu().is_some() {
+        "thread_cpu"
+    } else {
+        "wall"
+    }
+}
+
+/// Time of `f` on the `lane_width` clock.
+fn lane_timed(f: impl FnOnce()) -> Duration {
+    let Some(start) = thread_cpu() else { return timed(f).1 };
+    f();
+    thread_cpu().map_or(Duration::ZERO, |end| end.saturating_sub(start))
+}
+
+/// Shortest measured window on the `lane_width` axis: long enough that a
+/// scheduler tick of clock lag stays a few percent.
+const LANE_WINDOW: Duration = Duration::from_millis(100);
+
+/// The `lane_width` axis for one engine: for each width and call size,
+/// the fastest of `reps` windows, each running whole passes over `queries`
+/// (cut into calls of that size) for at least [`LANE_WINDOW`], in ms per
+/// query. The widths' windows alternate within each call size, so a drift
+/// in machine speed shifts both sides of a comparison alike.
+fn lane_axis(
+    engine: &QueryEngine,
+    queries: &[NodeId],
+    reps: usize,
+) -> [[f64; CALL_SIZES.len()]; WIDTHS.len()] {
+    let mut best = [[f64::INFINITY; CALL_SIZES.len()]; WIDTHS.len()];
+    for (s, &size) in CALL_SIZES.iter().enumerate() {
+        let pass = |width| {
+            for call in queries.chunks(size) {
+                std::hint::black_box(engine.top_k_batch_at_width(call, TOP_K, width));
+            }
+        };
+        // A warm-up pass per width sizes its windows.
+        let passes = WIDTHS.map(|width| {
+            let once = timed(|| pass(width)).1.as_secs_f64().max(1e-9);
+            (LANE_WINDOW.as_secs_f64() / once).ceil().max(1.0) as usize
+        });
+        for _ in 0..reps.max(1) {
+            for (w, &width) in WIDTHS.iter().enumerate() {
+                let t = lane_timed(|| (0..passes[w]).for_each(|_| pass(width)));
+                let ms = t.as_secs_f64() * 1e3 / (passes[w] * queries.len()) as f64;
+                best[w][s] = best[w][s].min(ms);
+            }
+        }
+    }
+    best
 }
 
 /// Runs the benchmark, prints a summary table, and writes the JSON report.
@@ -193,6 +269,15 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             batches.iter().map(|b| (timed(|| engine.query_batch(b)).1, b.len())).collect()
         });
 
+        // lane_width: the same queries, every chunk forced to each width,
+        // in both modes.
+        let det_engine = QueryEngine::with_options(
+            g,
+            params,
+            QueryEngineOptions { deterministic: true, ..Default::default() },
+        );
+        let lanes = [&engine, &det_engine].map(|e| lane_axis(e, &queries, reps));
+
         let report = DatasetReport {
             name: id.name(),
             divisor,
@@ -203,6 +288,7 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             engine: engine_stats,
             topk,
             batched,
+            lanes,
         };
         println!(
             "{:<11} {:>7} {:>8} {:>8.0}/s {:>8.0}/s {:>8.0}/s {:>8.0}/s {:>7.1}x {:>7.1}x",
@@ -216,6 +302,16 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             report.speedup_engine_vs_naive(),
             report.speedup_batched_vs_engine(),
         );
+        for (det, table) in report.lanes.iter().enumerate() {
+            for (width, row) in WIDTHS.iter().zip(table) {
+                let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
+                println!(
+                    "  lane_width {width:>2} deterministic={:<5} ms/query at {CALL_SIZES:?} queries/call: {}",
+                    det == 1,
+                    cells.join(" ")
+                );
+            }
+        }
         reports.push((report, batch_size));
     }
     let json = render_json(opts.smoke, &reports);
@@ -252,12 +348,37 @@ fn render_json(smoke: bool, reports: &[(DatasetReport, usize)]) -> String {
             writeln!(s, "      \"speedup_engine_vs_naive\": {:.2},", r.speedup_engine_vs_naive());
         let _ = writeln!(
             s,
-            "      \"speedup_batched_vs_engine\": {:.2}",
+            "      \"speedup_batched_vs_engine\": {:.2},",
             r.speedup_batched_vs_engine()
         );
+        s.push_str(&lane_json(&r.lanes));
         s.push_str(if i + 1 < reports.len() { "    },\n" } else { "    }\n" });
     }
     s.push_str("  ]\n}\n");
+    s
+}
+
+/// The `lane_width` object of one dataset: CPU ms per query by mode
+/// (`nondet`/`det`) and width (`w1`/`w16`), one entry per call size.
+fn lane_json(lanes: &[[[f64; CALL_SIZES.len()]; WIDTHS.len()]; 2]) -> String {
+    let mut s = String::new();
+    s.push_str("      \"lane_width\": {\n");
+    let _ = writeln!(s, "        \"unit\": \"ms_per_query\", \"clock\": \"{}\",", lane_clock());
+    let _ = writeln!(s, "        \"queries_per_call\": {CALL_SIZES:?},");
+    for (det, table) in lanes.iter().enumerate() {
+        let rows: Vec<String> = WIDTHS
+            .iter()
+            .zip(table)
+            .map(|(w, row)| {
+                let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
+                format!("\"w{w}\": [{}]", cells.join(", "))
+            })
+            .collect();
+        let mode = if det == 1 { "det" } else { "nondet" };
+        let comma = if det == 0 { "," } else { "" };
+        let _ = writeln!(s, "        \"{mode}\": {{{}}}{comma}", rows.join(", "));
+    }
+    s.push_str("      }\n");
     s
 }
 
@@ -278,6 +399,18 @@ mod tests {
         assert!((s.percentile_us(0.5) - 200.0).abs() < 1e-9);
         assert!((s.percentile_us(0.99) - 400.0).abs() < 1e-9);
         assert!((s.qps() - 4000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn lane_json_is_valid_json() {
+        let mut lanes = [[[0.0; CALL_SIZES.len()]; WIDTHS.len()]; 2];
+        lanes[1][1][4] = 1.25;
+        let doc = format!("{{\n{}}}", lane_json(&lanes).trim_end());
+        let parsed = crate::check::parse_json(&doc).expect("valid JSON");
+        let axis = parsed.get("lane_width").expect("lane_width object");
+        let w16 = axis.get("det").and_then(|d| d.get("w16")).and_then(|w| w.as_arr());
+        assert_eq!(w16.map(|w| w.len()), Some(CALL_SIZES.len()));
+        assert_eq!(w16.and_then(|w| w[4].as_num()), Some(1.25));
     }
 
     #[test]

@@ -914,12 +914,19 @@ mod tests {
     }
 
     fn tmp_graph() -> String {
-        let dir = std::env::temp_dir().join("simstar_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fig1.txt");
-        let g = ssr_gen::fixtures::figure1_graph();
-        std::fs::write(&path, gio::to_edge_list_string(&g)).unwrap();
-        path.to_string_lossy().into_owned()
+        // Written once per test process: tests run in parallel, and one
+        // rewriting the file while another reads it hands the reader a
+        // truncated graph.
+        static PATH: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        PATH.get_or_init(|| {
+            let dir = std::env::temp_dir().join("simstar_cli_test");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("fig1_{}.txt", std::process::id()));
+            let g = ssr_gen::fixtures::figure1_graph();
+            std::fs::write(&path, gio::to_edge_list_string(&g)).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .clone()
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   memoization speedup finally reaches the all-pairs path through the
 //!   same engine surface as everything else.
 //! * **Partial pairs** — [`AllPairsEngine::rows`] computes an arbitrary
-//!   row subset without paying for `n²`: each `BLOCK`-lane chunk of
-//!   requested rows runs the [`QueryEngine`]'s two-pass Horner sweep
-//!   (sparse frontiers, dense fallback through the same lane kernels),
-//!   chunks dispatched in parallel over pooled scratch.
+//!   row subset without paying for `n²`: each 16-row chunk of requested
+//!   rows runs the [`QueryEngine`]'s two-pass Horner sweep exactly as
+//!   [`QueryEngine::query_batch`] would (same lane width, sparse frontiers,
+//!   dense fallback), chunks dispatched in parallel over pooled scratch.
 //! * **Streaming top-k** — [`AllPairsEngine::top_k`] ranks every requested
 //!   row by partial selection *per block*, so ranking workloads never
 //!   materialize the full matrix: peak memory is one scratch set per
@@ -50,7 +50,7 @@
 //! ```
 
 use crate::kernel::{transpose_into, PlainRightMultiplier, RightMultiplier, BLOCK};
-use crate::query_engine::{copy_lane_into, partial_top_k, QueryEngineOptions, SeriesKind};
+use crate::query_engine::{partial_top_k, QueryEngineOptions, SeriesKind};
 use crate::{QueryEngine, SimStarParams, SimilarityMatrix};
 use ssr_compress::{CompressOptions, SizeReport};
 use ssr_graph::{DiGraph, NodeId};
@@ -235,13 +235,9 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(out.as_mut_slice(), n, BLOCK, threads, |start_row, slab| {
             let chunk = &subset[start_row..start_row + slab.len() / n];
-            let mut s = self.qe.take_block_scratch();
-            self.qe.sweep_block_core(chunk.iter().copied(), &mut s);
-            for (lane, row) in slab.chunks_mut(n).enumerate() {
-                copy_lane_into(&s.w, lane, row);
-            }
-            s.w.clear();
-            self.qe.put_block_scratch(s);
+            self.qe.sweep_chunk(chunk, None, None, |lane, row, _| {
+                slab[lane * n..][..n].copy_from_slice(row);
+            });
         });
         out
     }
@@ -263,23 +259,9 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(&mut results, 1, BLOCK, threads, |start_row, res_chunk| {
             let chunk = &subset[start_row..start_row + res_chunk.len()];
-            let mut s = self.qe.take_block_scratch();
-            let mut row = vec![0.0; n];
-            let mut idx = Vec::new();
-            self.qe.sweep_block_core(chunk.iter().copied(), &mut s);
-            for (lane, (&q, out)) in chunk.iter().zip(res_chunk.iter_mut()).enumerate() {
-                copy_lane_into(&s.w, lane, &mut row);
-                *out = partial_top_k(&row, q, k, &mut idx);
-                if !s.w.dense {
-                    // Sparse result: only the support was written; re-zero
-                    // it so the next lane starts from a clean row.
-                    for &i in &s.w.active {
-                        row[i as usize] = 0.0;
-                    }
-                }
-            }
-            s.w.clear();
-            self.qe.put_block_scratch(s);
+            self.qe.sweep_chunk(chunk, None, None, |lane, row, idx| {
+                res_chunk[lane] = partial_top_k(row, chunk[lane], k, idx);
+            });
         });
         results
     }

@@ -30,9 +30,8 @@
 //! are independent and are distributed over std scoped threads.
 
 use ssr_compress::{compress, CompressOptions, CompressedGraph};
-use ssr_graph::{DiGraph, NeighborAccess};
-use ssr_linalg::{available_threads, Csr, Dense};
-use std::sync::Arc;
+use ssr_graph::DiGraph;
+use ssr_linalg::{available_threads, Dense};
 
 /// Lanes per block. 16 f64 = two cache lines per accumulator row; large
 /// enough to amortise index reads, small enough to keep the transposed
@@ -181,14 +180,6 @@ fn lane_add(dst: &mut [f64], src: &[f64]) {
 fn lane_scale(dst: &mut [f64], f: f64) {
     for d in dst.iter_mut() {
         *d *= f;
-    }
-}
-
-/// `dst += f * src`, `lanes`-wide.
-#[inline]
-fn lane_axpy(dst: &mut [f64], src: &[f64], f: f64) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += f * s;
     }
 }
 
@@ -411,184 +402,6 @@ impl RightMultiplier for CompressedRightMultiplier {
     }
 }
 
-/// Blocked kernel `Y = X · Aᵀ` over an arbitrary **weighted** square CSR
-/// matrix `A` — the same lane layout as the graph kernels, with explicit
-/// per-entry weights instead of the uniform `1/|I(x)|` scaling.
-///
-/// The query engine uses it with `A = Qᵀ` to advance batched `u_θ = e_qᵀQ^θ`
-/// state: `X · Q = X · (Qᵀ)ᵀ`, so adjacency indices are read once per
-/// 16-lane block in the θ direction too.
-pub struct CsrRightMultiplier {
-    a: Csr,
-}
-
-impl CsrRightMultiplier {
-    /// Wraps a square CSR matrix `A`; the kernel computes `X · Aᵀ`.
-    pub fn new(a: Csr) -> Self {
-        assert_eq!(a.rows(), a.cols(), "square matrix required");
-        CsrRightMultiplier { a }
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &Csr {
-        &self.a
-    }
-}
-
-impl RightMultiplier for CsrRightMultiplier {
-    fn node_count(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            // Full-width fast path: accumulate each output row in a
-            // fixed-size register block so the per-edge inner loop compiles
-            // to wide FMAs with no bounds checks — this is the hot kernel
-            // of the batched dense fallback.
-            for (xnode, dst) in yb.chunks_exact_mut(BLOCK).enumerate() {
-                let mut acc = [0.0f64; BLOCK];
-                let mut nonempty = false;
-                for (y, v) in self.a.row_entries(xnode) {
-                    let src: &[f64; BLOCK] =
-                        xb[y as usize * BLOCK..][..BLOCK].try_into().expect("BLOCK lanes");
-                    for (a, s) in acc.iter_mut().zip(src) {
-                        *a += v * s;
-                    }
-                    nonempty = true;
-                }
-                if nonempty {
-                    for (d, a) in dst.iter_mut().zip(acc) {
-                        *d += a;
-                    }
-                }
-            }
-            return;
-        }
-        for xnode in 0..self.a.rows() {
-            let acc = &mut yb[xnode * lanes..(xnode + 1) * lanes];
-            for (y, v) in self.a.row_entries(xnode) {
-                lane_axpy(acc, &xb[y as usize * lanes..(y as usize + 1) * lanes], v);
-            }
-        }
-    }
-
-    fn work_per_row(&self) -> usize {
-        self.a.nnz() + self.a.rows()
-    }
-}
-
-/// Blocked kernel over a [`NeighborAccess`] backing — the engines' dense
-/// fallback when the graph is *not* materialised as CSR matrices (e.g. a
-/// random-access `.ssg` store decoding adjacency off compressed bytes).
-///
-/// Two shapes, both driven by the shared `1/|I(v)|` weights:
-///
-/// * [`AccessRightMultiplier::q`] computes `Y = X·Qᵀ`
-///   (`yb[x] = inv_in[x]·Σ_{y ∈ I(x)} xb[y]` — one in-list walk per node,
-///   exactly [`PlainRightMultiplier`]'s add-then-scale arithmetic);
-/// * [`AccessRightMultiplier::q_transpose`] computes `Y = X·Q`
-///   (`yb[x] = Σ_{j ∈ O(x)} inv_in[j]·xb[j]` — one out-list walk per node
-///   with per-target weights, the θ-direction advance).
-pub struct AccessRightMultiplier {
-    src: Arc<dyn NeighborAccess>,
-    inv_in: Arc<Vec<f64>>,
-    transposed: bool,
-}
-
-impl AccessRightMultiplier {
-    /// Wraps `Q` (in-neighbor walks): the kernel computes `X·Qᵀ`.
-    pub fn q(src: Arc<dyn NeighborAccess>, inv_in: Arc<Vec<f64>>) -> Self {
-        assert_eq!(src.node_count(), inv_in.len(), "weights per node");
-        AccessRightMultiplier { src, inv_in, transposed: false }
-    }
-
-    /// Wraps `Qᵀ` (out-neighbor walks): the kernel computes `X·Q`.
-    pub fn q_transpose(src: Arc<dyn NeighborAccess>, inv_in: Arc<Vec<f64>>) -> Self {
-        assert_eq!(src.node_count(), inv_in.len(), "weights per node");
-        AccessRightMultiplier { src, inv_in, transposed: true }
-    }
-
-    /// Fixed-width fast path, mirroring the other kernels' register-block
-    /// accumulation (the virtual per-node neighbor call dominates here, but
-    /// the lane arithmetic still vectorizes).
-    fn apply_block_fixed<const L: usize>(&self, xb: &[f64], yb: &mut [f64]) {
-        let n = self.inv_in.len();
-        for (xnode, dst) in yb[..n * L].chunks_exact_mut(L).enumerate() {
-            let mut acc = [0.0f64; L];
-            if self.transposed {
-                self.src.for_each_out(xnode as u32, &mut |j| {
-                    let w = self.inv_in[j as usize];
-                    let src: &[f64; L] = xb[j as usize * L..][..L].try_into().expect("L lanes");
-                    for (a, s) in acc.iter_mut().zip(src) {
-                        *a += w * s;
-                    }
-                });
-                for (d, a) in dst.iter_mut().zip(acc) {
-                    *d += a;
-                }
-            } else {
-                let inv = self.inv_in[xnode];
-                if inv == 0.0 {
-                    continue;
-                }
-                self.src.for_each_in(xnode as u32, &mut |y| {
-                    let src: &[f64; L] = xb[y as usize * L..][..L].try_into().expect("L lanes");
-                    for (a, s) in acc.iter_mut().zip(src) {
-                        *a += s;
-                    }
-                });
-                for (d, a) in dst.iter_mut().zip(acc) {
-                    *d += a * inv;
-                }
-            }
-        }
-    }
-}
-
-impl RightMultiplier for AccessRightMultiplier {
-    fn node_count(&self) -> usize {
-        self.inv_in.len()
-    }
-
-    fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            return self.apply_block_fixed::<BLOCK>(xb, yb);
-        }
-        for xnode in 0..self.inv_in.len() {
-            if self.transposed {
-                let dst_range = xnode * lanes..(xnode + 1) * lanes;
-                self.src.for_each_out(xnode as u32, &mut |j| {
-                    let w = self.inv_in[j as usize];
-                    // Split borrows: `yb[dst] += w·xb[src]` with dst ≠ src
-                    // rows guaranteed by the two separate buffers.
-                    lane_axpy(
-                        &mut yb[dst_range.clone()],
-                        &xb[j as usize * lanes..(j as usize + 1) * lanes],
-                        w,
-                    );
-                });
-            } else {
-                let inv = self.inv_in[xnode];
-                if inv == 0.0 {
-                    continue;
-                }
-                let mut acc = vec![0.0; lanes];
-                self.src.for_each_in(xnode as u32, &mut |y| {
-                    lane_add(&mut acc, &xb[y as usize * lanes..(y as usize + 1) * lanes]);
-                });
-                for (d, a) in yb[xnode * lanes..(xnode + 1) * lanes].iter_mut().zip(acc) {
-                    *d += a * inv;
-                }
-            }
-        }
-    }
-
-    fn work_per_row(&self) -> usize {
-        self.src.edge_count() + self.inv_in.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,53 +505,6 @@ mod tests {
             let x = random_dense(rows, g.node_count(), 4 + rows as u64);
             assert!(memo.apply(&x).approx_eq(&plain.apply(&x), 1e-12), "rows = {rows}");
         }
-    }
-
-    #[test]
-    fn csr_kernel_matches_plain_on_q_and_transposes_to_left_mul() {
-        let g = fig1_like();
-        let n = g.node_count();
-        let x = random_dense(n, n, 5);
-        let q = Csr::backward_transition(&g);
-        // Wrapping Q computes X·Qᵀ, i.e. exactly the plain kernel.
-        let via_csr = CsrRightMultiplier::new(q.clone()).apply(&x);
-        let via_plain = PlainRightMultiplier::new(&g).apply(&x);
-        assert!(via_csr.approx_eq(&via_plain, 1e-12));
-        // Wrapping Qᵀ computes X·Q (the θ-direction advance).
-        let via_qt = CsrRightMultiplier::new(q.transpose()).apply(&x);
-        let reference = x.matmul(&q.to_dense());
-        assert!(via_qt.approx_eq(&reference, 1e-12));
-    }
-
-    #[test]
-    fn access_kernels_match_csr_kernels() {
-        let g = fig1_like();
-        let n = g.node_count();
-        let q = Csr::backward_transition(&g);
-        let inv_in: Arc<Vec<f64>> = Arc::new(
-            (0..n as u32)
-                .map(|v| {
-                    let d = g.in_degree(v);
-                    if d == 0 {
-                        0.0
-                    } else {
-                        1.0 / d as f64
-                    }
-                })
-                .collect(),
-        );
-        let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
-        let aq = AccessRightMultiplier::q(src.clone(), inv_in.clone());
-        let aqt = AccessRightMultiplier::q_transpose(src, inv_in);
-        // Both shapes, both the 16-lane fast path and ragged lane counts.
-        for rows in [1usize, 3, BLOCK, BLOCK + 1, 2 * BLOCK + 5] {
-            let x = random_dense(rows, n, 8 + rows as u64);
-            let want_q = CsrRightMultiplier::new(q.clone()).apply(&x);
-            assert!(aq.apply(&x).approx_eq(&want_q, 1e-12), "q, rows={rows}");
-            let want_qt = CsrRightMultiplier::new(q.transpose()).apply(&x);
-            assert!(aqt.apply(&x).approx_eq(&want_qt, 1e-12), "qt, rows={rows}");
-        }
-        assert_eq!(aq.work_per_row(), g.edge_count() + n);
     }
 
     #[test]

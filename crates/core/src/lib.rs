@@ -65,10 +65,7 @@ mod sim_matrix;
 pub mod single_source;
 
 pub use all_pairs::{AllPairsEngine, AllPairsOptions};
-pub use kernel::{
-    AccessRightMultiplier, CompressedRightMultiplier, CsrRightMultiplier, PlainRightMultiplier,
-    RightMultiplier,
-};
+pub use kernel::{CompressedRightMultiplier, PlainRightMultiplier, RightMultiplier};
 pub use params::{fnv1a, Fnv1a, SimStarParams};
 pub use query_engine::{
     EngineStats, EngineStatsSnapshot, EngineStep, EngineTrace, QueryEngine, QueryEngineOptions,

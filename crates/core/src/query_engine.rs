@@ -17,28 +17,29 @@
 //!   lattice's `O(K²)`.
 //! * **Sparse frontiers** — every advance propagates only the active
 //!   support (push-style over CSR rows) with an epsilon threshold, falling
-//!   back to a dense step automatically once the frontier saturates past a
-//!   density cutoff. Per-query scratch lives in a pool; the hot path
+//!   back to a dense gather step once the frontier saturates past a
+//!   density cutoff. Scratch lives in per-width pools; the hot path
 //!   allocates nothing after warmup.
-//! * **Batched lanes** — [`QueryEngine::query_batch`] runs the same
-//!   two-pass sweep over `BLOCK`-lane chunks (lane-major frontiers over
-//!   the chunk's union support, grouped by weakly-connected component so
-//!   lanes overlap), with the dense fallback in the blocked lane kernels
-//!   behind [`crate::RightMultiplier`] — each adjacency index is read once
-//!   per chunk instead of once per query.
+//! * **One sweep, two lane widths** — the sweep is generic over a lane
+//!   width `W`: every frontier stores `W` queries lane-major over their
+//!   union support, so each adjacency index is read once per `W` queries.
+//!   It runs at `W = 1` (a solo query) and `W = 16` (a full chunk).
+//!   Batches are cut into 16-query chunks grouped by weakly-connected
+//!   component so lanes overlap; a chunk of more than `SOLO_CROSSOVER` (4)
+//!   queries runs as one 16-lane sweep, a smaller one as one-lane sweeps,
+//!   so a lone query never pays for fifteen idle lanes.
 //! * **Top-k** — [`QueryEngine::top_k`] selects the `k` best matches by
 //!   partial selection (`select_nth_unstable`) instead of sorting the full
-//!   row.
+//!   row, reading each lane's row straight from the folded sweep.
 //!
 //! Every path returns the same scores as the dense reference sweep
 //! ([`crate::single_source::single_source_dense`]) within `1e-10` — the
 //! Horner form is a pure re-association of the same non-negative terms —
 //! which the property tests pin against `geometric::iterate` rows
-//! (Lemma 4).
+//! (Lemma 4). In deterministic mode every lane's bits are independent of
+//! the lane width and of the other lanes.
 
-use crate::kernel::{
-    AccessRightMultiplier, CompressedRightMultiplier, CsrRightMultiplier, RightMultiplier, BLOCK,
-};
+use crate::kernel::{CompressedRightMultiplier, RightMultiplier, BLOCK};
 use crate::series::{exponential_weights, geometric_weights, lattice_coeffs};
 use crate::SimStarParams;
 use ssr_compress::CompressOptions;
@@ -46,8 +47,19 @@ use ssr_graph::components::{weakly_connected_components, weakly_connected_compon
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use ssr_linalg::{Csr, Dense};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Chunks of at most this many queries run as that many one-lane sweeps;
+/// larger chunks run as one [`BLOCK`]-lane sweep, which touches all its
+/// lanes however few are occupied. Measured on the `lane_width` axis of
+/// `BENCH_query_engine.json` (`K = 8`, CPU ms per query, three graphs in
+/// two modes): at 4 queries per call one lane wins five of the six cases,
+/// by 1.25–2.1× (the exception is deterministic CitHepTh: 4.04 against
+/// 3.57 ms). At 8 the 16-lane sweep wins three: CitHepTh in both modes
+/// (1.86 against 2.30 ms, 2.01 against 3.96 ms) and deterministic
+/// Web-Google (2.19 against 2.97 ms).
+const SOLO_CROSSOVER: usize = 4;
 
 /// Which SimRank\* series the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,32 +83,32 @@ pub struct QueryEngineOptions {
     /// multiple of this threshold — the default `1e-13` keeps results well
     /// within the `1e-10` exactness the tests pin. `0.0` disables pruning.
     pub frontier_epsilon: f64,
-    /// Once a frontier holds more than this fraction of all nodes, the
-    /// sweep switches that vector to the dense path (sparse bookkeeping
-    /// only pays while the support is genuinely small).
+    /// Once a one-lane sweep's frontier holds more than this fraction of
+    /// all nodes, the sweep switches that vector to the dense path (sparse
+    /// bookkeeping only pays while the support is genuinely small).
     pub density_cutoff: f64,
-    /// The batched path's density cutoff. The blocked dense kernel's cost
-    /// is amortized over `BLOCK` lanes, so the union frontier profits from
+    /// The 16-lane sweep's density cutoff. A dense step's cost is
+    /// amortized over `BLOCK` lanes, so the union frontier profits from
     /// staying sparse longer — the default (0.25) is higher than the
-    /// scalar `density_cutoff`.
+    /// one-lane `density_cutoff`.
     pub batch_density_cutoff: f64,
-    /// Build the batched lane kernel over the edge-concentrated graph
-    /// (Algorithm 1's memoization) instead of raw adjacency. Compression is
-    /// a preprocessing phase — the paper times it separately — so it runs
-    /// eagerly at engine construction.
+    /// Run the 16-lane sweep's dense Horner steps over the
+    /// edge-concentrated graph (Algorithm 1's memoization) instead of raw
+    /// adjacency. Compression is a preprocessing phase — the paper times it
+    /// separately — so it runs eagerly at engine construction.
     pub compress: bool,
     /// Compression options used when `compress` is set.
     pub compress_options: CompressOptions,
     /// Batch-composition-independent arithmetic: every query produces the
-    /// same bits whether it runs alone, in any batch, or next to any other
-    /// lanes. The sweep stays on the sparse path (no dense fallback), active
-    /// lists are sorted before every advance so floating-point accumulation
-    /// order is canonical, and `frontier_epsilon` is forced to `0` (the
-    /// union-support pruning rule would let one lane's magnitude decide
-    /// another lane's support). Serving layers that cache results keyed by
-    /// `(node, params)` need this — otherwise a cache hit and a recompute
-    /// can disagree in the last ulps. Costs the pruning/densify speedups;
-    /// off by default.
+    /// same bits whether it runs alone, in any batch, at either lane width,
+    /// or next to any other lanes. The sweep stays on the sparse path (no
+    /// dense fallback), active lists are sorted before every advance so
+    /// floating-point accumulation order is canonical, and
+    /// `frontier_epsilon` is forced to `0` (the union-support pruning rule
+    /// would let one lane's magnitude decide another lane's support).
+    /// Serving layers that cache results keyed by `(node, params)` need
+    /// this — otherwise a cache hit and a recompute can disagree in the
+    /// last ulps. Costs the pruning/densify speedups; off by default.
     pub deterministic: bool,
 }
 
@@ -136,109 +148,76 @@ impl QueryEngineOptions {
     }
 }
 
-/// A sparse-or-dense `n`-vector: `vals` is always dense storage, but while
-/// `dense` is false only the indices in `active` are nonzero (everything
-/// else is guaranteed zero), so propagation touches only the support.
-struct Frontier {
-    vals: Vec<f64>,
+/// A `W`-lane sparse-or-dense frontier: lane-major storage
+/// (`vals[node][lane]`) and one active list for the **union** support
+/// of all lanes. While `dense` is false only the active nodes hold
+/// nonzeros, so propagation touches only the support. At `W = 1`, `vals`
+/// is the plain score row, and since everything propagated is
+/// non-negative, "still zero" means "not yet active"; wider frontiers keep
+/// a membership bitmap instead (another lane may already hold the node).
+struct BlockFrontier<const W: usize> {
+    vals: Vec<[f64; W]>,
     active: Vec<u32>,
+    /// Membership bitmap of the active list (empty at `W = 1`).
+    member: Vec<bool>,
     dense: bool,
 }
 
-impl Frontier {
+impl<const W: usize> BlockFrontier<W> {
     fn new(n: usize) -> Self {
-        Frontier { vals: vec![0.0; n], active: Vec::new(), dense: false }
+        BlockFrontier {
+            vals: vec![[0.0; W]; n],
+            active: Vec::new(),
+            member: vec![false; if W == 1 { 0 } else { n }],
+            dense: false,
+        }
+    }
+
+    /// Sets lane `lane` of `node` to `1` — a query's seed.
+    fn seed(&mut self, node: u32, lane: usize) {
+        let mut unit = [0.0; W];
+        unit[lane] = 1.0;
+        self.add_scaled(node, 1.0, &unit);
+    }
+
+    /// `node += f·src` lane-wise, activating `node` if needed. The
+    /// fixed-size lanes keep the per-edge axpy vectorizable.
+    #[inline]
+    fn add_scaled(&mut self, node: u32, f: f64, src: &[f64; W]) {
+        let i = node as usize;
+        let dst = &mut self.vals[i];
+        let was_zero = W == 1 && dst[0] == 0.0;
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += f * s;
+        }
+        if self.dense {
+            return;
+        }
+        if W == 1 {
+            if was_zero && dst[0] != 0.0 {
+                self.active.push(node);
+            }
+        } else if !self.member[i] {
+            self.member[i] = true;
+            self.active.push(node);
+        }
+    }
+
+    /// Removes active node `i`'s membership mark (a no-op at `W = 1`).
+    fn unmark(member: &mut [bool], i: u32) {
+        if W > 1 {
+            member[i as usize] = false;
+        }
     }
 
     /// Resets to the all-zero sparse state.
     fn clear(&mut self) {
         if self.dense {
-            self.vals.fill(0.0);
+            self.vals.fill([0.0; W]);
         } else {
             for &i in &self.active {
-                self.vals[i as usize] = 0.0;
-            }
-        }
-        self.active.clear();
-        self.dense = false;
-    }
-
-    fn is_zero(&self) -> bool {
-        if self.dense {
-            self.vals.iter().all(|&v| v == 0.0)
-        } else {
-            self.active.is_empty()
-        }
-    }
-
-    /// `self += c·src`, preserving the zero-means-inactive invariant
-    /// (all propagated values are non-negative, so sums never cancel).
-    fn axpy_from(&mut self, src: &Frontier, c: f64) {
-        if c == 0.0 || src.is_zero() {
-            return;
-        }
-        if src.dense {
-            if !self.dense {
-                self.dense = true;
-                self.active.clear();
-            }
-            for (d, &sv) in self.vals.iter_mut().zip(&src.vals) {
-                *d += c * sv;
-            }
-        } else {
-            for &i in &src.active {
-                let add = c * src.vals[i as usize];
-                let slot = &mut self.vals[i as usize];
-                if !self.dense && *slot == 0.0 && add != 0.0 {
-                    self.active.push(i);
-                }
-                *slot += add;
-            }
-        }
-    }
-}
-
-/// The `BLOCK`-lane analogue of [`Frontier`] for the batched path:
-/// lane-major storage (`vals[node·BLOCK + lane]`), one active list for the
-/// **union** support of all lanes, and a membership bitmap so pushes can
-/// test "already active" in `O(1)` (the scalar "slot is still zero" trick
-/// doesn't work lane-wise — another lane may already hold the node).
-pub(crate) struct BlockFrontier {
-    pub(crate) vals: Vec<f64>,
-    pub(crate) active: Vec<u32>,
-    member: Vec<bool>,
-    pub(crate) dense: bool,
-}
-
-impl BlockFrontier {
-    fn new(n: usize) -> Self {
-        BlockFrontier {
-            vals: vec![0.0; n * BLOCK],
-            active: Vec::new(),
-            member: vec![false; n],
-            dense: false,
-        }
-    }
-
-    /// The `BLOCK` lane values of `node`, activating it if needed. The
-    /// fixed-size return type keeps the per-edge axpy vectorizable.
-    fn insert(&mut self, node: u32) -> &mut [f64; BLOCK] {
-        let i = node as usize;
-        if !self.dense && !self.member[i] {
-            self.member[i] = true;
-            self.active.push(node);
-        }
-        (&mut self.vals[i * BLOCK..(i + 1) * BLOCK]).try_into().expect("BLOCK lanes")
-    }
-
-    /// Resets to the all-zero sparse state.
-    pub(crate) fn clear(&mut self) {
-        if self.dense {
-            self.vals.fill(0.0);
-        } else {
-            for &i in &self.active {
-                self.vals[i as usize * BLOCK..(i as usize + 1) * BLOCK].fill(0.0);
-                self.member[i as usize] = false;
+                self.vals[i as usize] = [0.0; W];
+                Self::unmark(&mut self.member, i);
             }
         }
         self.active.clear();
@@ -248,7 +227,7 @@ impl BlockFrontier {
     /// Drops the sparse bookkeeping, keeping `vals` as-is.
     fn densify(&mut self) {
         for &i in &self.active {
-            self.member[i as usize] = false;
+            Self::unmark(&mut self.member, i);
         }
         self.active.clear();
         self.dense = true;
@@ -256,14 +235,23 @@ impl BlockFrontier {
 
     fn is_zero(&self) -> bool {
         if self.dense {
-            self.vals.iter().all(|&v| v == 0.0)
+            self.vals.as_flattened().iter().all(|&v| v == 0.0)
         } else {
             self.active.is_empty()
         }
     }
 
-    /// `self += c·src`, lane-wise, maintaining the membership bookkeeping.
-    fn axpy_from(&mut self, src: &BlockFrontier, c: f64) {
+    /// Nodes the frontier holds: the active support, or `n` when dense.
+    fn support(&self) -> usize {
+        if self.dense {
+            self.vals.len()
+        } else {
+            self.active.len()
+        }
+    }
+
+    /// `self += c·src`, lane-wise, maintaining the active list.
+    fn axpy_from(&mut self, src: &Self, c: f64) {
         if c == 0.0 || src.is_zero() {
             return;
         }
@@ -271,43 +259,40 @@ impl BlockFrontier {
             if !self.dense {
                 self.densify();
             }
-            for (d, &sv) in self.vals.iter_mut().zip(&src.vals) {
+            for (d, &sv) in self.vals.as_flattened_mut().iter_mut().zip(src.vals.as_flattened()) {
                 *d += c * sv;
             }
         } else {
             for &i in &src.active {
-                let ii = i as usize;
-                if !self.dense && !self.member[ii] {
-                    self.member[ii] = true;
-                    self.active.push(i);
-                }
-                let r = ii * BLOCK..(ii + 1) * BLOCK;
-                let srcv: &[f64; BLOCK] = src.vals[r.clone()].try_into().expect("BLOCK lanes");
-                let dst: &mut [f64; BLOCK] = (&mut self.vals[r]).try_into().expect("BLOCK lanes");
-                for (d, sv) in dst.iter_mut().zip(srcv) {
-                    *d += c * sv;
-                }
+                self.add_scaled(i, c, &src.vals[i as usize]);
             }
         }
     }
 }
 
-/// Reusable per-chunk state for the batched path (four lane-major block
-/// frontiers plus the lane-major result accumulator, ≈ `5·8·BLOCK·n`
-/// bytes), pooled like [`QueryScratch`].
-pub(crate) struct BlockScratch {
-    u: BlockFrontier,
-    u_next: BlockFrontier,
-    /// Holds the folded chunk result after [`QueryEngine::sweep_block_core`];
-    /// consumers read it lane-wise and must `clear()` it before reuse.
-    pub(crate) w: BlockFrontier,
-    w_next: BlockFrontier,
-    /// Lane-major `V_λ` accumulators (same lifecycle as
-    /// [`QueryScratch::vs`]).
-    vs: Vec<BlockFrontier>,
+/// Reusable state of one `W`-lane sweep (four frontiers plus the `K + 1`
+/// accumulators, ≈ `(K+5)·8·W·n` bytes) and the buffers its lanes are
+/// ranked through. Pooled per width by the engine: no allocation on the
+/// hot path after warmup.
+struct BlockScratch<const W: usize> {
+    u: BlockFrontier<W>,
+    u_next: BlockFrontier<W>,
+    /// `r` of the Horner pass; holds the folded result until
+    /// [`Self::emit_lanes`] hands it out and clears it.
+    w: BlockFrontier<W>,
+    w_next: BlockFrontier<W>,
+    /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` during the forward
+    /// pass; cleared (cost proportional to support) by the Horner pass
+    /// that consumes them.
+    vs: Vec<BlockFrontier<W>>,
+    /// All-zero `n`-row that a `W > 1` result's lanes are copied through
+    /// one at a time (unused at `W = 1`, where `w.vals` is the row).
+    row: Vec<f64>,
+    /// Partial-selection index buffer for top-k ranking.
+    idx: Vec<u32>,
 }
 
-impl BlockScratch {
+impl<const W: usize> BlockScratch<W> {
     fn new(n: usize, k: usize) -> Self {
         BlockScratch {
             u: BlockFrontier::new(n),
@@ -315,37 +300,46 @@ impl BlockScratch {
             w: BlockFrontier::new(n),
             w_next: BlockFrontier::new(n),
             vs: (0..=k).map(|_| BlockFrontier::new(n)).collect(),
+            row: if W == 1 { Vec::new() } else { vec![0.0; n] },
+            idx: Vec::new(),
         }
+    }
+
+    /// Hands lane `i < lanes` of the folded result to `emit(i, row, idx)`
+    /// as a full `n`-row that is zero off the support, then clears `w`.
+    fn emit_lanes(&mut self, lanes: usize, mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>)) {
+        let BlockScratch { w, row, idx, .. } = self;
+        if W == 1 {
+            emit(0, w.vals.as_flattened(), idx);
+        } else {
+            for lane in 0..lanes {
+                // Every lane shares the union support, so each copy
+                // overwrites all of the previous lane's entries.
+                copy_lane_into(w, lane, row);
+                emit(lane, row, idx);
+            }
+            if w.dense {
+                row.fill(0.0);
+            } else {
+                for &i in &w.active {
+                    row[i as usize] = 0.0;
+                }
+            }
+        }
+        w.clear();
     }
 }
 
-/// Reusable per-query state: the two lattice vectors plus their advance
-/// targets, a row buffer for top-k queries, and an index buffer for partial
-/// selection. Pooled by the engine — no allocation on the hot path after
-/// warmup.
-struct QueryScratch {
-    u: Frontier,
-    u_next: Frontier,
-    w: Frontier,
-    w_next: Frontier,
-    row: Vec<f64>,
-    idx: Vec<u32>,
-    /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` during the sweep's
-    /// forward pass; cleared (cost proportional to support) by the Horner
-    /// pass that consumes them.
-    vs: Vec<Frontier>,
-}
-
-impl QueryScratch {
-    fn new(n: usize, k: usize) -> Self {
-        QueryScratch {
-            u: Frontier::new(n),
-            u_next: Frontier::new(n),
-            w: Frontier::new(n),
-            w_next: Frontier::new(n),
-            row: vec![0.0; n],
-            idx: Vec::new(),
-            vs: (0..=k).map(|_| Frontier::new(n)).collect(),
+/// Copies lane `lane` of a folded frontier into a full row: every node
+/// when dense, only the support otherwise.
+fn copy_lane_into<const W: usize>(w: &BlockFrontier<W>, lane: usize, out: &mut [f64]) {
+    if w.dense {
+        for (rv, node) in out.iter_mut().zip(&w.vals) {
+            *rv = node[lane];
+        }
+    } else {
+        for &i in &w.active {
+            out[i as usize] = w.vals[i as usize][lane];
         }
     }
 }
@@ -358,15 +352,30 @@ enum Backing {
     /// decoding adjacency off compressed bytes) plus the precomputed
     /// `inv_in[v] = 1/|I(v)|` weights — `Q` rows are in-lists scaled by
     /// the row's weight, `Qᵀ` rows are out-lists scaled per target.
-    Access { src: Arc<dyn NeighborAccess>, inv_in: Arc<Vec<f64>> },
+    Access { src: Arc<dyn NeighborAccess>, inv_in: Vec<f64> },
 }
 
-/// Row-push view of a sparse operator: `f(col, weight)` for every entry of
+/// Row view of a sparse operator: `f(col, weight)` for every entry of
 /// row `i`, columns strictly ascending (the order every backing's contract
 /// guarantees, which is what makes deterministic-mode results independent
-/// of the backing).
+/// of the backing). A sparse advance pushes the rows of its operator; a
+/// dense step pushes them for every nonzero node ([`scatter`]) or gathers
+/// the rows of the transpose ([`gather`]).
 trait PushRows {
     fn push_row(&self, i: u32, f: impl FnMut(u32, f64));
+
+    /// Row `i` applied to the lane-major `x`: `Σ_j A[i][j]·x[j]` per lane,
+    /// accumulated in column order — one node of a dense gather step.
+    #[inline]
+    fn gather_row<const W: usize>(&self, i: u32, x: &[[f64; W]]) -> [f64; W] {
+        let mut acc = [0.0; W];
+        self.push_row(i, |j, v| {
+            for (a, s) in acc.iter_mut().zip(&x[j as usize]) {
+                *a += v * s;
+            }
+        });
+        acc
+    }
 }
 
 /// Rows of a materialised CSR matrix.
@@ -396,6 +405,25 @@ impl PushRows for AccessQRows<'_> {
             self.src.for_each_in(i, &mut |y| f(y, w));
         }
     }
+
+    /// Every entry of the row has the same weight, so the gather adds
+    /// first and scales once.
+    #[inline]
+    fn gather_row<const W: usize>(&self, i: u32, x: &[[f64; W]]) -> [f64; W] {
+        let mut acc = [0.0; W];
+        let w = self.inv_in[i as usize];
+        if w != 0.0 {
+            self.src.for_each_in(i, &mut |y| {
+                for (a, s) in acc.iter_mut().zip(&x[y as usize]) {
+                    *a += s;
+                }
+            });
+            for a in &mut acc {
+                *a *= w;
+            }
+        }
+        acc
+    }
 }
 
 /// `Qᵀ` rows from a neighbor-access backing: row `i` is `O(i)`, entry `j`
@@ -412,26 +440,6 @@ impl PushRows for AccessQtRows<'_> {
     }
 }
 
-/// Lane kernel used by the batched path for the λ-direction advance. The
-/// plain variant is built lazily on the first batched call (it clones `Q`;
-/// scalar-only workloads never pay for it), while the compressed variant
-/// is built eagerly at engine construction — compression is a
-/// preprocessing phase the paper times separately. The access variant
-/// walks the backing's neighbor lists directly.
-enum LaneKernel {
-    Plain(OnceLock<CsrRightMultiplier>),
-    Compressed(CompressedRightMultiplier),
-    Access(AccessRightMultiplier),
-}
-
-/// θ-direction lane kernel (`X·Q`).
-enum ThetaKernel {
-    /// Built on first batched call (clones `Qᵀ`).
-    Csr(OnceLock<CsrRightMultiplier>),
-    /// Out-neighbor walks over the access backing.
-    Access(AccessRightMultiplier),
-}
-
 /// Lifetime work counters an engine accumulates across every sweep it
 /// runs — the raw material for the serve layer's engine gauges. Sweeps
 /// keep plain local tallies on the hot path and flush them here with a
@@ -439,16 +447,17 @@ enum ThetaKernel {
 /// of iteration count and frontier size.
 #[derive(Debug, Default)]
 pub struct EngineStats {
-    /// Logical single-source sweeps executed (a block chunk counts one
-    /// per occupied lane).
+    /// Logical single-source sweeps executed (a sweep counts one per
+    /// occupied lane).
     sweeps: AtomicU64,
     /// Frontier advances across both passes (forward + Horner).
     iterations: AtomicU64,
     /// Advances that ended in the dense fallback representation.
     dense_steps: AtomicU64,
-    /// Occupied lanes across block chunks.
+    /// Occupied lanes across sweeps.
     lanes_used: AtomicU64,
-    /// Lane capacity across block chunks (`BLOCK` per chunk).
+    /// Lane capacity across sweeps (the width `W` per sweep: 1 for a
+    /// one-lane sweep, `BLOCK` for a 16-lane one).
     lane_slots: AtomicU64,
     /// Frontier support (active nodes, or `n` when dense) summed over
     /// advances.
@@ -458,19 +467,17 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    fn flush(&self, sweeps: u64, iters: u64, dense: u64, active: u64, slots: u64) {
-        self.sweeps.fetch_add(sweeps, Ordering::Relaxed);
-        self.iterations.fetch_add(iters, Ordering::Relaxed);
-        if dense > 0 {
-            self.dense_steps.fetch_add(dense, Ordering::Relaxed);
+    /// Adds one sweep's tallies: `lanes` occupied of `width`.
+    fn flush(&self, lanes: u64, width: u64, t: &Tally) {
+        self.sweeps.fetch_add(lanes, Ordering::Relaxed);
+        self.iterations.fetch_add(t.iters, Ordering::Relaxed);
+        if t.dense > 0 {
+            self.dense_steps.fetch_add(t.dense, Ordering::Relaxed);
         }
-        self.frontier_active.fetch_add(active, Ordering::Relaxed);
-        self.frontier_slots.fetch_add(slots, Ordering::Relaxed);
-    }
-
-    fn flush_lanes(&self, used: u64, cap: u64) {
-        self.lanes_used.fetch_add(used, Ordering::Relaxed);
-        self.lane_slots.fetch_add(cap, Ordering::Relaxed);
+        self.frontier_active.fetch_add(t.active, Ordering::Relaxed);
+        self.frontier_slots.fetch_add(t.slots, Ordering::Relaxed);
+        self.lanes_used.fetch_add(lanes, Ordering::Relaxed);
+        self.lane_slots.fetch_add(width, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every counter.
@@ -487,8 +494,18 @@ impl EngineStats {
     }
 }
 
+/// One sweep's work tallies, kept in locals on the hot path and flushed
+/// to the shared [`EngineStats`] once per sweep.
+#[derive(Default)]
+struct Tally {
+    iters: u64,
+    dense: u64,
+    active: u64,
+    slots: u64,
+}
+
 /// Frozen [`EngineStats`] values. Ratios worth watching:
-/// `lanes_used / lane_slots` is batched lane occupancy,
+/// `lanes_used / lane_slots` is lane occupancy,
 /// `frontier_active / frontier_slots` is mean frontier density, and
 /// `dense_steps / iterations` is the dense-fallback rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -499,9 +516,9 @@ pub struct EngineStatsSnapshot {
     pub iterations: u64,
     /// Advances that ended dense.
     pub dense_steps: u64,
-    /// Occupied lanes across block chunks.
+    /// Occupied lanes across sweeps.
     pub lanes_used: u64,
-    /// Lane capacity across block chunks.
+    /// Lane capacity across sweeps.
     pub lane_slots: u64,
     /// Frontier support summed over advances.
     pub frontier_active: u64,
@@ -529,7 +546,7 @@ pub struct EngineStep {
 }
 
 /// Per-advance records accumulated by one traced batch call, in
-/// execution order (chunk by chunk, forward pass then Horner pass).
+/// execution order (sweep by sweep, forward pass then Horner pass).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineTrace {
     /// Every frontier advance the batch ran.
@@ -540,6 +557,23 @@ impl EngineTrace {
     /// Advances that ended dense — the dense-fallback trigger count.
     pub fn dense_steps(&self) -> usize {
         self.steps.iter().filter(|s| s.dense).count()
+    }
+}
+
+/// The engine's scratch pool for one lane width.
+trait Pooled: Sized {
+    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>>;
+}
+
+impl Pooled for BlockScratch<1> {
+    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>> {
+        &engine.solo_scratch
+    }
+}
+
+impl Pooled for BlockScratch<BLOCK> {
+    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>> {
+        &engine.block_scratch
     }
 }
 
@@ -569,18 +603,17 @@ pub struct QueryEngine {
     theta_tail: Vec<f64>,
     params: SimStarParams,
     opts: QueryEngineOptions,
-    /// λ-direction lane kernel (`X·Qᵀ`) for the batched path; compressed
-    /// variant built eagerly when requested.
-    lambda_lanes: LaneKernel,
-    /// θ-direction lane kernel (`X·Q`).
-    theta_lanes: ThetaKernel,
-    /// Weakly-connected component label per node: the batched path groups
-    /// queries by component so the lanes of a chunk share frontier support
-    /// (lanes outside a node's component are provably zero — packing
-    /// unrelated queries together wastes 15/16 of every lane operation).
+    /// The edge-concentrated `X·Qᵀ` kernel (`opts.compress`), built
+    /// eagerly; 16-lane sweeps run their dense Horner steps through it.
+    compressed: Option<CompressedRightMultiplier>,
+    /// Weakly-connected component label per node: batches are chunked by
+    /// component so the lanes of a chunk share frontier support (lanes
+    /// outside a node's component are provably zero — packing unrelated
+    /// queries together wastes 15/16 of every lane operation).
     component: Vec<u32>,
-    scratch: Mutex<Vec<QueryScratch>>,
-    block_scratch: Mutex<Vec<BlockScratch>>,
+    /// Scratch pools of one-lane and 16-lane sweeps.
+    solo_scratch: Mutex<Vec<BlockScratch<1>>>,
+    block_scratch: Mutex<Vec<BlockScratch<BLOCK>>>,
     /// Lifetime work counters (sweeps, advances, lane occupancy, frontier
     /// density); sweeps flush local tallies here.
     stats: EngineStats,
@@ -598,26 +631,10 @@ impl QueryEngine {
         let opts = validate_options(params, opts);
         let qmat = Csr::backward_transition(g);
         let qt = qmat.transpose();
-        let lambda_lanes = if opts.compress {
-            LaneKernel::Compressed(CompressedRightMultiplier::new(g, &opts.compress_options))
-        } else {
-            LaneKernel::Plain(OnceLock::new())
-        };
-        let (coeffs, theta_tail) = coeff_table(&params, &opts);
-        QueryEngine {
-            n: g.node_count(),
-            backing: Backing::Memory { qmat, qt },
-            coeffs,
-            theta_tail,
-            params,
-            opts,
-            lambda_lanes,
-            theta_lanes: ThetaKernel::Csr(OnceLock::new()),
-            component: weakly_connected_components(g).label,
-            scratch: Mutex::new(Vec::new()),
-            block_scratch: Mutex::new(Vec::new()),
-            stats: EngineStats::default(),
-        }
+        let compressed =
+            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
+        let component = weakly_connected_components(g).label;
+        Self::build(Backing::Memory { qmat, qt }, component, compressed, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -645,18 +662,16 @@ impl QueryEngine {
             "edge concentration needs an in-memory graph; load the graph fully to compress"
         );
         let n = src.node_count();
-        let inv_in: Arc<Vec<f64>> = Arc::new(
-            (0..n as u32)
-                .map(|v| {
-                    let d = src.in_degree(v);
-                    if d == 0 {
-                        0.0
-                    } else {
-                        1.0 / d as f64
-                    }
-                })
-                .collect(),
-        );
+        let inv_in: Vec<f64> = (0..n as u32)
+            .map(|v| {
+                let d = src.in_degree(v);
+                if d == 0 {
+                    0.0
+                } else {
+                    1.0 / d as f64
+                }
+            })
+            .collect();
         // Component labels from the edge stream (no DiGraph materialised;
         // one transient out-list at a time). The union-find keeps the
         // smaller root, so labels are edge-order-independent and equal to
@@ -668,21 +683,27 @@ impl QueryEngine {
             }),
         )
         .label;
+        Self::build(Backing::Access { src, inv_in }, component, None, params, opts)
+    }
+
+    fn build(
+        backing: Backing,
+        component: Vec<u32>,
+        compressed: Option<CompressedRightMultiplier>,
+        params: SimStarParams,
+        opts: QueryEngineOptions,
+    ) -> Self {
         let (coeffs, theta_tail) = coeff_table(&params, &opts);
         QueryEngine {
-            n,
-            lambda_lanes: LaneKernel::Access(AccessRightMultiplier::q(src.clone(), inv_in.clone())),
-            theta_lanes: ThetaKernel::Access(AccessRightMultiplier::q_transpose(
-                src.clone(),
-                inv_in.clone(),
-            )),
-            backing: Backing::Access { src, inv_in },
+            n: component.len(),
+            backing,
             coeffs,
             theta_tail,
             params,
             opts,
+            compressed,
             component,
-            scratch: Mutex::new(Vec::new()),
+            solo_scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
             stats: EngineStats::default(),
         }
@@ -737,8 +758,9 @@ impl QueryEngine {
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (both CSR matrices, or the access source's own accounting
     /// plus the `O(n)` weight vector), the component labels, and the
-    /// eagerly-built lane kernels. Scratch pools and coefficient tables
-    /// (`O(K²)`) are excluded — they are query-, not graph-, proportional.
+    /// edge-concentrated kernel if built. Scratch pools and coefficient
+    /// tables (`O(K²)`) are excluded — they are query-, not graph-,
+    /// proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
             Backing::Memory { qmat, qt } => qmat.estimated_bytes() + qt.estimated_bytes(),
@@ -746,11 +768,8 @@ impl QueryEngine {
                 src.resident_bytes() + inv_in.len() * std::mem::size_of::<f64>()
             }
         };
-        let kernels = match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => k.compressed().estimated_bytes(),
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => 0,
-        };
-        backing + kernels + self.component.len() * std::mem::size_of::<u32>()
+        let kernel = self.compressed.as_ref().map_or(0, |k| k.compressed().estimated_bytes());
+        backing + kernel + self.component.len() * std::mem::size_of::<u32>()
     }
 
     /// The parameters the engine was built with.
@@ -768,12 +787,10 @@ impl QueryEngine {
         self.stats.snapshot()
     }
 
-    /// Compression ratio of the batched lane kernel (0 when not compressed).
+    /// Compression ratio of the edge-concentrated kernel (0 when not
+    /// compressed).
     pub fn compression_ratio(&self) -> f64 {
-        match &self.lambda_lanes {
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => 0.0,
-            LaneKernel::Compressed(k) => k.compression_ratio(),
-        }
+        self.compressed.as_ref().map_or(0.0, |k| k.compression_ratio())
     }
 
     /// Single-source scores `ŝ(q, ·)` as a fresh vector.
@@ -786,33 +803,21 @@ impl QueryEngine {
     /// Single-source scores written into a caller-owned buffer — the
     /// zero-allocation hot path (after scratch warmup).
     pub fn query_into(&self, q: NodeId, out: &mut [f64]) {
-        assert!((q as usize) < self.n, "query node out of range");
         assert_eq!(out.len(), self.n, "output buffer size");
-        out.fill(0.0);
-        let mut s = self.take_scratch();
-        self.sweep(q, out, &mut s);
-        self.put_scratch(s);
+        self.for_each_row(&[q], None, None, |_, row, _| out.copy_from_slice(row));
     }
 
     /// Top-`k` most-similar nodes to `q` (excluding `q`, ties broken by
     /// ascending id) by partial selection — no full-row sort.
     pub fn top_k(&self, q: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        assert!((q as usize) < self.n, "query node out of range");
-        let mut s = self.take_scratch();
-        s.row.fill(0.0);
-        let mut row = std::mem::take(&mut s.row);
-        self.sweep(q, &mut row, &mut s);
-        let top = partial_top_k(&row, q, k, &mut s.idx);
-        s.row = row;
-        self.put_scratch(s);
-        top
+        self.top_k_batch_inner(&[q], k, None, None).remove(0)
     }
 
     /// Batched single-source scores: row `i` of the result is
-    /// `ŝ(queries[i], ·)`. Queries run through the block sweep in
-    /// `BLOCK`-lane chunks, so adjacency indices are read once per chunk
-    /// instead of once per query — sparse pushes and the blocked dense lane
-    /// kernels alike.
+    /// `ŝ(queries[i], ·)`. Queries run in chunks of up to 16 (see the
+    /// module docs for how a chunk's lane width is picked), so a full
+    /// chunk reads each adjacency index once for all its queries — sparse
+    /// pushes and dense gathers alike.
     pub fn query_batch(&self, queries: &[NodeId]) -> Dense {
         self.query_batch_inner(queries, None)
     }
@@ -824,120 +829,213 @@ impl QueryEngine {
         self.query_batch_inner(queries, Some(trace))
     }
 
-    fn query_batch_inner(&self, queries: &[NodeId], mut trace: Option<&mut EngineTrace>) -> Dense {
-        for &q in queries {
-            assert!((q as usize) < self.n, "query node out of range");
-        }
+    fn query_batch_inner(&self, queries: &[NodeId], trace: Option<&mut EngineTrace>) -> Dense {
         let mut out = Dense::zeros(queries.len(), self.n);
-        if queries.is_empty() || self.n == 0 {
-            return out;
-        }
-        // Locality-aware chunking: group queries by weakly-connected
-        // component so the lanes of each chunk overlap in support. Each
-        // lane's sweep is independent, so reordering changes execution
-        // grouping only — row `i` of the result is bitwise identical.
-        let mut order: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
-        order.sort_by_key(|&(i, q)| (self.component[q as usize], q, i));
-        let mut s = self.take_block_scratch();
-        for chunk in order.chunks(BLOCK) {
-            self.sweep_block(chunk, &mut out, &mut s, trace.as_deref_mut());
-        }
-        self.put_block_scratch(s);
+        self.for_each_row(queries, None, trace, |i, row, _| out.row_mut(i).copy_from_slice(row));
         out
     }
 
-    /// Batched top-`k`: one partial selection per result row.
+    /// Batched top-`k`: one partial selection per query, read straight
+    /// from each chunk's folded sweep (no `queries × n` matrix).
     pub fn top_k_batch(&self, queries: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
-        let rows = self.query_batch(queries);
-        Self::select_top_k(&rows, queries, k)
+        self.top_k_batch_inner(queries, k, None, None)
     }
 
     /// [`Self::top_k_batch`] with per-advance introspection appended to
     /// `trace`. The ranked lists are bitwise identical to the untraced
-    /// call (selection is a pure function of the batch rows).
+    /// call (selection is a pure function of the swept rows).
     pub fn top_k_batch_traced(
         &self,
         queries: &[NodeId],
         k: usize,
         trace: &mut EngineTrace,
     ) -> Vec<Vec<(NodeId, f64)>> {
-        let rows = self.query_batch_traced(queries, trace);
-        Self::select_top_k(&rows, queries, k)
+        self.top_k_batch_inner(queries, k, None, Some(trace))
     }
 
-    fn select_top_k(rows: &Dense, queries: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
-        let mut idx = Vec::new();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| partial_top_k(rows.row(i), q, k, &mut idx))
-            .collect()
+    /// [`Self::top_k_batch`] with every chunk swept at `width` lanes
+    /// (`1` or `BLOCK`) whatever its size — the hook behind the
+    /// `lane_width` axis of the query-engine benchmark, which measures
+    /// where the widths cross over.
+    #[doc(hidden)]
+    pub fn top_k_batch_at_width(
+        &self,
+        queries: &[NodeId],
+        k: usize,
+        width: usize,
+    ) -> Vec<Vec<(NodeId, f64)>> {
+        self.top_k_batch_inner(queries, k, Some(width), None)
     }
 
-    /// The sweep behind every query. The `(θ, λ)` lattice
-    /// `Σ_θ Σ_{λ≤K−θ} c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as
-    /// `Σ_λ V_λ(Qᵀ)^λ` with `V_λ = Σ_{θ≤K−λ} c[θ][λ]·u_θ`: a forward pass
-    /// advances `u_θ = e_qᵀQ^θ` and accumulates the `V_λ`, then a Horner
-    /// pass folds `r ← r·Qᵀ + V_λ` (λ descending). That is at most `2K`
-    /// frontier advances instead of the lattice's `O(K²)` — each advance
-    /// sparse with automatic dense fallback — and a pure re-association of
-    /// the same non-negative terms, so results match the dense lattice
-    /// reference ([`crate::single_source::single_source_dense`]) to a few
-    /// ulps per entry. `out` must be zeroed; scratch frontiers must be
-    /// cleared (the sweep restores that invariant before returning).
-    fn sweep(&self, q: NodeId, out: &mut [f64], s: &mut QueryScratch) {
+    fn top_k_batch_inner(
+        &self,
+        queries: &[NodeId],
+        k: usize,
+        width: Option<usize>,
+        trace: Option<&mut EngineTrace>,
+    ) -> Vec<Vec<(NodeId, f64)>> {
+        let mut ranked = vec![Vec::new(); queries.len()];
+        self.for_each_row(queries, width, trace, |i, row, idx| {
+            ranked[i] = partial_top_k(row, queries[i], k, idx);
+        });
+        ranked
+    }
+
+    /// Sweeps `queries` chunk by chunk and hands query `i`'s row to
+    /// `emit(i, row, idx)` (see [`Self::sweep_chunk`]). Chunks are cut
+    /// after grouping the queries by weakly-connected component, so the
+    /// lanes of each chunk overlap in support. Each lane's sweep is
+    /// independent, so the grouping changes execution only — never which
+    /// row belongs to which query.
+    fn for_each_row(
+        &self,
+        queries: &[NodeId],
+        width: Option<usize>,
+        mut trace: Option<&mut EngineTrace>,
+        mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>),
+    ) {
+        for &q in queries {
+            assert!((q as usize) < self.n, "query node out of range");
+        }
+        let mut order: Vec<usize> = (0..queries.len()).collect();
+        order.sort_by_key(|&i| (self.component[queries[i] as usize], queries[i], i));
+        let mut chunk = Vec::with_capacity(BLOCK);
+        for idxs in order.chunks(BLOCK) {
+            chunk.clear();
+            chunk.extend(idxs.iter().map(|&i| queries[i]));
+            self.sweep_chunk(&chunk, width, trace.as_deref_mut(), |lane, row, idx| {
+                emit(idxs[lane], row, idx)
+            });
+        }
+    }
+
+    /// Sweeps one chunk of at most [`BLOCK`] queries and hands lane `i`'s
+    /// folded row (a full `n`-row, zero off the support) to
+    /// `emit(i, row, idx)`, `idx` being a reusable selection buffer. The
+    /// chunk runs at `width` lanes if given, else by its size alone: one
+    /// 16-lane sweep above [`SOLO_CROSSOVER`] queries, one one-lane sweep
+    /// per query otherwise. Shared by every entry point of this engine and
+    /// by the all-pairs engine's parallel workers (`&self` only touches
+    /// shared immutable state; each call takes its own pooled scratch).
+    pub(crate) fn sweep_chunk(
+        &self,
+        chunk: &[NodeId],
+        width: Option<usize>,
+        mut trace: Option<&mut EngineTrace>,
+        mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>),
+    ) {
+        debug_assert!(chunk.len() <= BLOCK);
+        match width.unwrap_or(if chunk.len() > SOLO_CROSSOVER { BLOCK } else { 1 }) {
+            1 => self.with_scratch::<1, _>(|s| {
+                for (i, q) in chunk.iter().enumerate() {
+                    self.sweep(std::slice::from_ref(q), s, trace.as_deref_mut());
+                    s.emit_lanes(1, |_, row, idx| emit(i, row, idx));
+                }
+            }),
+            BLOCK => self.with_scratch::<BLOCK, _>(|s| {
+                self.sweep(chunk, s, trace);
+                s.emit_lanes(chunk.len(), emit);
+            }),
+            w => panic!("lane width {w} is not built; use 1 or {BLOCK}"),
+        }
+    }
+
+    /// Runs `f` on a scratch from the width's pool, returning it after.
+    fn with_scratch<const W: usize, R>(&self, f: impl FnOnce(&mut BlockScratch<W>) -> R) -> R
+    where
+        BlockScratch<W>: Pooled,
+    {
+        let pool = BlockScratch::<W>::pool(self);
+        let mut s = pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .pop()
+            .unwrap_or_else(|| BlockScratch::new(self.n, self.params.iterations));
+        let out = f(&mut s);
+        pool.lock().expect("scratch pool poisoned").push(s);
+        out
+    }
+
+    /// The sweep behind every query, for one lane per query (at most `W`),
+    /// over the backing's row views.
+    fn sweep<const W: usize>(
+        &self,
+        queries: &[NodeId],
+        s: &mut BlockScratch<W>,
+        trace: Option<&mut EngineTrace>,
+    ) {
         match &self.backing {
-            Backing::Memory { qmat, qt } => self.sweep_with(
-                q,
-                out,
-                s,
-                &CsrRows(qmat),
-                &CsrRows(qt),
-                |x, y| qmat.vec_mul_into(x, y),
-                |x, y| qmat.mul_vec_into(x, y),
-            ),
+            Backing::Memory { qmat, qt } => {
+                self.sweep_with(queries, s, &CsrRows(qmat), &CsrRows(qt), trace)
+            }
             Backing::Access { src, inv_in } => self.sweep_with(
-                q,
-                out,
+                queries,
                 s,
                 &AccessQRows { src: &**src, inv_in },
                 &AccessQtRows { src: &**src, inv_in },
-                |x, y| dense_u_step(&**src, inv_in, x, y),
-                |x, y| dense_r_step(&**src, inv_in, x, y),
+                trace,
             ),
         }
     }
 
-    /// [`Self::sweep`] generic over the backing's row views: `q_rows`
-    /// pushes `Q` rows (u-advance), `qt_rows` pushes `Qᵀ` rows
-    /// (Horner-advance), with the matching dense fallback steps.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_with(
+    /// The two-pass Horner sweep. The `(θ, λ)` lattice
+    /// `Σ_θ Σ_{λ≤K−θ} c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as
+    /// `Σ_λ V_λ(Qᵀ)^λ` with `V_λ = Σ_{θ≤K−λ} c[θ][λ]·u_θ`: a forward pass
+    /// advances `u_θ = e_qᵀQ^θ` and accumulates the `V_λ`, then a Horner
+    /// pass folds `r ← r·Qᵀ + V_λ` (λ descending). That is at most `2K`
+    /// frontier advances instead of the lattice's `O(K²)` — each sparse
+    /// with automatic dense fallback — and a pure re-association of the
+    /// same non-negative terms, so results match the dense lattice
+    /// reference ([`crate::single_source::single_source_dense`]) to a few
+    /// ulps per entry.
+    ///
+    /// `q_rows` pushes `Q` rows (u-advance) and `qt_rows` pushes `Qᵀ` rows
+    /// (Horner advance). Once dense, the u-advance pushes the `Q` row of
+    /// every nonzero node, and the Horner advance gathers `Q` rows (or, for
+    /// 16-lane sweeps of a compressed engine, runs the edge-concentrated
+    /// kernel) — the arithmetic the 16-lane sweep always had, lane for
+    /// lane. Leaves the folded result in `s.w`
+    /// (lane-major) for [`BlockScratch::emit_lanes`]; every other scratch
+    /// frontier is left cleared. With `trace` set, every advance is
+    /// individually timed and recorded — strictly between advances, so
+    /// traced results stay bitwise identical to untraced ones.
+    fn sweep_with<const W: usize>(
         &self,
-        q: NodeId,
-        out: &mut [f64],
-        s: &mut QueryScratch,
+        queries: &[NodeId],
+        s: &mut BlockScratch<W>,
         q_rows: &impl PushRows,
         qt_rows: &impl PushRows,
-        q_dense: impl Fn(&[f64], &mut [f64]),
-        qt_dense: impl Fn(&[f64], &mut [f64]),
+        mut trace: Option<&mut EngineTrace>,
     ) {
+        debug_assert!(queries.len() <= W);
         let k = self.params.iterations;
         let eps = self.opts.frontier_epsilon;
         let det = self.opts.deterministic;
-        let cutoff = (self.opts.density_cutoff * self.n as f64) as usize;
-        // Work tallies, kept in locals on the hot path and flushed to the
-        // shared atomics once per sweep.
-        let (mut iters, mut dense_steps, mut f_active, mut f_slots) = (0u64, 0u64, 0u64, 0u64);
-        let mut tally = |dense: bool, active: usize, n: usize| {
-            iters += 1;
-            dense_steps += dense as u64;
-            f_active += if dense { n as u64 } else { active as u64 };
-            f_slots += n as u64;
-        };
+        let cutoff = if W == 1 { self.opts.density_cutoff } else { self.opts.batch_density_cutoff };
+        let cutoff = (cutoff * self.n as f64) as usize;
+        let kernel = self.compressed.as_ref().filter(|_| W == BLOCK);
+        let timed = trace.is_some();
+        let mut tally = Tally::default();
+        let mut record =
+            |f: &BlockFrontier<W>, pass: u8, index: usize, started: Option<Instant>| {
+                tally.iters += 1;
+                tally.dense += f.dense as u64;
+                tally.active += f.support() as u64;
+                tally.slots += self.n as u64;
+                if let (Some(t), Some(at)) = (trace.as_deref_mut(), started) {
+                    t.steps.push(EngineStep {
+                        pass,
+                        index,
+                        frontier: f.support(),
+                        dense: f.dense,
+                        dur_ns: at.elapsed().as_nanos() as u64,
+                    });
+                }
+            };
         // Forward pass: u_θ = e_qᵀQ^θ; V_λ += c[θ][λ]·u_θ for λ ≤ K−θ.
-        s.u.vals[q as usize] = 1.0;
-        s.u.active.push(q);
+        for (lane, &q) in queries.iter().enumerate() {
+            s.u.seed(q, lane);
+        }
         for theta in 0..=k {
             if eps > 0.0 && self.theta_tail[theta] < eps {
                 break;
@@ -948,9 +1046,13 @@ impl QueryEngine {
             if theta == k {
                 break;
             }
-            // u ← u·Q: push over Q rows, or dense `uᵀ·Q`.
-            advance(q_rows, &mut s.u, &mut s.u_next, eps, cutoff, det, &q_dense);
-            tally(s.u.dense, s.u.active.len(), self.n);
+            // u ← u·Q: push over the active Q rows, or over every nonzero
+            // node's Q row once dense.
+            let started = timed.then(Instant::now);
+            advance(q_rows, &mut s.u, &mut s.u_next, eps, cutoff, det, |x, y| {
+                scatter::<W>(q_rows, x, y)
+            });
+            record(&s.u, 0, theta, started);
             if s.u.is_zero() {
                 break;
             }
@@ -962,229 +1064,25 @@ impl QueryEngine {
         // free.
         for lambda in (0..=k).rev() {
             if !s.w.is_zero() {
-                // r ← r·Qᵀ: push over Qᵀ rows, or dense `Q·r`.
-                advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, &qt_dense);
-                tally(s.w.dense, s.w.active.len(), self.n);
-            }
-            s.w.axpy_from(&s.vs[lambda], 1.0);
-            s.vs[lambda].clear();
-        }
-        accumulate(out, &s.w, 1.0);
-        s.w.clear();
-        self.stats.flush(1, iters, dense_steps, f_active, f_slots);
-    }
-
-    /// The sweep for one chunk of at most `BLOCK` queries
-    /// (`chunk[lane] = (out_row, query node)`): runs
-    /// [`Self::sweep_block_core`] and transposes the folded result into the
-    /// (zeroed) rows of `out`.
-    fn sweep_block(
-        &self,
-        chunk: &[(usize, NodeId)],
-        out: &mut Dense,
-        s: &mut BlockScratch,
-        trace: Option<&mut EngineTrace>,
-    ) {
-        self.sweep_block_core_traced(chunk.iter().map(|&(_, q)| q), s, trace);
-        for (lane, &(out_row, _)) in chunk.iter().enumerate() {
-            copy_lane_into(&s.w, lane, out.row_mut(out_row));
-        }
-        s.w.clear();
-    }
-
-    /// The two-pass Horner sweep for one chunk of at most `BLOCK` queries,
-    /// identical in structure to [`Self::sweep`] but with every frontier
-    /// carrying `BLOCK` lanes (the union support of the chunk) and the
-    /// dense fallback running the blocked lane kernels from
-    /// [`crate::kernel`], so adjacency indices are read once per chunk
-    /// instead of once per query. Leaves the folded result in `s.w`
-    /// (lane-major); the caller reads it (e.g. via [`copy_lane_into`]) and
-    /// must `clear()` it before the scratch is reused. Shared by
-    /// [`Self::query_batch`] and the all-pairs engine's parallel workers
-    /// (`&self` only touches shared immutable state, so disjoint scratches
-    /// may sweep concurrently).
-    pub(crate) fn sweep_block_core(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-    ) {
-        self.sweep_block_core_traced(queries, s, None)
-    }
-
-    /// [`Self::sweep_block_core`] with optional per-advance tracing.
-    fn sweep_block_core_traced(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-        trace: Option<&mut EngineTrace>,
-    ) {
-        let lam: &dyn RightMultiplier = match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => k,
-            LaneKernel::Plain(cell) => match &self.backing {
-                Backing::Memory { qmat, .. } => {
-                    cell.get_or_init(|| CsrRightMultiplier::new(qmat.clone()))
-                }
-                Backing::Access { .. } => unreachable!("access backing builds its own kernel"),
-            },
-            LaneKernel::Access(k) => k,
-        };
-        let th: &dyn RightMultiplier = match &self.theta_lanes {
-            ThetaKernel::Csr(cell) => match &self.backing {
-                Backing::Memory { qt, .. } => {
-                    cell.get_or_init(|| CsrRightMultiplier::new(qt.clone()))
-                }
-                Backing::Access { .. } => unreachable!("access backing builds its own kernel"),
-            },
-            ThetaKernel::Access(k) => k,
-        };
-        match &self.backing {
-            Backing::Memory { qmat, qt } => {
-                self.sweep_block_with(queries, s, &CsrRows(qmat), &CsrRows(qt), lam, th, trace)
-            }
-            Backing::Access { src, inv_in } => self.sweep_block_with(
-                queries,
-                s,
-                &AccessQRows { src: &**src, inv_in },
-                &AccessQtRows { src: &**src, inv_in },
-                lam,
-                th,
-                trace,
-            ),
-        }
-    }
-
-    /// [`Self::sweep_block_core`] generic over the backing's row views
-    /// (same split as [`Self::sweep_with`]); `lam`/`th` are the blocked
-    /// dense-fallback kernels for the Horner and forward advances. With
-    /// `trace` set, every advance is individually timed and recorded —
-    /// the timing capture happens strictly between advances, so traced
-    /// results stay bitwise identical to untraced ones.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_block_with(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-        q_rows: &impl PushRows,
-        qt_rows: &impl PushRows,
-        lam: &dyn RightMultiplier,
-        th: &dyn RightMultiplier,
-        mut trace: Option<&mut EngineTrace>,
-    ) {
-        debug_assert!(queries.len() <= BLOCK);
-        let k = self.params.iterations;
-        let eps = self.opts.frontier_epsilon;
-        let det = self.opts.deterministic;
-        let cutoff = (self.opts.batch_density_cutoff * self.n as f64) as usize;
-        let lanes = queries.len() as u64;
-        // Work tallies (see `sweep_with`): locals on the hot path, one
-        // atomic flush per chunk.
-        let (mut iters, mut dense_steps, mut f_active, mut f_slots) = (0u64, 0u64, 0u64, 0u64);
-        let mut tally = |dense: bool, active: usize, n: usize| {
-            iters += 1;
-            dense_steps += dense as u64;
-            f_active += if dense { n as u64 } else { active as u64 };
-            f_slots += n as u64;
-        };
-        for (lane, q) in queries.enumerate() {
-            s.u.insert(q)[lane] = 1.0;
-        }
-        for theta in 0..=k {
-            if eps > 0.0 && self.theta_tail[theta] < eps {
-                break;
-            }
-            for (lambda, vl) in s.vs[..=(k - theta)].iter_mut().enumerate() {
-                vl.axpy_from(&s.u, self.coeffs[theta][lambda]);
-            }
-            if theta == k {
-                break;
-            }
-            // u ← u·Q lane-wise: push over Q rows, or blocked Qᵀ·u.
-            let started = trace.is_some().then(Instant::now);
-            advance_block(q_rows, &mut s.u, &mut s.u_next, eps, cutoff, det, th);
-            tally(s.u.dense, s.u.active.len(), self.n);
-            if let (Some(t), Some(at)) = (trace.as_deref_mut(), started) {
-                t.steps.push(EngineStep {
-                    pass: 0,
-                    index: theta,
-                    frontier: if s.u.dense { self.n } else { s.u.active.len() },
-                    dense: s.u.dense,
-                    dur_ns: at.elapsed().as_nanos() as u64,
+                // r ← r·Qᵀ: push over Qᵀ rows, or gather over Q rows.
+                let started = timed.then(Instant::now);
+                advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, |x, y| match kernel {
+                    Some(kernel) => kernel.apply_block(x.as_flattened(), y.as_flattened_mut(), W),
+                    None => gather::<W>(q_rows, x, y),
                 });
-            }
-            if s.u.is_zero() {
-                break;
-            }
-        }
-        s.u.clear();
-        for lambda in (0..=k).rev() {
-            if !s.w.is_zero() {
-                // r ← r·Qᵀ lane-wise: push over Qᵀ rows, or blocked Q·r.
-                let started = trace.is_some().then(Instant::now);
-                advance_block(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, lam);
-                tally(s.w.dense, s.w.active.len(), self.n);
-                if let (Some(t), Some(at)) = (trace.as_deref_mut(), started) {
-                    t.steps.push(EngineStep {
-                        pass: 1,
-                        index: lambda,
-                        frontier: if s.w.dense { self.n } else { s.w.active.len() },
-                        dense: s.w.dense,
-                        dur_ns: at.elapsed().as_nanos() as u64,
-                    });
-                }
+                record(&s.w, 1, lambda, started);
             }
             s.w.axpy_from(&s.vs[lambda], 1.0);
             s.vs[lambda].clear();
         }
-        self.stats.flush(lanes, iters, dense_steps, f_active, f_slots);
-        self.stats.flush_lanes(lanes, BLOCK as u64);
+        self.stats.flush(queries.len() as u64, W as u64, &tally);
     }
 
     /// The edge-concentrated lane kernel, when the engine was built with
     /// `compress` (shared with the all-pairs engine so compression runs
     /// once per graph).
     pub(crate) fn compressed_kernel(&self) -> Option<&CompressedRightMultiplier> {
-        match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => Some(k),
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => None,
-        }
-    }
-
-    fn take_scratch(&self) -> QueryScratch {
-        self.scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| QueryScratch::new(self.n, self.params.iterations))
-    }
-
-    fn put_scratch(&self, s: QueryScratch) {
-        self.scratch.lock().expect("scratch pool poisoned").push(s);
-    }
-
-    pub(crate) fn take_block_scratch(&self) -> BlockScratch {
-        self.block_scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| BlockScratch::new(self.n, self.params.iterations))
-    }
-
-    pub(crate) fn put_block_scratch(&self, s: BlockScratch) {
-        self.block_scratch.lock().expect("scratch pool poisoned").push(s);
-    }
-}
-
-/// Copies lane `lane` of a folded block frontier into a full row (`out`
-/// must be zeroed; only the support is written on the sparse path).
-pub(crate) fn copy_lane_into(w: &BlockFrontier, lane: usize, out: &mut [f64]) {
-    if w.dense {
-        for (rv, node_vals) in out.iter_mut().zip(w.vals.chunks_exact(BLOCK)) {
-            *rv = node_vals[lane];
-        }
-    } else {
-        for &i in &w.active {
-            out[i as usize] = w.vals[i as usize * BLOCK + lane];
-        }
+        self.compressed.as_ref()
     }
 }
 
@@ -1203,7 +1101,7 @@ fn validate_options(params: SimStarParams, mut opts: QueryEngineOptions) -> Quer
     if opts.deterministic {
         // Pruning is the one knob that couples lanes (see the option
         // docs); everything else deterministic mode needs is handled in
-        // the advance functions.
+        // the advance function.
         opts.frontier_epsilon = 0.0;
     }
     assert!(opts.frontier_epsilon >= 0.0, "epsilon must be non-negative");
@@ -1231,163 +1129,81 @@ fn coeff_table(params: &SimStarParams, opts: &QueryEngineOptions) -> (Vec<Vec<f6
     (coeffs, theta_tail)
 }
 
-/// Dense `y = xᵀ·Q` over an access backing (the u-advance fallback):
-/// scatter each active source's in-list, weighted by the row's `1/|I|`.
-fn dense_u_step(src: &dyn NeighborAccess, inv_in: &[f64], x: &[f64], y: &mut [f64]) {
-    y.fill(0.0);
-    for (i, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
+/// A dense step in gather form: `y[i] = Σ_j A[i][j]·x[j]` lane-wise for
+/// every node `i`, over `rows` of `A`. Every entry of `y` is overwritten.
+fn gather<const W: usize>(rows: &impl PushRows, x: &[[f64; W]], y: &mut [[f64; W]]) {
+    for (i, dst) in y.iter_mut().enumerate() {
+        *dst = rows.gather_row(i as u32, x);
+    }
+}
+
+/// A dense step in scatter form: `y += x·A` lane-wise, pushing row `i`
+/// of `A` for every node `i` whose lanes are not all zero. Each output
+/// node receives its products in ascending source order, exactly as the
+/// gather form over the rows of `Aᵀ` sums them, so both forms give the
+/// same bits; skipping the zero rows makes a just-densified frontier cost
+/// only its support's edges.
+fn scatter<const W: usize>(rows: &impl PushRows, x: &[[f64; W]], y: &mut [[f64; W]]) {
+    for (i, src) in x.iter().enumerate() {
+        if src.iter().all(|&v| v == 0.0) {
             continue;
         }
-        let w = inv_in[i];
-        if w != 0.0 {
-            src.for_each_in(i as u32, &mut |j| y[j as usize] += xv * w);
-        }
+        rows.push_row(i as u32, |j, v| {
+            for (d, s) in y[j as usize].iter_mut().zip(src) {
+                *d += v * s;
+            }
+        });
     }
 }
 
-/// Dense `y = Q·x` over an access backing (the Horner-advance fallback):
-/// gather each row's in-list, scaled by the row's `1/|I|`.
-fn dense_r_step(src: &dyn NeighborAccess, inv_in: &[f64], x: &[f64], y: &mut [f64]) {
-    for (i, o) in y.iter_mut().enumerate() {
-        let w = inv_in[i];
-        if w == 0.0 {
-            *o = 0.0;
-            continue;
-        }
-        let mut acc = 0.0;
-        src.for_each_in(i as u32, &mut |c| acc += w * x[c as usize]);
-        *o = acc;
-    }
-}
-
-/// `out += coeff · f`, touching only the support when `f` is sparse.
-fn accumulate(out: &mut [f64], f: &Frontier, coeff: f64) {
-    if coeff == 0.0 {
-        return;
-    }
-    if f.dense {
-        for (o, &v) in out.iter_mut().zip(&f.vals) {
-            *o += coeff * v;
-        }
-    } else {
-        for &i in &f.active {
-            out[i as usize] += coeff * f.vals[i as usize];
-        }
-    }
-}
-
-/// Lane-wise analogue of [`advance`]: sparse push over `rows`
-/// (each adjacency index read once per `BLOCK` lanes) while the union
-/// support is small, switching to the blocked dense `dense_kernel` once it
-/// saturates past `cutoff` active nodes. `next` must be cleared on entry
-/// and is left cleared on exit. With `det` set, the frontier stays sparse
-/// forever, pruning is skipped, and the active list is sorted before the
-/// push so the accumulation order into every slot is canonical (ascending
-/// source id) — lane results become independent of what the other lanes
-/// hold (see [`QueryEngineOptions::deterministic`]).
-fn advance_block(
+/// Advances `cur` one step lane-wise: a sparse push over `rows` (each
+/// adjacency index read once per `W` lanes) while the union support is
+/// small, switching to `dense_step` once it saturates past `cutoff` active
+/// nodes (and staying dense from then on). `next` must be cleared on
+/// entry and is left cleared on exit. With `det` set, the frontier stays
+/// sparse forever, pruning is skipped, and the active list is sorted
+/// before the push so the accumulation order into every slot is canonical
+/// (ascending source id) — lane results become independent of what the
+/// other lanes hold and of the width (see
+/// [`QueryEngineOptions::deterministic`]).
+fn advance<const W: usize>(
     rows: &impl PushRows,
-    cur: &mut BlockFrontier,
-    next: &mut BlockFrontier,
+    cur: &mut BlockFrontier<W>,
+    next: &mut BlockFrontier<W>,
     eps: f64,
     cutoff: usize,
     det: bool,
-    dense_kernel: &dyn RightMultiplier,
+    dense_step: impl Fn(&[[f64; W]], &mut [[f64; W]]),
 ) {
     if det {
         debug_assert!(!cur.dense, "deterministic sweeps never densify");
         cur.active.sort_unstable();
     }
     if cur.dense {
-        // `next` is cleared ⇒ all-zero, which `apply_block` accumulates into.
-        dense_kernel.apply_block(&cur.vals, &mut next.vals, BLOCK);
+        // `next` is cleared ⇒ all-zero, which a kernel may accumulate into.
+        dense_step(&cur.vals, &mut next.vals);
         next.dense = true;
     } else {
         debug_assert!(!next.dense && next.active.is_empty());
         for &i in &cur.active {
-            let src: [f64; BLOCK] =
-                cur.vals[i as usize * BLOCK..][..BLOCK].try_into().expect("BLOCK lanes");
-            rows.push_row(i, |j, v| {
-                let dst = next.insert(j);
-                for (d, sv) in dst.iter_mut().zip(src) {
-                    *d += v * sv;
-                }
-            });
+            let src = cur.vals[i as usize];
+            rows.push_row(i, |j, v| next.add_scaled(j, v, &src));
         }
         if eps > 0.0 {
             let BlockFrontier { vals, active, member, .. } = next;
             active.retain(|&j| {
-                let r = j as usize * BLOCK..(j as usize + 1) * BLOCK;
-                if vals[r.clone()].iter().any(|&v| v >= eps) {
+                let node = &mut vals[j as usize];
+                if node.iter().any(|&v| v >= eps) {
                     true
                 } else {
-                    vals[r].fill(0.0);
-                    member[j as usize] = false;
+                    *node = [0.0; W];
+                    BlockFrontier::<W>::unmark(member, j);
                     false
                 }
             });
         }
         if !det && next.active.len() > cutoff {
             next.densify();
-        }
-    }
-    std::mem::swap(cur, next);
-    next.clear();
-}
-
-/// Advances `cur` one step: sparse push over `rows` while the
-/// frontier is small, switching to `dense_step` once it saturates past
-/// `cutoff` active nodes (and staying dense from then on). `next` must be
-/// cleared on entry and is left cleared on exit. With `det` set, the
-/// frontier stays sparse and the active list is sorted before the push —
-/// the scalar counterpart of [`advance_block`]'s deterministic mode, so a
-/// solo [`QueryEngine::query`] reproduces a batch lane bit for bit.
-fn advance(
-    rows: &impl PushRows,
-    cur: &mut Frontier,
-    next: &mut Frontier,
-    eps: f64,
-    cutoff: usize,
-    det: bool,
-    dense_step: impl Fn(&[f64], &mut [f64]),
-) {
-    if det {
-        debug_assert!(!cur.dense, "deterministic sweeps never densify");
-        cur.active.sort_unstable();
-    }
-    if cur.dense {
-        dense_step(&cur.vals, &mut next.vals);
-        next.dense = true;
-    } else {
-        debug_assert!(!next.dense && next.active.is_empty());
-        for &i in &cur.active {
-            let xv = cur.vals[i as usize];
-            rows.push_row(i, |j, v| {
-                let add = xv * v;
-                let slot = &mut next.vals[j as usize];
-                // Everything propagated is non-negative, so "still zero"
-                // exactly means "not yet in the active list".
-                if *slot == 0.0 && add != 0.0 {
-                    next.active.push(j);
-                }
-                *slot += add;
-            });
-        }
-        if eps > 0.0 {
-            let vals = &mut next.vals;
-            next.active.retain(|&j| {
-                if vals[j as usize] >= eps {
-                    true
-                } else {
-                    vals[j as usize] = 0.0;
-                    false
-                }
-            });
-        }
-        if !det && next.active.len() > cutoff {
-            next.dense = true;
-            next.active.clear();
         }
     }
     std::mem::swap(cur, next);
@@ -1435,6 +1251,10 @@ mod tests {
         ]
     }
 
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn assert_rows_close(a: &[f64], b: &[f64], tol: f64, tag: &str) {
         for (v, (x, y)) in a.iter().zip(b).enumerate() {
             assert!((x - y).abs() < tol, "{tag}: v={v}: {x} vs {y}");
@@ -1451,15 +1271,25 @@ mod tests {
         assert_eq!(after_one.sweeps, 1);
         assert!(after_one.iterations > 0, "a sweep advances the frontier");
         assert!(after_one.frontier_active <= after_one.frontier_slots);
-        assert_eq!(after_one.lane_slots, 0, "scalar path uses no lanes");
-        // A 3-query batch is one block chunk: three logical sweeps, three
-        // of BLOCK lanes occupied.
+        assert_eq!((after_one.lanes_used, after_one.lane_slots), (1, 1), "one one-lane sweep");
+        // A 3-query batch is below the crossover: three one-lane sweeps.
         engine.top_k_batch(&[0, 1, 2], 2);
-        let after_batch = engine.stats();
-        assert_eq!(after_batch.sweeps, 4);
-        assert_eq!(after_batch.lanes_used, 3);
-        assert_eq!(after_batch.lane_slots, BLOCK as u64);
-        assert!(after_batch.iterations > after_one.iterations);
+        let after_small = engine.stats();
+        assert_eq!(after_small.sweeps, 4);
+        assert_eq!((after_small.lanes_used, after_small.lane_slots), (4, 4));
+        assert!(after_small.iterations > after_one.iterations);
+        // 17 queries: one full 16-lane chunk plus a one-lane remainder.
+        let queries: Vec<NodeId> = (0..17).map(|i| i % 4).collect();
+        engine.top_k_batch(&queries, 2);
+        let after_wide = engine.stats();
+        assert_eq!(after_wide.sweeps, 21);
+        assert_eq!(after_wide.lanes_used, 4 + 17);
+        assert_eq!(after_wide.lane_slots, 4 + BLOCK as u64 + 1);
+        // One query past the crossover runs as one 16-lane chunk.
+        engine.top_k_batch(&queries[..SOLO_CROSSOVER + 1], 2);
+        let after_cross = engine.stats();
+        assert_eq!(after_cross.lanes_used - after_wide.lanes_used, SOLO_CROSSOVER as u64 + 1);
+        assert_eq!(after_cross.lane_slots - after_wide.lane_slots, BLOCK as u64);
     }
 
     #[test]
@@ -1523,11 +1353,16 @@ mod tests {
                 let p = SimStarParams { c: 0.7, iterations: 5 };
                 let opts = QueryEngineOptions { compress, ..Default::default() };
                 let engine = QueryEngine::with_options(&g, p, opts);
-                let queries: Vec<NodeId> = (0..g.node_count() as NodeId).rev().collect();
-                let batch = engine.query_batch(&queries);
-                for (i, &q) in queries.iter().enumerate() {
-                    let dense = single_source_dense(&g, q, &p);
-                    assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
+                // Every node, then every node again up to a full chunk:
+                // both lane widths.
+                let n = g.node_count() as NodeId;
+                for len in [n as usize, BLOCK] {
+                    let queries: Vec<NodeId> = (0..len as NodeId).map(|i| n - 1 - i % n).collect();
+                    let batch = engine.query_batch(&queries);
+                    for (i, &q) in queries.iter().enumerate() {
+                        let dense = single_source_dense(&g, q, &p);
+                        assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
+                    }
                 }
             }
         }
@@ -1590,15 +1425,20 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_is_reused_across_queries() {
+    fn scratch_pools_are_reused_per_width() {
         let g = &graphs()[0];
         let engine = QueryEngine::new(g, SimStarParams::default());
         let first = engine.query(0);
         for _ in 0..5 {
             assert_eq!(engine.query(0), first);
         }
-        // One sequential caller ⇒ exactly one pooled scratch.
-        assert_eq!(engine.scratch.lock().unwrap().len(), 1);
+        // One sequential caller ⇒ exactly one pooled one-lane scratch, and
+        // no 16-lane scratch until a chunk crosses over.
+        assert_eq!(engine.solo_scratch.lock().unwrap().len(), 1);
+        assert_eq!(engine.block_scratch.lock().unwrap().len(), 0);
+        engine.top_k_batch(&[0; BLOCK], 2);
+        engine.top_k_batch(&[1; BLOCK], 2);
+        assert_eq!(engine.block_scratch.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -1643,27 +1483,31 @@ mod tests {
     #[test]
     fn deterministic_results_are_batch_composition_independent() {
         // The same query must produce the same bits alone, batched with
-        // itself, and batched next to arbitrary other queries — the
+        // itself, and batched next to arbitrary other queries, at every
+        // chunk size and so at both lane widths, on both backings — the
         // property result caches in front of the engine rely on.
         for g in graphs() {
             let p = SimStarParams { c: 0.7, iterations: 6 };
             let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-            let engine = QueryEngine::with_options(&g, p, opts);
+            let mem = QueryEngine::with_options(&g, p, opts.clone());
+            let acc = QueryEngine::with_access(access_of(&g), p, opts);
             let n = g.node_count() as NodeId;
-            for q in 0..n {
-                let solo = engine.query(q);
-                let solo_batch = engine.query_batch(&[q]);
-                assert_eq!(solo, solo_batch.row(0), "q={q} solo vs batch-of-1");
-                let mixed: Vec<NodeId> = (0..n).rev().chain([q, q]).collect();
-                let batch = engine.query_batch(&mixed);
-                for (i, &mq) in mixed.iter().enumerate() {
-                    if mq == q {
-                        assert_eq!(solo.as_slice(), batch.row(i), "q={q} lane {i}");
+            let solo: Vec<Vec<f64>> = (0..n).map(|q| mem.query(q)).collect();
+            for engine in [&mem, &acc] {
+                for len in 1..=BLOCK + 1 {
+                    for shift in 0..n {
+                        let batch: Vec<NodeId> =
+                            (0..len as NodeId).map(|i| (i * 3 + shift) % n).collect();
+                        let rows = engine.query_batch(&batch);
+                        let ranked = engine.top_k_batch(&batch, 4);
+                        for (i, &q) in batch.iter().enumerate() {
+                            let want = bits(&solo[q as usize]);
+                            assert_eq!(want, bits(rows.row(i)), "q={q} len={len} lane {i}");
+                            // Top-k is a pure selection over those bits.
+                            assert_eq!(ranked[i], mem.top_k(q, 4), "q={q} len={len} top-k");
+                        }
                     }
                 }
-                // Top-k is a pure selection over those bits.
-                let top = engine.top_k(q, 4);
-                assert_eq!(top, engine.top_k_batch(&[q], 4)[0], "q={q} top-k");
             }
         }
     }
@@ -1738,13 +1582,16 @@ mod tests {
             ] {
                 let mem = QueryEngine::with_options(&g, p, opts.clone());
                 let acc = QueryEngine::with_access(access_of(&g), p, opts);
-                let all: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
-                for q in &all {
-                    assert_rows_close(&mem.query(*q), &acc.query(*q), 1e-10, "access row");
+                let n = g.node_count();
+                for q in 0..n as NodeId {
+                    assert_rows_close(&mem.query(q), &acc.query(q), 1e-10, "access row");
                 }
-                let (bm, ba) = (mem.query_batch(&all), acc.query_batch(&all));
-                for i in 0..bm.rows() {
+                // A full chunk, so the 16-lane dense steps run too.
+                let wide: Vec<NodeId> = (0..BLOCK).map(|i| (i % n) as NodeId).collect();
+                let (bm, ba) = (mem.query_batch(&wide), acc.query_batch(&wide));
+                for (i, &q) in wide.iter().enumerate() {
                     assert_rows_close(bm.row(i), ba.row(i), 1e-10, "access batch");
+                    assert_rows_close(bm.row(i), &mem.query(q), 1e-10, "batch vs solo");
                 }
             }
         }

@@ -1,12 +1,14 @@
-//! Property tests pinning the query engine's three execution paths
-//! (sparse-frontier, dense fallback, batched lanes) to the dense reference
-//! sweep and — via Lemma 4 — to the corresponding row of the all-pairs
-//! geometric iteration, plus top-k against the full-row sort.
+//! Property tests pinning the query engine's execution paths
+//! (sparse-frontier, dense fallback, one-lane and 16-lane sweeps) to the
+//! dense reference sweep and — via Lemma 4 — to the corresponding row of
+//! the all-pairs geometric iteration, plus top-k against the full-row sort
+//! and deterministic lanes against the solo answer, bit for bit.
 
 use proptest::prelude::*;
 use simrank_star::single_source::{single_source_dense, single_source_exponential_dense};
 use simrank_star::{geometric, QueryEngine, QueryEngineOptions, SeriesKind, SimStarParams};
-use ssr_graph::{DiGraph, NodeId};
+use ssr_graph::{DiGraph, NeighborAccess, NodeId};
+use std::sync::Arc;
 
 fn arb_graph_and_query(
     max_n: usize,
@@ -20,6 +22,16 @@ fn arb_graph_and_query(
 
 fn build(n: usize, edges: &[(u32, u32)]) -> DiGraph {
     DiGraph::from_edges(n, edges).unwrap()
+}
+
+/// `len` queries cycling through the nodes from `shift` in steps of 5, so
+/// chunks mix repeats and neighbours.
+fn chunk_of(len: usize, n: usize, shift: usize) -> Vec<NodeId> {
+    (0..len).map(|i| ((i * 5 + shift) % n) as NodeId).collect()
+}
+
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -54,26 +66,61 @@ proptest! {
         }
     }
 
-    /// Batched rows (plain and compressed lane kernels) == dense sweep ==
-    /// all-pairs rows.
+    /// Batched rows (plain and compressed kernels, one-lane and 16-lane
+    /// chunks) == dense sweep == all-pairs rows.
     #[test]
-    fn batched_matches_dense_and_matrix((n, edges, _q) in arb_graph_and_query(14, 50)) {
+    fn batched_matches_dense_and_matrix(
+        (n, edges, _q) in arb_graph_and_query(14, 50),
+        shift in 0usize..14,
+    ) {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.7, iterations: 5 };
         let full = geometric::iterate(&g, &p);
-        let queries: Vec<NodeId> = (0..n as NodeId).collect();
         for compress in [false, true] {
             let opts = QueryEngineOptions { compress, ..Default::default() };
             let engine = QueryEngine::with_options(&g, p, opts);
-            let batch = engine.query_batch(&queries);
-            for (i, &q) in queries.iter().enumerate() {
-                let dense = single_source_dense(&g, q, &p);
-                let row = batch.row(i);
-                for v in 0..n {
-                    prop_assert!((row[v] - dense[v]).abs() < 1e-10,
-                        "compress={compress}, q={q}, v={v}");
-                    prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10,
-                        "compress={compress}, q={q}, v={v}");
+            for len in [1, n, 16, 17] {
+                let queries = chunk_of(len, n, shift);
+                let batch = engine.query_batch(&queries);
+                for (i, &q) in queries.iter().enumerate() {
+                    let dense = single_source_dense(&g, q, &p);
+                    let row = batch.row(i);
+                    for v in 0..n {
+                        prop_assert!((row[v] - dense[v]).abs() < 1e-10,
+                            "compress={compress}, len={len}, q={q}, v={v}");
+                        prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10,
+                            "compress={compress}, len={len}, q={q}, v={v}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deterministic mode: at every chunk size 1..=17 (so at both lane
+    /// widths, alone and next to other lanes) and on both backings, every
+    /// lane's row and top-k are bit-identical to the solo one-lane answer.
+    #[test]
+    fn deterministic_lanes_match_solo_at_every_chunk_size(
+        (n, edges, _q) in arb_graph_and_query(14, 50),
+        shift in 0usize..14,
+    ) {
+        let g = build(n, &edges);
+        let p = SimStarParams { c: 0.7, iterations: 6 };
+        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
+        let mem = QueryEngine::with_options(&g, p, opts.clone());
+        let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
+        let acc = QueryEngine::with_access(src, p, opts);
+        let solo: Vec<Vec<u64>> = (0..n as NodeId).map(|q| bits(&mem.query(q))).collect();
+        for (backing, engine) in [("memory", &mem), ("access", &acc)] {
+            for len in 1..=17 {
+                let queries = chunk_of(len, n, shift);
+                let rows = engine.query_batch(&queries);
+                let ranked = engine.top_k_batch(&queries, 3);
+                for (i, &q) in queries.iter().enumerate() {
+                    prop_assert_eq!(&bits(rows.row(i)), &solo[q as usize],
+                        "{} len={} lane {} (q={})", backing, len, i, q);
+                    prop_assert_eq!(&ranked[i], &mem.top_k(q, 3),
+                        "{} len={} lane {} (q={}) top-k", backing, len, i, q);
                 }
             }
         }

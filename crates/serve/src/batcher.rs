@@ -5,18 +5,21 @@
 //! unbounded backlog) and executed by a small pool of flush workers. A
 //! worker that finds the queue non-empty parks for a tiny window
 //! (`window_us`) collecting whatever concurrent requests arrive, then
-//! flushes the whole batch through
-//! [`simrank_star::QueryEngine::top_k_batch`] — the
-//! 16-lane blocked path — so adjacency indices are read once per flush
-//! instead of once per request. Duplicate nodes in a flush collapse into a
-//! single lane. With `window_us = 0` coalescing is off and each job
-//! flushes alone through the identical code path: the serial baseline the
-//! serve benchmark compares against is the same server minus the window.
+//! flushes the whole batch through one
+//! [`simrank_star::QueryEngine::top_k_batch`] call. The engine cuts the
+//! flush into 16-query chunks: a full chunk runs as one 16-lane sweep, so
+//! adjacency indices are read once per chunk instead of once per request,
+//! and a remainder of at most 4 queries (a solo request, say) runs as
+//! one-lane sweeps that pay for no idle lanes. Duplicate nodes in a flush
+//! collapse into a single lane. With `window_us = 0` coalescing is off and
+//! each job flushes alone through the identical code path: the serial
+//! baseline the serve benchmark compares against is the same server minus
+//! the window.
 //!
 //! Routing *everything* through the pipeline (instead of executing on
 //! connection threads) also bounds engine concurrency: each in-flight
-//! sweep owns `O(16·n)` scratch, so `workers`, not the connection count,
-//! caps peak memory.
+//! sweep owns at most `O(16·n)` scratch, so `workers`, not the connection
+//! count, caps peak memory.
 //!
 //! Results are bit-identical however requests get coalesced because
 //! snapshots force [`simrank_star::QueryEngineOptions::deterministic`]
