@@ -47,17 +47,19 @@ COMMANDS:
             a v2 .ssg input streams adjacency off the mmap-backed store
             (no full CSR in memory) unless --load-full true; --memory
             prints a resident-bytes accounting line; --deterministic makes
-            results batch-composition-independent bit for bit;
+            results batch-composition-independent bit for bit and turns
+            --compress off (deterministic sweeps never run the edge-
+            concentrated kernel);
             --format json emits the serve protocol's machine-readable
             result shape
   serve     concurrent query server (newline-JSON and binary ssb/1 over
             TCP; see the README's Serving layer section for both wire
             formats)
             --input FILE [--host 127.0.0.1] [--port 0] [--announce FILE]
-            [--c 0.6] [--k 5] [--compress false] [--window-us 500]
-            [--max-batch 64] [--workers 1] [--queue 1024] [--cache 4096]
-            [--cache-shards 8] [--shards 1] [--max-conns 256]
-            [--trace-sample 0] [--trace-out FILE]
+            [--c 0.6] [--k 5] [--window-us 500] [--max-batch 64]
+            [--workers 1] [--queue 1024] [--cache 4096] [--cache-shards 8]
+            [--shards 1] [--max-conns 256] [--trace-sample 0]
+            [--trace-out FILE]
             port 0 binds an ephemeral port; --announce writes the bound
             address to FILE once listening; --shards N partitions the
             graph by weakly-connected component across N engine workers

@@ -25,7 +25,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
             "announce",
             "c",
             "k",
-            "compress",
             "window-us",
             "max-batch",
             "workers",
@@ -51,7 +50,7 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
     }
     let opts = ServerOptions {
         params,
-        engine: QueryEngineOptions { compress: args.get("compress", false)?, ..Default::default() },
+        engine: QueryEngineOptions::default(),
         cache_capacity: args.get("cache", 4096usize)?,
         cache_shards: args.get("cache-shards", 8usize)?,
         shards,

@@ -125,9 +125,9 @@ impl AllPairsEngine {
         Self::with_options(g, params, AllPairsOptions::default())
     }
 
-    /// Builds an engine: precomputes `Q`/`Qᵀ`, the lattice coefficient
-    /// table, and the plain or edge-concentrated kernel — all shared by
-    /// every subsequent sweep.
+    /// Builds an engine: copies the graph's adjacency, precomputes the
+    /// `1/|I(v)|` weights, the lattice coefficient table, and the plain or
+    /// edge-concentrated kernel — all shared by every subsequent sweep.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: AllPairsOptions) -> Self {
         let qe_opts = QueryEngineOptions {
             kind: opts.kind,

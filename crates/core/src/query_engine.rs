@@ -6,9 +6,13 @@
 //! dense `n`-vectors, and allocated fresh buffers per step.
 //! [`QueryEngine`] amortizes and restructures all of that:
 //!
-//! * **Precomputed state** — `Q` and `Qᵀ` (and, opt-in, the
-//!   edge-concentrated kernel from `ssr-compress`) are built once per graph
-//!   and shared by every query.
+//! * **Precomputed state** — the engine keeps the graph's own sorted
+//!   adjacency (or reads it on demand through a [`NeighborAccess`]
+//!   backing) plus `inv_in[v] = 1/|I(v)|`, built once per graph and shared
+//!   by every query. `Q`'s row `x` is `I(x)` at weight `inv_in[x]` and
+//!   `Qᵀ`'s row `i` is `O(i)` at weight `inv_in[j]` per entry `j`, so
+//!   neither is materialised as a matrix. The edge-concentrated kernel
+//!   from `ssr-compress` is built only on request.
 //! * **Two-pass Horner sweep** — the lattice
 //!   `Σ_θ Σ_λ c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as `Σ_λ V_λ(Qᵀ)^λ`
 //!   with `V_λ = Σ_θ c[θ][λ]·u_θ`: a forward pass advances
@@ -16,10 +20,10 @@
 //!   `r ← r·Qᵀ + V_λ`. At most `2K` advances per query instead of the
 //!   lattice's `O(K²)`.
 //! * **Sparse frontiers** — every advance propagates only the active
-//!   support (push-style over CSR rows) with an epsilon threshold, falling
-//!   back to a dense gather step once the frontier saturates past a
-//!   density cutoff. Scratch lives in per-width pools; the hot path
-//!   allocates nothing after warmup.
+//!   support (push-style over adjacency rows) with an epsilon threshold,
+//!   falling back to a dense scatter or gather step once the frontier
+//!   saturates past a density cutoff. Scratch lives in per-width pools;
+//!   the hot path allocates nothing after warmup.
 //! * **One sweep, two lane widths** — the sweep is generic over a lane
 //!   width `W`: every frontier stores `W` queries lane-major over their
 //!   union support, so each adjacency index is read once per `W` queries.
@@ -37,7 +41,10 @@
 //! Horner form is a pure re-association of the same non-negative terms —
 //! which the property tests pin against `geometric::iterate` rows
 //! (Lemma 4). In deterministic mode every lane's bits are independent of
-//! the lane width and of the other lanes.
+//! the lane width, of the other lanes and of the backing: every product is
+//! `inv_in · x` on the same `f64`s, added in ascending source order,
+//! whether the step is a sorted sparse push or, on the in-memory backing,
+//! a dense scatter or gather.
 
 use crate::kernel::{CompressedRightMultiplier, RightMultiplier, BLOCK};
 use crate::series::{exponential_weights, geometric_weights, lattice_coeffs};
@@ -45,7 +52,7 @@ use crate::SimStarParams;
 use ssr_compress::CompressOptions;
 use ssr_graph::components::{weakly_connected_components, weakly_connected_components_from_edges};
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
-use ssr_linalg::{Csr, Dense};
+use ssr_linalg::Dense;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -54,11 +61,10 @@ use std::time::Instant;
 /// larger chunks run as one [`BLOCK`]-lane sweep, which touches all its
 /// lanes however few are occupied. Measured on the `lane_width` axis of
 /// `BENCH_query_engine.json` (`K = 8`, CPU ms per query, three graphs in
-/// two modes): at 4 queries per call one lane wins five of the six cases,
-/// by 1.25–2.1× (the exception is deterministic CitHepTh: 4.04 against
-/// 3.57 ms). At 8 the 16-lane sweep wins three: CitHepTh in both modes
-/// (1.86 against 2.30 ms, 2.01 against 3.96 ms) and deterministic
-/// Web-Google (2.19 against 2.97 ms).
+/// two modes): at 4 queries per call one lane wins all six cases, by
+/// 1.53–2.31×. At 8 the 16-lane sweep wins CitHepTh in both modes (2.26
+/// against 2.72 ms, 2.20 against 2.75 ms deterministic) and loses the
+/// other four by 1.18–1.58×.
 const SOLO_CROSSOVER: usize = 4;
 
 /// Which SimRank\* series the engine evaluates.
@@ -85,7 +91,10 @@ pub struct QueryEngineOptions {
     pub frontier_epsilon: f64,
     /// Once a one-lane sweep's frontier holds more than this fraction of
     /// all nodes, the sweep switches that vector to the dense path (sparse
-    /// bookkeeping only pays while the support is genuinely small).
+    /// bookkeeping only pays while the support is genuinely small). Applies
+    /// in deterministic mode too, except on an access backing
+    /// ([`QueryEngine::with_access`]), whose deterministic sweeps stay
+    /// sparse. `1.0` never densifies.
     pub density_cutoff: f64,
     /// The 16-lane sweep's density cutoff. A dense step's cost is
     /// amortized over `BLOCK` lanes, so the union frontier profits from
@@ -95,20 +104,25 @@ pub struct QueryEngineOptions {
     /// Run the 16-lane sweep's dense Horner steps over the
     /// edge-concentrated graph (Algorithm 1's memoization) instead of raw
     /// adjacency. Compression is a preprocessing phase — the paper times it
-    /// separately — so it runs eagerly at engine construction.
+    /// separately — so it runs eagerly at engine construction. Deterministic
+    /// mode turns it off: the kernel regroups sums, so its bits differ from
+    /// the sparse push's.
     pub compress: bool,
     /// Compression options used when `compress` is set.
     pub compress_options: CompressOptions,
     /// Batch-composition-independent arithmetic: every query produces the
     /// same bits whether it runs alone, in any batch, at either lane width,
-    /// or next to any other lanes. The sweep stays on the sparse path (no
-    /// dense fallback), active lists are sorted before every advance so
-    /// floating-point accumulation order is canonical, and
-    /// `frontier_epsilon` is forced to `0` (the union-support pruning rule
-    /// would let one lane's magnitude decide another lane's support).
+    /// next to any other lanes, or on either backing. Sparse active lists
+    /// are sorted before every advance, so each output adds its products
+    /// in ascending source order — the order the in-memory backing's dense
+    /// steps use too, so those sweeps still densify past the cutoffs. The
+    /// access backing's dense gather adds before it scales, so its
+    /// deterministic sweeps stay sparse. `frontier_epsilon` is forced to
+    /// `0` (the union-support pruning rule would let one lane's magnitude
+    /// decide another lane's support) and `compress` is turned off.
     /// Serving layers that cache results keyed by `(node, params)` need
     /// this — otherwise a cache hit and a recompute can disagree in the
-    /// last ulps. Costs the pruning/densify speedups; off by default.
+    /// last ulps. Costs the pruning speedup; off by default.
     pub deterministic: bool,
 }
 
@@ -344,15 +358,15 @@ fn copy_lane_into<const W: usize>(w: &BlockFrontier<W>, lane: usize, out: &mut [
     }
 }
 
-/// How the engine reaches the graph's adjacency.
+/// How the engine reaches the graph's adjacency. Either way `Q`'s row `x`
+/// is `I(x)` at weight `inv_in[x]`, and `Qᵀ`'s row `i` is `O(i)` with
+/// entry `j` at weight `inv_in[j]` — no matrix is materialised.
 enum Backing {
-    /// Materialised `Q`/`Qᵀ` CSR matrices — the fully-resident path.
-    Memory { qmat: Csr, qt: Csr },
+    /// The graph's own sorted adjacency, resident — the in-memory path.
+    Memory(DiGraph),
     /// On-demand neighbor lists (e.g. a random-access `.ssg` store
-    /// decoding adjacency off compressed bytes) plus the precomputed
-    /// `inv_in[v] = 1/|I(v)|` weights — `Q` rows are in-lists scaled by
-    /// the row's weight, `Qᵀ` rows are out-lists scaled per target.
-    Access { src: Arc<dyn NeighborAccess>, inv_in: Vec<f64> },
+    /// decoding adjacency off compressed bytes).
+    Access(Arc<dyn NeighborAccess>),
 }
 
 /// Row view of a sparse operator: `f(col, weight)` for every entry of
@@ -362,6 +376,13 @@ enum Backing {
 /// dense step pushes them for every nonzero node ([`scatter`]) or gathers
 /// the rows of the transpose ([`gather`]).
 trait PushRows {
+    /// Whether [`Self::gather_row`] multiplies every entry before adding
+    /// it, in column order. Then every dense step, scatter or gather, adds
+    /// each output's products in the ascending source order of a sorted
+    /// sparse push, so a deterministic sweep may densify, and a sweep may
+    /// pick either form, without changing a bit.
+    const GATHER_MATCHES_PUSH: bool = true;
+
     fn push_row(&self, i: u32, f: impl FnMut(u32, f64));
 
     /// Row `i` applied to the lane-major `x`: `Σ_j A[i][j]·x[j]` per lane,
@@ -378,31 +399,48 @@ trait PushRows {
     }
 }
 
-/// Rows of a materialised CSR matrix.
-struct CsrRows<'a>(&'a Csr);
+/// `Q` rows over adjacency `A`: row `x` is `I(x)`, every entry weighted
+/// `inv_in[x]` — exactly [`ssr_linalg::Csr::backward_transition`]'s rows.
+struct QRows<'a, A: ?Sized> {
+    adj: &'a A,
+    inv_in: &'a [f64],
+}
 
-impl PushRows for CsrRows<'_> {
+/// `Qᵀ` rows over adjacency `A`: row `i` is `O(i)`, entry `j` weighted
+/// `inv_in[j]` (every out-neighbor has in-degree ≥ 1).
+struct QtRows<'a, A: ?Sized> {
+    adj: &'a A,
+    inv_in: &'a [f64],
+}
+
+impl PushRows for QRows<'_, DiGraph> {
     #[inline]
     fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
-        for (j, v) in self.0.row_entries(i as usize) {
-            f(j, v);
+        let w = self.inv_in[i as usize];
+        for &y in self.adj.in_neighbors(i) {
+            f(y, w);
         }
     }
 }
 
-/// `Q` rows from a neighbor-access backing: row `x` is `I(x)`, every entry
-/// weighted `1/|I(x)|` — exactly [`Csr::backward_transition`]'s rows.
-struct AccessQRows<'a> {
-    src: &'a dyn NeighborAccess,
-    inv_in: &'a [f64],
+impl PushRows for QtRows<'_, DiGraph> {
+    #[inline]
+    fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
+        for &j in self.adj.out_neighbors(i) {
+            f(j, self.inv_in[j as usize]);
+        }
+    }
 }
 
-impl PushRows for AccessQRows<'_> {
+impl PushRows for QRows<'_, dyn NeighborAccess> {
+    /// The gather below adds before it scales.
+    const GATHER_MATCHES_PUSH: bool = false;
+
     #[inline]
     fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
         let w = self.inv_in[i as usize];
         if w != 0.0 {
-            self.src.for_each_in(i, &mut |y| f(y, w));
+            self.adj.for_each_in(i, &mut |y| f(y, w));
         }
     }
 
@@ -413,7 +451,7 @@ impl PushRows for AccessQRows<'_> {
         let mut acc = [0.0; W];
         let w = self.inv_in[i as usize];
         if w != 0.0 {
-            self.src.for_each_in(i, &mut |y| {
+            self.adj.for_each_in(i, &mut |y| {
                 for (a, s) in acc.iter_mut().zip(&x[y as usize]) {
                     *a += s;
                 }
@@ -426,18 +464,24 @@ impl PushRows for AccessQRows<'_> {
     }
 }
 
-/// `Qᵀ` rows from a neighbor-access backing: row `i` is `O(i)`, entry `j`
-/// weighted `1/|I(j)|` (every out-neighbor has in-degree ≥ 1).
-struct AccessQtRows<'a> {
-    src: &'a dyn NeighborAccess,
-    inv_in: &'a [f64],
-}
-
-impl PushRows for AccessQtRows<'_> {
+impl PushRows for QtRows<'_, dyn NeighborAccess> {
     #[inline]
     fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
-        self.src.for_each_out(i, &mut |j| f(j, self.inv_in[j as usize]));
+        self.adj.for_each_out(i, &mut |j| f(j, self.inv_in[j as usize]));
     }
+}
+
+/// `inv_in[v] = 1/|I(v)|`, or `0` for a node without in-neighbors: the
+/// weight of every entry in `Q`'s row `v`, computed exactly as
+/// [`ssr_linalg::Csr::backward_transition`] computes it. Shared by both
+/// backings, so both push the same bits.
+fn inv_in_degrees(src: &dyn NeighborAccess) -> Vec<f64> {
+    (0..src.node_count() as u32)
+        .map(|v| match src.in_degree(v) {
+            0 => 0.0,
+            d => 1.0 / d as f64,
+        })
+        .collect()
 }
 
 /// Lifetime work counters an engine accumulates across every sweep it
@@ -594,6 +638,9 @@ impl Pooled for BlockScratch<BLOCK> {
 pub struct QueryEngine {
     n: usize,
     backing: Backing,
+    /// `inv_in[v] = 1/|I(v)|`: the weight of `Q`'s row `v` (see
+    /// [`Backing`]).
+    inv_in: Vec<f64>,
     /// `coeffs[θ][λ] = weight(θ+λ) · binom(θ+λ, θ)` — the Pascal rows and
     /// length weights are computed once per engine, not per lattice cell.
     coeffs: Vec<Vec<f64>>,
@@ -625,16 +672,20 @@ impl QueryEngine {
         Self::with_options(g, params, QueryEngineOptions::default())
     }
 
-    /// Builds an engine, precomputing `Q`, `Qᵀ`, the lattice coefficient
-    /// table, and (if `opts.compress`) the edge-concentrated lane kernel.
+    /// Builds an engine over a copy of `g`'s adjacency, precomputing the
+    /// `1/|I(v)|` weights, the lattice coefficient table, and (if
+    /// `opts.compress`) the edge-concentrated lane kernel.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
+        Self::from_graph(g.clone(), params, opts)
+    }
+
+    fn from_graph(g: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let opts = validate_options(params, opts);
-        let qmat = Csr::backward_transition(g);
-        let qt = qmat.transpose();
         let compressed =
-            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
-        let component = weakly_connected_components(g).label;
-        Self::build(Backing::Memory { qmat, qt }, component, compressed, params, opts)
+            opts.compress.then(|| CompressedRightMultiplier::new(&g, &opts.compress_options));
+        let component = weakly_connected_components(&g).label;
+        let inv_in = inv_in_degrees(&g);
+        Self::build(Backing::Memory(g), inv_in, component, compressed, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -647,10 +698,13 @@ impl QueryEngine {
     /// deterministic mode ([`QueryEngineOptions::deterministic`]) they are
     /// **bit-identical** to it: both backings push the same weights in the
     /// same ascending-id order, so the floating-point accumulation order
-    /// coincides exactly.
+    /// coincides exactly. A deterministic sweep on this backing stays
+    /// sparse (its dense Horner gather adds before it scales, which is not
+    /// the sparse push's arithmetic); the in-memory engine densifies.
     ///
     /// `opts.compress` is incompatible with access backings (edge
-    /// concentration needs the materialised graph) and panics.
+    /// concentration needs the materialised graph) and panics, unless
+    /// deterministic mode has already turned it off.
     pub fn with_access(
         src: Arc<dyn NeighborAccess>,
         params: SimStarParams,
@@ -662,16 +716,7 @@ impl QueryEngine {
             "edge concentration needs an in-memory graph; load the graph fully to compress"
         );
         let n = src.node_count();
-        let inv_in: Vec<f64> = (0..n as u32)
-            .map(|v| {
-                let d = src.in_degree(v);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / d as f64
-                }
-            })
-            .collect();
+        let inv_in = inv_in_degrees(&*src);
         // Component labels from the edge stream (no DiGraph materialised;
         // one transient out-list at a time). The union-find keeps the
         // smaller root, so labels are edge-order-independent and equal to
@@ -683,11 +728,12 @@ impl QueryEngine {
             }),
         )
         .label;
-        Self::build(Backing::Access { src, inv_in }, component, None, params, opts)
+        Self::build(Backing::Access(src), inv_in, component, None, params, opts)
     }
 
     fn build(
         backing: Backing,
+        inv_in: Vec<f64>,
         component: Vec<u32>,
         compressed: Option<CompressedRightMultiplier>,
         params: SimStarParams,
@@ -697,6 +743,7 @@ impl QueryEngine {
         QueryEngine {
             n: component.len(),
             backing,
+            inv_in,
             coeffs,
             theta_tail,
             params,
@@ -741,7 +788,7 @@ impl QueryEngine {
             assert!((last as usize) < g.node_count(), "subset node out of range");
         }
         let (sub, _remap) = g.induced_subgraph(nodes);
-        Self::with_options(&sub, params, opts)
+        Self::from_graph(sub, params, opts)
     }
 
     /// Number of nodes of the indexed graph.
@@ -750,26 +797,27 @@ impl QueryEngine {
     }
 
     /// Whether the engine computes over an on-demand [`NeighborAccess`]
-    /// backing rather than materialised CSR matrices.
+    /// backing rather than its own copy of the graph.
     pub fn is_access_backed(&self) -> bool {
-        matches!(self.backing, Backing::Access { .. })
+        matches!(self.backing, Backing::Access(_))
     }
 
     /// Bytes of graph-proportional state this engine holds resident: the
-    /// backing (both CSR matrices, or the access source's own accounting
-    /// plus the `O(n)` weight vector), the component labels, and the
-    /// edge-concentrated kernel if built. Scratch pools and coefficient
-    /// tables (`O(K²)`) are excluded — they are query-, not graph-,
-    /// proportional.
+    /// backing (the graph copy's adjacency in both directions, or the
+    /// access source's own accounting), the `O(n)` weight vector and
+    /// component labels, and the edge-concentrated kernel if built.
+    /// Scratch pools and coefficient tables (`O(K²)`) are excluded — they
+    /// are query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
-            Backing::Memory { qmat, qt } => qmat.estimated_bytes() + qt.estimated_bytes(),
-            Backing::Access { src, inv_in } => {
-                src.resident_bytes() + inv_in.len() * std::mem::size_of::<f64>()
-            }
+            Backing::Memory(g) => g.estimated_bytes(),
+            Backing::Access(src) => src.resident_bytes(),
         };
         let kernel = self.compressed.as_ref().map_or(0, |k| k.compressed().estimated_bytes());
-        backing + kernel + self.component.len() * std::mem::size_of::<u32>()
+        backing
+            + kernel
+            + self.inv_in.len() * std::mem::size_of::<f64>()
+            + self.component.len() * std::mem::size_of::<u32>()
     }
 
     /// The parameters the engine was built with.
@@ -964,15 +1012,20 @@ impl QueryEngine {
         s: &mut BlockScratch<W>,
         trace: Option<&mut EngineTrace>,
     ) {
+        let inv_in = &self.inv_in;
         match &self.backing {
-            Backing::Memory { qmat, qt } => {
-                self.sweep_with(queries, s, &CsrRows(qmat), &CsrRows(qt), trace)
-            }
-            Backing::Access { src, inv_in } => self.sweep_with(
+            Backing::Memory(g) => self.sweep_with(
                 queries,
                 s,
-                &AccessQRows { src: &**src, inv_in },
-                &AccessQtRows { src: &**src, inv_in },
+                &QRows { adj: g, inv_in },
+                &QtRows { adj: g, inv_in },
+                trace,
+            ),
+            Backing::Access(src) => self.sweep_with(
+                queries,
+                s,
+                &QRows { adj: &**src, inv_in },
+                &QtRows { adj: &**src, inv_in },
                 trace,
             ),
         }
@@ -994,17 +1047,23 @@ impl QueryEngine {
     /// every nonzero node, and the Horner advance gathers `Q` rows (or, for
     /// 16-lane sweeps of a compressed engine, runs the edge-concentrated
     /// kernel) — the arithmetic the 16-lane sweep always had, lane for
-    /// lane. Leaves the folded result in `s.w`
-    /// (lane-major) for [`BlockScratch::emit_lanes`]; every other scratch
-    /// frontier is left cleared. With `trace` set, every advance is
-    /// individually timed and recorded — strictly between advances, so
-    /// traced results stay bitwise identical to untraced ones.
-    fn sweep_with<const W: usize>(
+    /// lane. Where that gather gives the push's bits
+    /// ([`PushRows::GATHER_MATCHES_PUSH`]), a one-lane Horner advance
+    /// pushes the `Qᵀ` row of every nonzero node instead: a frontier just
+    /// past the cutoff is still mostly zero, and a gather would read every
+    /// edge. A deterministic sweep densifies only on those backings, where
+    /// every dense step reproduces the sorted sparse push's bits; the
+    /// kernel is never built in deterministic mode. Leaves the folded
+    /// result in `s.w` (lane-major) for [`BlockScratch::emit_lanes`]; every
+    /// other scratch frontier is left cleared. With `trace` set, every
+    /// advance is individually timed and recorded — strictly between
+    /// advances, so traced results stay bitwise identical to untraced ones.
+    fn sweep_with<const W: usize, Q: PushRows, Qt: PushRows>(
         &self,
         queries: &[NodeId],
         s: &mut BlockScratch<W>,
-        q_rows: &impl PushRows,
-        qt_rows: &impl PushRows,
+        q_rows: &Q,
+        qt_rows: &Qt,
         mut trace: Option<&mut EngineTrace>,
     ) {
         debug_assert!(queries.len() <= W);
@@ -1012,7 +1071,10 @@ impl QueryEngine {
         let eps = self.opts.frontier_epsilon;
         let det = self.opts.deterministic;
         let cutoff = if W == 1 { self.opts.density_cutoff } else { self.opts.batch_density_cutoff };
-        let cutoff = (cutoff * self.n as f64) as usize;
+        // A frontier never holds more than `n` nodes, so cutoff `n` keeps
+        // the sweep sparse.
+        let cutoff =
+            if det && !Q::GATHER_MATCHES_PUSH { self.n } else { (cutoff * self.n as f64) as usize };
         let kernel = self.compressed.as_ref().filter(|_| W == BLOCK);
         let timed = trace.is_some();
         let mut tally = Tally::default();
@@ -1068,6 +1130,7 @@ impl QueryEngine {
                 let started = timed.then(Instant::now);
                 advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, |x, y| match kernel {
                     Some(kernel) => kernel.apply_block(x.as_flattened(), y.as_flattened_mut(), W),
+                    None if W == 1 && Q::GATHER_MATCHES_PUSH => scatter::<W>(qt_rows, x, y),
                     None => gather::<W>(q_rows, x, y),
                 });
                 record(&s.w, 1, lambda, started);
@@ -1095,14 +1158,16 @@ fn length_weights(params: &SimStarParams, kind: SeriesKind) -> Vec<f64> {
 }
 
 /// Shared constructor validation (both backings): parameter checks plus
-/// deterministic mode forcing `frontier_epsilon = 0` (see the option docs).
+/// deterministic mode forcing `frontier_epsilon = 0` and `compress` off
+/// (see the option docs).
 fn validate_options(params: SimStarParams, mut opts: QueryEngineOptions) -> QueryEngineOptions {
     params.validate();
     if opts.deterministic {
-        // Pruning is the one knob that couples lanes (see the option
-        // docs); everything else deterministic mode needs is handled in
-        // the advance function.
+        // Pruning couples lanes and the edge-concentrated kernel regroups
+        // sums (see the option docs); everything else deterministic mode
+        // needs is handled in the sweep and the advance function.
         opts.frontier_epsilon = 0.0;
+        opts.compress = false;
     }
     assert!(opts.frontier_epsilon >= 0.0, "epsilon must be non-negative");
     assert!(
@@ -1160,12 +1225,11 @@ fn scatter<const W: usize>(rows: &impl PushRows, x: &[[f64; W]], y: &mut [[f64; 
 /// adjacency index read once per `W` lanes) while the union support is
 /// small, switching to `dense_step` once it saturates past `cutoff` active
 /// nodes (and staying dense from then on). `next` must be cleared on
-/// entry and is left cleared on exit. With `det` set, the frontier stays
-/// sparse forever, pruning is skipped, and the active list is sorted
-/// before the push so the accumulation order into every slot is canonical
-/// (ascending source id) — lane results become independent of what the
-/// other lanes hold and of the width (see
-/// [`QueryEngineOptions::deterministic`]).
+/// entry and is left cleared on exit. With `det` set, a sparse frontier's
+/// active list is sorted before the push, so every slot accumulates its
+/// products in ascending source order — the order the dense steps use
+/// too — and lane results become independent of what the other lanes
+/// hold and of the width (see [`QueryEngineOptions::deterministic`]).
 fn advance<const W: usize>(
     rows: &impl PushRows,
     cur: &mut BlockFrontier<W>,
@@ -1175,16 +1239,15 @@ fn advance<const W: usize>(
     det: bool,
     dense_step: impl Fn(&[[f64; W]], &mut [[f64; W]]),
 ) {
-    if det {
-        debug_assert!(!cur.dense, "deterministic sweeps never densify");
-        cur.active.sort_unstable();
-    }
     if cur.dense {
         // `next` is cleared ⇒ all-zero, which a kernel may accumulate into.
         dense_step(&cur.vals, &mut next.vals);
         next.dense = true;
     } else {
         debug_assert!(!next.dense && next.active.is_empty());
+        if det {
+            cur.active.sort_unstable();
+        }
         for &i in &cur.active {
             let src = cur.vals[i as usize];
             rows.push_row(i, |j, v| next.add_scaled(j, v, &src));
@@ -1202,7 +1265,7 @@ fn advance<const W: usize>(
                 }
             });
         }
-        if !det && next.active.len() > cutoff {
+        if next.active.len() > cutoff {
             next.densify();
         }
     }
@@ -1512,16 +1575,73 @@ mod tests {
         }
     }
 
+    /// Three hundred nodes with four pseudo-random out-links each: a
+    /// sweep's frontiers start sparse and cross both density cutoffs a few
+    /// advances in.
+    fn mid_density_graph() -> DiGraph {
+        let n = 300u32;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut edges = Vec::new();
+        for v in 0..n {
+            for _ in 0..4 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                edges.push((v, (x % n as u64) as u32));
+            }
+        }
+        DiGraph::from_edges(n as usize, &edges).unwrap()
+    }
+
+    #[test]
+    fn densified_deterministic_sweeps_match_sparse_ones_bit_for_bit() {
+        let g = mid_density_graph();
+        let p = SimStarParams { c: 0.6, iterations: 5 };
+        let det = QueryEngineOptions { deterministic: true, ..Default::default() };
+        let dense = QueryEngine::with_options(&g, p, det.clone());
+        let never =
+            QueryEngineOptions { density_cutoff: 1.0, batch_density_cutoff: 1.0, ..det.clone() };
+        let sparse = QueryEngine::with_options(&g, p, never);
+        let acc = QueryEngine::with_access(access_of(&g), p, det);
+        // The default engine's first advance is sparse, a later one dense.
+        let mut trace = EngineTrace::default();
+        dense.top_k_batch_traced(&[7], 5, &mut trace);
+        assert!(!trace.steps[0].dense && trace.dense_steps() > 0, "{trace:?}");
+        let n = g.node_count() as NodeId;
+        for (name, engine) in [("dense", &dense), ("sparse", &sparse), ("access", &acc)] {
+            for len in 1..=BLOCK + 1 {
+                let batch: Vec<NodeId> =
+                    (0..len as NodeId).map(|i| (i * 37 + len as NodeId) % n).collect();
+                let rows = engine.query_batch(&batch);
+                let ranked = engine.top_k_batch(&batch, 5);
+                for (i, &q) in batch.iter().enumerate() {
+                    let want = bits(&sparse.query(q));
+                    assert_eq!(bits(rows.row(i)), want, "{name} len={len} lane {i} (q={q})");
+                    assert_eq!(ranked[i], sparse.top_k(q, 5), "{name} len={len} lane {i} top-k");
+                }
+            }
+        }
+        assert!(dense.stats().dense_steps > 0, "the default cutoffs densify");
+        assert_eq!(sparse.stats().dense_steps, 0, "cutoffs at 1.0 never densify");
+        assert_eq!(acc.stats().dense_steps, 0, "deterministic access sweeps stay sparse");
+    }
+
     #[test]
     fn deterministic_mode_forces_zero_epsilon() {
+        // ... and turns compression off, so the access backing accepts
+        // the same options.
         let g = &graphs()[0];
         let opts = QueryEngineOptions {
             deterministic: true,
             frontier_epsilon: 1e-6,
+            compress: true,
             ..Default::default()
         };
-        let engine = QueryEngine::with_options(g, SimStarParams::default(), opts);
+        let engine = QueryEngine::with_options(g, SimStarParams::default(), opts.clone());
         assert_eq!(engine.options().frontier_epsilon, 0.0);
+        assert!(!engine.options().compress && engine.compressed_kernel().is_none());
+        let acc = QueryEngine::with_access(access_of(g), SimStarParams::default(), opts);
+        assert!(!acc.options().compress);
     }
 
     #[test]

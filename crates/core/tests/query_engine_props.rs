@@ -97,8 +97,10 @@ proptest! {
     }
 
     /// Deterministic mode: at every chunk size 1..=17 (so at both lane
-    /// widths, alone and next to other lanes) and on both backings, every
-    /// lane's row and top-k are bit-identical to the solo one-lane answer.
+    /// widths, alone and next to other lanes), on both backings, and
+    /// whether the in-memory sweep densifies or not, every lane's row and
+    /// top-k are bit-identical to the solo one-lane answer of a sweep that
+    /// never densifies.
     #[test]
     fn deterministic_lanes_match_solo_at_every_chunk_size(
         (n, edges, _q) in arb_graph_and_query(14, 50),
@@ -108,10 +110,16 @@ proptest! {
         let p = SimStarParams { c: 0.7, iterations: 6 };
         let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
         let mem = QueryEngine::with_options(&g, p, opts.clone());
+        let never = QueryEngineOptions {
+            density_cutoff: 1.0,
+            batch_density_cutoff: 1.0,
+            ..opts.clone()
+        };
+        let sparse = QueryEngine::with_options(&g, p, never);
         let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
         let acc = QueryEngine::with_access(src, p, opts);
-        let solo: Vec<Vec<u64>> = (0..n as NodeId).map(|q| bits(&mem.query(q))).collect();
-        for (backing, engine) in [("memory", &mem), ("access", &acc)] {
+        let solo: Vec<Vec<u64>> = (0..n as NodeId).map(|q| bits(&sparse.query(q))).collect();
+        for (backing, engine) in [("memory", &mem), ("access", &acc), ("sparse", &sparse)] {
             for len in 1..=17 {
                 let queries = chunk_of(len, n, shift);
                 let rows = engine.query_batch(&queries);
@@ -119,7 +127,7 @@ proptest! {
                 for (i, &q) in queries.iter().enumerate() {
                     prop_assert_eq!(&bits(rows.row(i)), &solo[q as usize],
                         "{} len={} lane {} (q={})", backing, len, i, q);
-                    prop_assert_eq!(&ranked[i], &mem.top_k(q, 3),
+                    prop_assert_eq!(&ranked[i], &sparse.top_k(q, 3),
                         "{} len={} lane {} (q={}) top-k", backing, len, i, q);
                 }
             }
