@@ -3,7 +3,7 @@
 //! benchmark, asserted at ≤3% of the measured p50.
 //!
 //! The serve runtime records a fixed bundle of metrics per request
-//! (stage histograms, codec histograms, shard histogram, counters).
+//! (stage histograms, codec histograms, counters).
 //! This binary replays that exact bundle against a live registry and
 //! against [`ssr_obs::Registry::disabled`] — the kill switch where
 //! every handle early-returns — and takes the difference as the
@@ -22,20 +22,19 @@ use std::time::Instant;
 
 /// The per-request record bundle, mirroring `ssr-serve`'s runtime: one
 /// histogram record per pipeline stage (decode, cache, queue, engine,
-/// merge, encode, total), one per codec direction, one per shard, plus
-/// the request/response counters.
+/// encode, total), one per codec direction, plus the request/response
+/// counters.
 struct Bundle {
     stages: Vec<Histogram>,
     codec_decode: Histogram,
     codec_encode: Histogram,
-    shard_engine: Histogram,
     requests: Counter,
     responses: Counter,
 }
 
 impl Bundle {
     fn new(reg: &Registry) -> Bundle {
-        let stages = ["decode", "cache", "queue", "engine", "merge", "encode", "total"]
+        let stages = ["decode", "cache", "queue", "engine", "encode", "total"]
             .iter()
             .map(|s| reg.histogram("ssr_stage_us", &[("stage", s)]))
             .collect();
@@ -43,7 +42,6 @@ impl Bundle {
             stages,
             codec_decode: reg.histogram("ssr_codec_decode_us", &[("codec", "ssb")]),
             codec_encode: reg.histogram("ssr_codec_encode_us", &[("codec", "ssb")]),
-            shard_engine: reg.histogram("ssr_shard_engine_us", &[("shard", "0")]),
             requests: reg.counter("ssr_requests_total", &[("codec", "ssb")]),
             responses: reg.counter("ssr_responses_total", &[("kind", "ok")]),
         }
@@ -57,7 +55,6 @@ impl Bundle {
         }
         self.codec_decode.record(v);
         self.codec_encode.record(v);
-        self.shard_engine.record(v);
         self.responses.inc();
     }
 }

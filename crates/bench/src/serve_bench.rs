@@ -15,8 +15,8 @@
 //!   requests ride the 16-lane blocked path together. The acceptance
 //!   metric is `speedup_batched_vs_serial ≥ 2×` at 16 concurrent clients
 //!   on CitHepTh.
-//! * **cached** — window on, cache on, hot node pool: adds the sharded
-//!   result cache (hit-rate reported).
+//! * **cached** — window on, cache on, hot node pool: adds the result
+//!   cache (hit-rate reported).
 //!
 //! The **protocol** group (64 clients, window on, cache off — only the
 //! wire moves):
@@ -31,12 +31,6 @@
 //!   server-reported connection gauge: the event loop carries the idle
 //!   mass on its fixed thread budget.
 //!
-//! The **shard** group (`serial_shardsN` / `batched_shardsN`): the
-//! batching pair again, against servers whose snapshots are partitioned
-//! across N engine shards (2 in smoke; 2 and 4 in the full run). Answers
-//! are bit-identical to the unsharded path (the e2e suite enforces it);
-//! these modes measure what the scatter-gather costs or buys.
-//!
 //! Queries come from the in-degree-stratified sample the paper's §5
 //! protocol uses. The JSON schema (`ssr-bench/serve/v1`) is rendered by
 //! [`ssr_serve::loadgen::render_serve_json`] and carries `p50_us` per
@@ -48,8 +42,7 @@ use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::select_queries;
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::loadgen::{
-    run_connections_phase, run_protocol_phases, run_sharded_phases, run_standard_phases, LoadPlan,
-    ServeBenchMeta,
+    run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan, ServeBenchMeta,
 };
 use ssr_serve::server::{Server, ServerOptions};
 
@@ -136,36 +129,6 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) {
         run_connections_phase(addr, &conns_plan, hot.clone(), WINDOW_US, PIPELINE, idle_conns)
             .expect("connection-scaling run"),
     );
-    // Shard axis: the serial/batched pair against servers partitioned
-    // across engine shards (`_shardsN` modes; answers stay bit-identical
-    // to the unsharded path — the e2e suite enforces that, this measures
-    // what it costs/buys).
-    for shards in if opts.smoke { &[2usize][..] } else { &[2, 4] } {
-        let sharded = Server::start(
-            g.clone(),
-            "127.0.0.1",
-            0,
-            ServerOptions {
-                params,
-                cache_capacity: 4096,
-                cache_shards: 8,
-                shards: *shards,
-                batch: BatcherOptions {
-                    window_us: WINDOW_US,
-                    max_batch: 64,
-                    queue_capacity: 1024,
-                    workers: 1,
-                },
-                max_connections: CLIENTS + 32,
-                ..Default::default()
-            },
-        )
-        .expect("bind sharded loopback port");
-        phases.extend(
-            run_sharded_phases(sharded.addr(), &plan, WINDOW_US, *shards).expect("sharded run"),
-        );
-        sharded.shutdown();
-    }
     println!(
         "{:<14} {:>7} {:>4} {:>9} {:>10} {:>10} {:>9} {:>6} {:>6}",
         "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"

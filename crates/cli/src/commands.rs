@@ -58,36 +58,29 @@ COMMANDS:
             --input FILE [--host 127.0.0.1] [--port 0] [--announce FILE]
             [--c 0.6] [--k 5] [--window-us 500] [--max-batch 64]
             [--workers 1] [--queue 1024] [--cache 4096] [--cache-shards 8]
-            [--shards 1] [--max-conns 256] [--trace-sample 0]
-            [--trace-out FILE]
+            [--max-conns 256] [--trace-sample 0] [--trace-out FILE]
             port 0 binds an ephemeral port; --announce writes the bound
-            address to FILE once listening; --shards N partitions the
-            graph by weakly-connected component across N engine workers
-            (scatter-gather answers stay bit-identical to --shards 1);
-            --trace-sample N records a span trace for 1 in N requests
+            address to FILE once listening; --trace-sample N records a span trace for 1 in N requests
             (0 = off, retunable via the admin config op), fetched through
             the trace op or streamed as JSONL with --trace-out
   bench-serve  closed-loop load generator against a running serve instance
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--clients 16] [--requests 125] [--top-k 10]
             [--window-us 800] [--pipeline 8] [--idle-conns 1024]
-            [--shards 1] [--name serve] [--out BENCH_serve.json]
+            [--name serve] [--out BENCH_serve.json]
             [--smoke false] [--shutdown false]
             runs the serial / batched / cached phases, the json/ssb
             protocol comparison (serial + pipelined), and a connection-
             scaling phase holding --idle-conns open sockets, then writes
             the ssr-bench/serve/v1 JSON; --announce waits for a serve
-            --announce file instead of a fixed address; --shards N (against
-            a serve --shards N instance) runs only the shard-axis pair,
-            emitting serial_shardsN / batched_shardsN modes
+            --announce file instead of a fixed address
   serve-probe  dump a server's deterministic top-k answers for diffing
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--top-k 10] [--count n] [--metrics false] [--healthz false]
             one query\\tnode\\tscore line per match with shortest-round-
-            trip scores: diff two probes to prove bit-identical serving
-            (CI diffs --shards 1 against --shards N this way);
-            --healthz is a readiness check: one ping, prints the epoch
-            and shard count, nonzero exit on any failure
+            trip scores: diff two probes to prove bit-identical serving;
+            --healthz is a readiness check: one ping, prints the epoch,
+            nonzero exit on any failure
   trace     offline analyzer for trace JSONL exports (serve --trace-out
             files, one document per line)
             trace summarize --input FILE [--min 1]
@@ -1293,84 +1286,48 @@ mod tests {
         std::fs::remove_file(&out_path).ok();
     }
 
-    /// One pass over the whole sharded CLI surface: `serve --shards`,
-    /// `serve-probe` through `--announce`/`--wait-announce`, probe-diff
-    /// bit identity against an unsharded server, and the `bench-serve
-    /// --shards` shard-axis modes.
+    /// `serve-probe` against a live `serve --announce` process: its lines
+    /// are, bit for bit, the `q\tv\tscore` lines of an in-process
+    /// deterministic engine on the same graph, and `--healthz` reports the
+    /// served epoch.
     #[test]
-    fn sharded_serve_probe_and_bench_shard_axis() {
-        use ssr_serve::json::{parse_json, Json};
+    fn serve_probe_matches_engine_bits_and_healthz_reports_epoch() {
         let p = tmp_graph();
         let dir = std::env::temp_dir().join("simstar_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let pid = std::process::id();
-        let mut announces = Vec::new();
-        let mut servers = Vec::new();
-        for shards in [1usize, 2] {
-            let announce = dir.join(format!("shard_addr_{pid}_{shards}.txt"));
-            std::fs::remove_file(&announce).ok();
-            let serve_args = toks(&format!(
-                "--input {p} --port 0 --announce {} --shards {shards} --window-us 200",
-                announce.to_string_lossy()
-            ));
-            servers.push(std::thread::spawn(move || run("serve", &serve_args)));
-            announces.push(announce);
-        }
-        // Probe both through their announce files (no shell wait loops).
-        let probes: Vec<String> = announces
-            .iter()
-            .map(|a| {
-                run(
-                    "serve-probe",
-                    &toks(&format!(
-                        "--announce {} --wait-announce 10 --top-k 4",
-                        a.to_string_lossy()
-                    )),
-                )
-                .unwrap()
-            })
-            .collect();
-        let body = |s: &str| {
-            s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
-        };
-        assert!(!body(&probes[0]).is_empty());
-        // The acceptance property, over the wire: shortest-round-trip
-        // score lines diff empty between shards=1 and shards=2.
-        assert_eq!(body(&probes[0]), body(&probes[1]), "sharded probe differs from unsharded");
-        // bench-serve --shards runs only the shard-axis pair.
-        let out_path = dir.join(format!("bench_shards_{pid}.json"));
-        let out = run(
-            "bench-serve",
-            &toks(&format!(
-                "--announce {} --clients 2 --requests 3 --top-k 3 --window-us 200 \
-                 --shards 2 --name fig1 --out {}",
-                announces[1].to_string_lossy(),
-                out_path.to_string_lossy()
-            )),
+        let announce = dir.join(format!("probe_addr_{}.txt", std::process::id()));
+        std::fs::remove_file(&announce).ok();
+        let announce_str = announce.to_string_lossy().into_owned();
+        let serve_args = toks(&format!("--input {p} --port 0 --announce {announce_str}"));
+        let server = std::thread::spawn(move || run("serve", &serve_args));
+        let probe = run(
+            "serve-probe",
+            &toks(&format!("--announce {announce_str} --wait-announce 10 --top-k 4")),
         )
         .unwrap();
-        assert!(out.contains("serial_shards2"), "{out}");
-        let doc = parse_json(std::fs::read_to_string(&out_path).unwrap().trim()).unwrap();
-        let ds = &doc.get("datasets").and_then(Json::as_arr).unwrap()[0];
-        let modes = ds.get("modes").unwrap();
-        for m in ["serial_shards2", "batched_shards2"] {
-            let mode = modes.get(m).unwrap_or_else(|| panic!("{m} mode missing"));
-            assert_eq!(mode.get("shards").and_then(Json::as_num), Some(2.0), "{m}");
-            assert!(mode.get("p50_us").and_then(Json::as_num).unwrap() > 0.0, "{m}");
-        }
-        assert!(modes.get("serial").is_none(), "unsharded modes must not appear in a --shards run");
-        for a in &announces {
-            let addr = std::fs::read_to_string(a).unwrap().trim().to_string();
-            let mut c = ssr_serve::client::Client::connect(&addr).unwrap();
-            c.shutdown().unwrap();
-        }
-        for s in servers {
-            s.join().unwrap().unwrap();
-        }
-        for a in &announces {
-            std::fs::remove_file(a).ok();
-        }
-        std::fs::remove_file(&out_path).ok();
+        let served: Vec<&str> = probe.lines().filter(|l| !l.starts_with('#')).collect();
+        // `serve`'s defaults: c = 0.6, K = 5, and a deterministic engine.
+        let g = ssr_store::load_graph_auto(&p).unwrap();
+        let engine = QueryEngine::with_options(
+            &g,
+            SimStarParams { c: 0.6, iterations: 5 },
+            QueryEngineOptions { deterministic: true, ..Default::default() },
+        );
+        let expected: Vec<String> = (0..g.node_count() as u32)
+            .flat_map(|q| {
+                engine.top_k(q, 4).into_iter().map(move |(v, s)| format!("{q}\t{v}\t{s}"))
+            })
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(served, expected, "served answers must be the engine's bits");
+        let health =
+            run("serve-probe", &toks(&format!("--announce {announce_str} --healthz true")))
+                .unwrap();
+        assert_eq!(health, "ok epoch=0\n");
+        let addr = std::fs::read_to_string(&announce).unwrap().trim().to_string();
+        ssr_serve::client::Client::connect(&addr).unwrap().shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        std::fs::remove_file(&announce).ok();
     }
 
     #[test]

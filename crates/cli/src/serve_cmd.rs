@@ -6,8 +6,7 @@ use simrank_star::{QueryEngineOptions, SimStarParams};
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::client::{Client, Reply};
 use ssr_serve::loadgen::{
-    run_connections_phase, run_protocol_phases, run_sharded_phases, run_standard_phases, LoadPlan,
-    ServeBenchMeta,
+    run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan, ServeBenchMeta,
 };
 use ssr_serve::server::{Server, ServerOptions};
 use std::fmt::Write as _;
@@ -31,7 +30,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
             "queue",
             "cache",
             "cache-shards",
-            "shards",
             "max-conns",
             "slow-query-us",
             "metrics-dump",
@@ -44,16 +42,11 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
     if !(0.0..1.0).contains(&params.c) || params.c == 0.0 {
         return Err(ArgError(format!("--c must be in (0,1), got {}", params.c)));
     }
-    let shards = args.get("shards", 1usize)?;
-    if shards == 0 || shards > 64 {
-        return Err(ArgError(format!("--shards must be in 1..=64, got {shards}")));
-    }
     let opts = ServerOptions {
         params,
         engine: QueryEngineOptions::default(),
         cache_capacity: args.get("cache", 4096usize)?,
         cache_shards: args.get("cache-shards", 8usize)?,
-        shards,
         batch: BatcherOptions {
             window_us: args.get("window-us", 500u64)?,
             max_batch: args.get("max-batch", 64usize)?,
@@ -77,9 +70,8 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
     let addr = server.addr();
     // The listening line goes out immediately (not via the returned
     // string) so wrappers can scrape the ephemeral port while we block.
-    let shard_note = if shards > 1 { format!(", shards={shards}") } else { String::new() };
     println!(
-        "serving SimRank* on {addr} (n={nodes}, m={edges}, c={}, k={}{shard_note}) — \
+        "serving SimRank* on {addr} (n={nodes}, m={edges}, c={}, k={}) — \
          newline-JSON by default, binary ssb/1 after the `SSB1` magic; \
          send {{\"op\":\"shutdown\"}} to stop",
         params.c, params.iterations
@@ -136,9 +128,7 @@ fn resolve_server_addr(args: &Args) -> Result<std::net::SocketAddr, ArgError> {
 /// batching phases (serial / batched / cached), the protocol-comparison
 /// phases (json_serial / ssb_serial / ssb_pipelined), and the
 /// connection-scaling phase (conns_1k), emitting the
-/// `ssr-bench/serve/v1` JSON that `bench_check` gates. With `--shards N`
-/// (matching the server's `serve --shards N`) it instead runs the
-/// shard-axis pair, emitting `serial_shardsN` / `batched_shardsN` modes.
+/// `ssr-bench/serve/v1` JSON that `bench_check` gates.
 pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
     let args = Args::parse(
         rest,
@@ -152,7 +142,6 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
             "window-us",
             "pipeline",
             "idle-conns",
-            "shards",
             "name",
             "out",
             "smoke",
@@ -168,7 +157,6 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
     let idle_conns = args.get("idle-conns", if smoke { 256usize } else { 1024 })?;
     let name = args.opt("name", "serve").to_string();
     let out_path = args.opt("out", "BENCH_serve.json").to_string();
-    let shards = args.get("shards", 1usize)?;
     if clients == 0 || requests == 0 {
         return Err(ArgError("--clients and --requests must be at least 1".into()));
     }
@@ -187,29 +175,20 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
     let pool: Vec<u32> = (0..nodes as u32).collect();
     let hot: Vec<u32> = (0..nodes.min(64) as u32).collect();
     let plan = LoadPlan::new(clients, requests, top_k, pool);
-    let phases = if shards > 1 {
-        // Shard-axis run: only the `_shardsN` pair — the caller points
-        // this at a `serve --shards N` instance and merges the modes into
-        // the same report/gate as an unsharded run.
-        run_sharded_phases(addr, &plan, window_us, shards)
-            .map_err(|e| ArgError(format!("sharded load run failed: {e}")))?
-    } else {
-        let mut phases = run_standard_phases(addr, &plan, hot.clone(), window_us)
-            .map_err(|e| ArgError(format!("load run failed: {e}")))?;
-        phases.extend(
-            run_protocol_phases(addr, &plan, hot.clone(), window_us, pipeline)
-                .map_err(|e| ArgError(format!("protocol load run failed: {e}")))?,
+    let mut phases = run_standard_phases(addr, &plan, hot.clone(), window_us)
+        .map_err(|e| ArgError(format!("load run failed: {e}")))?;
+    phases.extend(
+        run_protocol_phases(addr, &plan, hot.clone(), window_us, pipeline)
+            .map_err(|e| ArgError(format!("protocol load run failed: {e}")))?,
+    );
+    if idle_conns > 0 {
+        let conns_plan =
+            LoadPlan::new(clients, requests.div_ceil(2).max(5), top_k, plan.nodes.clone());
+        phases.push(
+            run_connections_phase(addr, &conns_plan, hot, window_us, pipeline, idle_conns)
+                .map_err(|e| ArgError(format!("connection-scaling run failed: {e}")))?,
         );
-        if idle_conns > 0 {
-            let conns_plan =
-                LoadPlan::new(clients, requests.div_ceil(2).max(5), top_k, plan.nodes.clone());
-            phases.push(
-                run_connections_phase(addr, &conns_plan, hot, window_us, pipeline, idle_conns)
-                    .map_err(|e| ArgError(format!("connection-scaling run failed: {e}")))?,
-            );
-        }
-        phases
-    };
+    }
 
     let meta = ServeBenchMeta {
         smoke,
@@ -287,14 +266,13 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
                 let _ = writeln!(
                     out,
                     "  trace={} total={:.1}us decode={:.1}us cache={:.1}us queue={:.1}us \
-                     engine={:.1}us merge={:.1}us encode={:.1}us",
+                     engine={:.1}us encode={:.1}us",
                     t.id,
                     t.total_ns as f64 / 1000.0,
                     stage("decode"),
                     stage("cache"),
                     stage("queue"),
                     stage("engine"),
-                    stage("merge"),
                     stage("encode"),
                 );
             }
@@ -310,10 +288,9 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
 
 /// `simstar serve-probe`: print a running server's top-k answer for every
 /// probed query node, one `query\tnode\tscore` line per match, scores in
-/// shortest-round-trip decimal. Diffing two probes therefore proves (or
-/// refutes) bit identity of the servers' answers — the push-CI gate runs
-/// this against `serve --shards 1` and `--shards N` instances of the same
-/// graph and requires an empty diff.
+/// shortest-round-trip decimal. Diffing two probes (or a probe against
+/// lines rendered from an in-process deterministic engine) therefore
+/// proves or refutes bit identity of the served answers.
 ///
 /// With `--metrics true` it instead fetches the server's observability
 /// registry through the `metrics` op, validates it, and prints it as
@@ -322,9 +299,9 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
 /// `serve --metrics-dump` file from a gracefully exiting server).
 ///
 /// With `--healthz true` it is a readiness check: one `ping` round-trip,
-/// printing the served epoch and shard count. Any failure (can't connect,
-/// timeout, protocol error) surfaces as the usual nonzero process exit,
-/// so wrappers can gate on it directly.
+/// printing the served epoch. Any failure (can't connect, timeout,
+/// protocol error) surfaces as the usual nonzero process exit, so
+/// wrappers can gate on it directly.
 pub fn cmd_serve_probe(rest: &[String]) -> Result<String, ArgError> {
     let args = Args::parse(
         rest,
@@ -334,8 +311,8 @@ pub fn cmd_serve_probe(rest: &[String]) -> Result<String, ArgError> {
     let mut client =
         Client::connect(addr).map_err(|e| ArgError(format!("connecting to `{addr}`: {e}")))?;
     if args.get("healthz", false)? {
-        let (epoch, shards) = client.ping().map_err(|e| ArgError(format!("ping failed: {e}")))?;
-        return Ok(format!("ok epoch={epoch} shards={shards}\n"));
+        let epoch = client.ping().map_err(|e| ArgError(format!("ping failed: {e}")))?;
+        return Ok(format!("ok epoch={epoch}\n"));
     }
     if args.get("metrics", false)? {
         let reply = client.metrics().map_err(|e| ArgError(format!("metrics op failed: {e}")))?;

@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The pipeline stages in execution order. Cache hits legitimately skip
-/// `queue`/`engine`/`merge`, so only the first/last two are mandatory.
-const STAGES: &[&str] = &["decode", "cache", "queue", "engine", "merge", "encode"];
+/// `queue`/`engine`, so only the first/last two are mandatory.
+const STAGES: &[&str] = &["decode", "cache", "queue", "engine", "encode"];
 
 /// Dispatches `simstar trace <action>`.
 pub fn cmd_trace(rest: &[String]) -> Result<String, ArgError> {
@@ -69,7 +69,7 @@ fn check_trace(t: &Trace) -> Result<(), String> {
         }
     }
     if t.attr("cached") == Some("false") {
-        for required in ["queue", "engine", "merge"] {
+        for required in ["queue", "engine"] {
             if !has(required) {
                 return Err(format!("uncached request missing `{required}` stage"));
             }
@@ -105,7 +105,7 @@ fn cmd_summarize(rest: &[String]) -> Result<String, ArgError> {
     let mut out = format!("# trace summarize: {path} ({} trace(s), all valid)\n", traces.len());
 
     // Per-stage percentiles: one sample per trace per present stage
-    // (root children only — shard/step sub-spans aggregate elsewhere),
+    // (root children only — engine step sub-spans aggregate elsewhere),
     // plus the end-to-end total.
     let _ = writeln!(
         out,
@@ -277,8 +277,7 @@ mod tests {
                 TraceSpan::new("cache", 0, total / 10, total / 10),
                 TraceSpan::new("queue", 0, total / 5, total / 10).attr("depth", 2),
                 TraceSpan::new("engine", 0, total * 3 / 10, total / 2).attr("batch_size", batch),
-                TraceSpan::new("shard-0", 4, total * 3 / 10, total / 4),
-                TraceSpan::new("merge", 0, total * 8 / 10, total / 10),
+                TraceSpan::new("theta-0", 4, total * 3 / 10, total / 4),
                 TraceSpan::new("encode", 0, total * 9 / 10, total / 10),
             ],
         }
@@ -335,7 +334,7 @@ mod tests {
         let out = cmd_trace(&toks(&format!("slowest --input {} --n 1", path.display()))).unwrap();
         assert!(out.contains("trace=4 total=90.0us"), "{out}");
         assert!(!out.contains("trace=3"), "{out}");
-        assert!(out.contains("shard-0"), "{out}");
+        assert!(out.contains("theta-0"), "{out}");
         std::fs::remove_file(path).ok();
     }
 
@@ -343,8 +342,8 @@ mod tests {
     fn folded_aggregates_self_time_across_traces() {
         let path = write_jsonl(&[sample(5, 10_000, 1), sample(6, 10_000, 1)]);
         let out = cmd_trace(&toks(&format!("folded --input {}", path.display()))).unwrap();
-        // Two traces, each shard-0 has 2500ns self time.
-        assert!(out.contains("request;engine;shard-0 5000"), "{out}");
+        // Two traces, each theta-0 has 2500ns self time.
+        assert!(out.contains("request;engine;theta-0 5000"), "{out}");
         std::fs::remove_file(path).ok();
     }
 

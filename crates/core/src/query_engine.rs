@@ -676,16 +676,12 @@ impl QueryEngine {
     /// `1/|I(v)|` weights, the lattice coefficient table, and (if
     /// `opts.compress`) the edge-concentrated lane kernel.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
-        Self::from_graph(g.clone(), params, opts)
-    }
-
-    fn from_graph(g: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let opts = validate_options(params, opts);
         let compressed =
-            opts.compress.then(|| CompressedRightMultiplier::new(&g, &opts.compress_options));
-        let component = weakly_connected_components(&g).label;
-        let inv_in = inv_in_degrees(&g);
-        Self::build(Backing::Memory(g), inv_in, component, compressed, params, opts)
+            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
+        let component = weakly_connected_components(g).label;
+        let inv_in = inv_in_degrees(g);
+        Self::build(Backing::Memory(g.clone()), inv_in, component, compressed, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -754,41 +750,6 @@ impl QueryEngine {
             block_scratch: Mutex::new(Vec::new()),
             stats: EngineStats::default(),
         }
-    }
-
-    /// Builds an engine over the subgraph induced by `nodes` — the
-    /// sub-engine constructor behind the serve layer's shard router.
-    ///
-    /// `nodes` must be strictly ascending and in range; the subset's nodes
-    /// are relabeled to `0..nodes.len()` by rank, so the relabeling is
-    /// monotone. When the subset is additionally **closed under weak
-    /// connectivity** (a union of whole weakly-connected components, as
-    /// produced by [`ssr_graph::pack_components`]), every kept node keeps
-    /// its full in/out neighborhood, in the same relative order and with
-    /// the same degrees — so in deterministic mode
-    /// ([`QueryEngineOptions::deterministic`]) the sub-engine's scores for
-    /// a subset node are **bit-identical** to the whole-graph engine's
-    /// scores restricted to the subset: identical weights pushed in
-    /// identical order is identical floating-point accumulation.
-    ///
-    /// Closure is the caller's contract (checking it would cost a full
-    /// component pass); a non-closed subset still yields a well-formed
-    /// engine, just over a graph with the crossing edges dropped.
-    pub fn for_node_subset(
-        g: &DiGraph,
-        nodes: &[NodeId],
-        params: SimStarParams,
-        opts: QueryEngineOptions,
-    ) -> Self {
-        assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "subset must be strictly ascending (monotone relabeling)"
-        );
-        if let Some(&last) = nodes.last() {
-            assert!((last as usize) < g.node_count(), "subset node out of range");
-        }
-        let (sub, _remap) = g.induced_subgraph(nodes);
-        Self::from_graph(sub, params, opts)
     }
 
     /// Number of nodes of the indexed graph.

@@ -179,45 +179,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sub-engines over weakly-connected-component-closed node subsets
-    /// (the shard router's placement unit) are bit-identical to the
-    /// whole-graph deterministic engine on their slice: the monotone
-    /// relabeling preserves every in-neighborhood, so the floating-point
-    /// accumulation order coincides exactly.
-    #[test]
-    fn subset_engine_bits_match_global_on_closed_subsets(
-        (n, edges, _q) in arb_graph_and_query(14, 44),
-        keep_mask in 0u32..1 << 8,
-    ) {
-        let g = build(n, &edges);
-        let p = SimStarParams { c: 0.7, iterations: 6 };
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let comps = ssr_graph::components::weakly_connected_components(&g);
-        // A union of whole components, chosen by the mask (always
-        // non-empty: component 0 is forced in).
-        let subset: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| {
-                let c = comps.label[v as usize];
-                c == 0 || keep_mask & (1 << (c % 8)) != 0
-            })
-            .collect();
-        let global = QueryEngine::with_options(&g, p, opts.clone());
-        let sub = QueryEngine::for_node_subset(&g, &subset, p, opts);
-        prop_assert_eq!(sub.node_count(), subset.len());
-        for (lq, &q) in subset.iter().enumerate() {
-            let sub_row = sub.query(lq as NodeId);
-            let full_row = global.query(q);
-            for (lv, &v) in subset.iter().enumerate() {
-                prop_assert_eq!(
-                    sub_row[lv].to_bits(),
-                    full_row[v as usize].to_bits(),
-                    "({}, {}) differs between subset and global engines", q, v
-                );
-            }
-        }
-    }
-}

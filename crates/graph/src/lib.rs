@@ -21,9 +21,6 @@
 //!   Figure 5 dataset table).
 //! * [`components`] — weakly/strongly connected components (floors for the
 //!   zero-similarity census; DAG detection).
-//! * [`partition`] — deterministic packing of weakly-connected components
-//!   onto shards (the placement unit of the serve layer's shard router:
-//!   similarity never crosses a WCC, so per-shard answers compose exactly).
 //!
 //! Node identifiers are `u32` ([`NodeId`]); graphs in the paper's evaluation
 //! top out at 3.6M nodes, comfortably within range, and the narrower id type
@@ -39,7 +36,6 @@ pub mod components;
 mod digraph;
 mod error;
 pub mod io;
-pub mod partition;
 pub mod paths;
 pub mod perm;
 pub mod stats;
@@ -49,7 +45,6 @@ pub use bipartite::InducedBigraph;
 pub use builder::GraphBuilder;
 pub use digraph::{edge_digest, DiGraph};
 pub use error::GraphError;
-pub use partition::{pack_components, ShardPlan};
 pub use perm::Permutation;
 
 /// Node identifier. Dense in `0..graph.node_count()`.

@@ -33,7 +33,7 @@ pub const NO_PARENT: i64 = -1;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSpan {
     /// Stage name (`request`, `decode`, `cache`, `queue`, `engine`,
-    /// `shard-N`, `merge`, `encode`, …).
+    /// `theta-i`, `lambda-i`, `encode`, …).
     pub name: String,
     /// Index of the parent span in [`Trace::spans`], or [`NO_PARENT`]
     /// for the root. Parents always precede children in the list.
@@ -191,7 +191,7 @@ mod tests {
                 TraceSpan::new("request", NO_PARENT, 0, 1000),
                 TraceSpan::new("decode", 0, 0, 100),
                 TraceSpan::new("engine", 0, 100, 700).attr("batch_size", 4),
-                TraceSpan::new("shard-0", 2, 100, 600),
+                TraceSpan::new("theta-0", 2, 100, 600),
                 TraceSpan::new("encode", 0, 900, 100),
             ],
         }
@@ -237,7 +237,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "request 100"); // 1000 - (100 + 700 + 100)
         assert_eq!(lines[2], "request;engine 100"); // 700 - 600
-        assert_eq!(lines[3], "request;engine;shard-0 600");
+        assert_eq!(lines[3], "request;engine;theta-0 600");
     }
 
     #[test]
@@ -245,6 +245,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.attr("codec"), Some("json"));
         assert_eq!(t.children(0).count(), 3);
-        assert_eq!(t.children(2).next().unwrap().1.name, "shard-0");
+        assert_eq!(t.children(2).next().unwrap().1.name, "theta-0");
     }
 }

@@ -25,18 +25,11 @@
 //! snapshots force [`simrank_star::QueryEngineOptions::deterministic`]
 //! (batch-composition-independent lanes) — which is what lets the cache
 //! serve a batched result for a solo request and vice versa.
-//!
-//! With a sharded store the flush path scatters through the
-//! [`crate::router`] instead of the whole-graph engine: the flush worker
-//! groups the deduplicated nodes by owning shard, the shard workers
-//! compute concurrently, and the deterministic k-way merge reassembles
-//! answers that are bit-identical to the single-engine path — so every
-//! coalescing/caching property above carries over unchanged.
 
 use crate::cache::{CacheKey, CachedMatches, ShardedCache};
 use crate::epoch::EpochStore;
 use crate::metrics::{QueryTrace, ServeMetrics};
-use crate::router::{Router, ScatterTiming};
+use simrank_star::EngineTrace;
 use ssr_graph::NodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,7 +68,7 @@ pub struct QueryAnswer {
     pub matches: CachedMatches,
     /// Server-side per-stage timings accumulated on the way to this
     /// answer. Cache hits carry only `cache_ns`; flushed answers add
-    /// queue wait, engine compute, and merge time.
+    /// queue wait and engine compute.
     pub trace: QueryTrace,
     /// Pipeline context captured for sampled requests only (`None` on the
     /// untraced fast path — tracing costs nothing when off).
@@ -97,9 +90,9 @@ pub struct TraceDetail {
     pub batch_size: usize,
     /// Duplicate jobs the flush collapsed into shared engine lanes.
     pub dedup: usize,
-    /// Per-shard engine step traces, shard-ordered and shared by every
-    /// traced job of the flush.
-    pub shards: Arc<Vec<(usize, simrank_star::EngineTrace)>>,
+    /// The flush's per-step engine trace, shared by every traced job of
+    /// the flush.
+    pub engine: Arc<EngineTrace>,
 }
 
 /// Why a submission did not produce an answer.
@@ -221,7 +214,6 @@ struct Inner {
     queue_capacity: usize,
     store: Arc<EpochStore>,
     cache: Arc<ShardedCache>,
-    router: Router,
     metrics: Arc<ServeMetrics>,
     submitted: AtomicU64,
     shed: AtomicU64,
@@ -240,22 +232,19 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Starts the flush workers (plus the shard-router worker pool when
-    /// the store is sharded) with a private metric registry.
+    /// Starts the flush workers with a private metric registry.
     pub fn start(store: Arc<EpochStore>, cache: Arc<ShardedCache>, opts: BatcherOptions) -> Self {
-        let metrics = Arc::new(ServeMetrics::new(store.shard_count()));
-        Self::start_instrumented(store, cache, opts, metrics)
+        Self::start_instrumented(store, cache, opts, Arc::new(ServeMetrics::new()))
     }
 
     /// Starts the flush workers recording into the server's shared
-    /// [`ServeMetrics`] (stage/cache/queue/engine/merge histograms).
+    /// [`ServeMetrics`] (cache/queue/engine stage histograms).
     pub(crate) fn start_instrumented(
         store: Arc<EpochStore>,
         cache: Arc<ShardedCache>,
         opts: BatcherOptions,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
-        let router = Router::start(store.shard_count());
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
@@ -265,7 +254,6 @@ impl Batcher {
             queue_capacity: opts.queue_capacity.max(1),
             store,
             cache,
-            router,
             metrics,
             submitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -328,10 +316,9 @@ impl Batcher {
         }
         let key =
             CacheKey { epoch: snapshot.epoch, node, k: k as u32, params_key: snapshot.params_key };
-        let route = snapshot.cache_route(node);
-        let cache_shard = self.inner.cache.shard_index(&key, route);
+        let cache_shard = self.inner.cache.shard_index(&key);
         let cache_started = Instant::now();
-        let hit = self.inner.cache.get_routed(&key, route);
+        let hit = self.inner.cache.get(&key);
         let cache_ns = cache_started.elapsed().as_nanos() as u64;
         self.inner.metrics.stage_cache.record(cache_ns / 1_000);
         if let Some(matches) = hit {
@@ -408,9 +395,8 @@ impl Batcher {
         }
     }
 
-    /// Stops accepting jobs, drains the workers, and joins them (the
-    /// shard-router pool included). Queued jobs are failed with
-    /// [`SubmitError::Closed`].
+    /// Stops accepting jobs, drains the workers, and joins them. Queued
+    /// jobs are failed with [`SubmitError::Closed`].
     pub fn shutdown(&self) {
         self.inner.open.store(false, Ordering::Relaxed);
         self.inner.nonempty.notify_all();
@@ -418,9 +404,6 @@ impl Batcher {
         for w in workers {
             let _ = w.join();
         }
-        // Flush workers are parked before the router stops, so no scatter
-        // can race the channel teardown.
-        self.inner.router.shutdown();
         // Fail anything the workers left behind.
         for job in self.inner.queue.lock().expect("batch queue poisoned").drain(..) {
             job.reply.fill(Err(SubmitError::Closed));
@@ -477,8 +460,8 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Executes one flush: dedupes nodes, runs the blocked top-k batch on the
-/// current snapshot (scatter-gathered across shard workers when the
-/// snapshot is sharded), fills every job's slot, and populates the cache.
+/// current snapshot's engine, fills every job's slot, and populates the
+/// cache.
 fn flush(inner: &Inner, batch: Vec<Job>) {
     // Queue-wait ends here for every job in the batch.
     let drained = Instant::now();
@@ -499,33 +482,22 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
     nodes.sort_unstable();
     nodes.dedup();
     let k_max = runnable.iter().map(|j| j.k).max().unwrap_or(0);
-    let traced = runnable.iter().any(|j| j.traced);
-    let mut timing = ScatterTiming::default();
-    let scatter_started = Instant::now();
-    let ranked = inner.router.scatter_top_k(&snapshot, &nodes, k_max, traced, &mut timing);
-    let scatter_ns = scatter_started.elapsed().as_nanos() as u64;
-    // Engine stage = scatter wall time minus the merge: shards compute
-    // concurrently, so the wall interval (not the per-shard sum) is what
-    // keeps each request's stage sum below its end-to-end latency.
-    let engine_ns = scatter_ns.saturating_sub(timing.merge_ns);
-    inner.metrics.stage_engine.record(engine_ns / 1_000);
-    inner.metrics.stage_merge.record(timing.merge_ns / 1_000);
-    for &(shard, ns) in &timing.per_shard {
-        if let Some(hist) = inner.metrics.shard_engine.get(shard) {
-            hist.record(ns / 1_000);
-        }
-    }
+    let engine = snapshot.engine();
+    let engine_started = Instant::now();
+    // Only a flush carrying a sampled job builds an engine trace; the
+    // untraced path allocates nothing for tracing.
+    let (ranked, engine_trace) = if runnable.iter().any(|j| j.traced) {
+        let mut trace = EngineTrace::default();
+        let ranked = engine.top_k_batch_traced(&nodes, k_max, &mut trace);
+        (ranked, Some(Arc::new(trace)))
+    } else {
+        (engine.top_k_batch(&nodes, k_max), None)
+    };
+    let engine_ns = engine_started.elapsed().as_nanos() as u64;
     inner.flushes.fetch_add(1, Ordering::Relaxed);
     inner.flushed_jobs.fetch_add(runnable.len() as u64, Ordering::Relaxed);
     inner.unique_lanes.fetch_add(nodes.len() as u64, Ordering::Relaxed);
     inner.max_flush.fetch_max(runnable.len() as u64, Ordering::Relaxed);
-    // One shard-ordered trace set, shared by every traced job of the
-    // flush (they all rode the same scatter).
-    let shard_traces = traced.then(|| {
-        let mut traces = std::mem::take(&mut timing.per_shard_traces);
-        traces.sort_by_key(|&(shard, _)| shard);
-        Arc::new(traces)
-    });
     let batch_size_total = runnable.len();
     for job in runnable {
         let lane = nodes.binary_search(&job.node).expect("node came from this batch");
@@ -541,11 +513,13 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
             k: job.k as u32,
             params_key: snapshot.params_key,
         };
-        inner.cache.insert_routed(key, matches.clone(), snapshot.cache_route(job.node));
+        inner.cache.insert(key, matches.clone());
+        // Both stages record once per job, so their histograms count
+        // requests, not flushes.
         let queue_ns = drained.duration_since(job.queued_at).as_nanos() as u64;
         inner.metrics.stage_queue.record(queue_ns / 1_000);
-        let trace =
-            QueryTrace { cache_ns: job.cache_ns, queue_ns, engine_ns, merge_ns: timing.merge_ns };
+        inner.metrics.stage_engine.record(engine_ns / 1_000);
+        let trace = QueryTrace { cache_ns: job.cache_ns, queue_ns, engine_ns };
         let detail = job.traced.then(|| {
             Box::new(TraceDetail {
                 cache_shard: job.cache_shard,
@@ -553,7 +527,7 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
                 queue_depth: job.queue_depth,
                 batch_size: batch_size_total,
                 dedup: batch_size_total - nodes.len(),
-                shards: shard_traces.clone().unwrap_or_default(),
+                engine: engine_trace.clone().unwrap_or_default(),
             })
         });
         job.reply.fill(Ok(QueryAnswer {

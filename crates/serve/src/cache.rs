@@ -146,31 +146,20 @@ impl ShardedCache {
         }
     }
 
-    /// Selects the lock for `key`: an explicit route (the serve layer's
-    /// engine-shard locality hint — one graph shard's entries concentrate
-    /// on its own cache shards) or the stable-hash spread. A key must be
-    /// looked up with the same route it was inserted under; the serve
-    /// layer guarantees that because the route is a pure function of the
-    /// key's epoch + node (see [`crate::epoch::Snapshot::cache_route`]).
-    fn shard(&self, key: &CacheKey, route: Option<usize>) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(key, route)]
-    }
-
-    /// Looks up `key` with the default hash spread. See
-    /// [`ShardedCache::get_routed`].
-    pub fn get(&self, key: &CacheKey) -> Option<CachedMatches> {
-        self.get_routed(key, None)
+    /// The lock `key` maps to.
+    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(key)]
     }
 
     /// Looks up `key`, refreshing its recency on a hit. The hot path: one
     /// map probe under the shard lock (clone + restamp through the same
     /// `get_mut`), recency bookkeeping after the map borrow ends.
-    pub fn get_routed(&self, key: &CacheKey, route: Option<usize>) -> Option<CachedMatches> {
+    pub fn get(&self, key: &CacheKey) -> Option<CachedMatches> {
         if !self.enabled.load(Ordering::Relaxed) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut shard = self.shard(key, route).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         // Stamping before the probe wastes a sequence number on misses,
         // which is harmless — the counter only needs to be monotonic.
         shard.seq += 1;
@@ -194,18 +183,12 @@ impl ShardedCache {
         }
     }
 
-    /// Inserts with the default hash spread. See
-    /// [`ShardedCache::insert_routed`].
-    pub fn insert(&self, key: CacheKey, value: CachedMatches) {
-        self.insert_routed(key, value, None);
-    }
-
     /// Inserts (or refreshes) `key`, evicting LRU entries past capacity.
-    pub fn insert_routed(&self, key: CacheKey, value: CachedMatches, route: Option<usize>) {
+    pub fn insert(&self, key: CacheKey, value: CachedMatches) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut shard = self.shard(&key, route).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if shard.capacity == 0 {
             return;
         }
@@ -243,14 +226,11 @@ impl ShardedCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The shard index `key` maps to under `route` — the same selection
-    /// [`ShardedCache::get_routed`] performs, exposed so traces can tag a
-    /// lookup with the lock it contended on.
-    pub fn shard_index(&self, key: &CacheKey, route: Option<usize>) -> usize {
-        match route {
-            Some(r) => r % self.shards.len(),
-            None => (key.stable_hash() % self.shards.len() as u64) as usize,
-        }
+    /// The shard index `key` maps to — the lock [`ShardedCache::get`]
+    /// takes, exposed so traces can tag a lookup with the lock it
+    /// contended on.
+    pub fn shard_index(&self, key: &CacheKey) -> usize {
+        (key.stable_hash() % self.shards.len() as u64) as usize
     }
 
     /// Per-shard occupancy: `(entries, estimated bytes)` for each shard,

@@ -240,10 +240,10 @@ impl Client {
         }
     }
 
-    /// Liveness probe; returns `(epoch, shard count)`.
-    pub fn ping(&mut self) -> Result<(u64, u64), ClientError> {
+    /// Liveness probe; returns the current epoch.
+    pub fn ping(&mut self) -> Result<u64, ClientError> {
         match self.call(&Request::Ping)? {
-            Response::Pong { epoch, shards } => Ok((epoch, shards)),
+            Response::Pong { epoch } => Ok(epoch),
             other => Err(unexpected("ping", &other)),
         }
     }

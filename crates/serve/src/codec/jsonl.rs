@@ -252,10 +252,9 @@ pub fn render_response(resp: &Response) -> String {
             fields.push(("matches".into(), matches_json(&r.matches)));
             Json::Obj(fields).render()
         }
-        Response::Pong { epoch, shards } => ok_response(vec![
+        Response::Pong { epoch } => ok_response(vec![
             ("op".into(), Json::Str("ping".into())),
             ("epoch".into(), num(*epoch as f64)),
-            ("shards".into(), num(*shards as f64)),
         ]),
         Response::Stats(s) => render_stats(s),
         Response::Metrics(m) => render_metrics(m),
@@ -454,9 +453,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 matches: Arc::new(parse_matches(doc.get("matches"))),
                 trace_id: doc.get("trace_id").and_then(Json::as_num).map(|v| v as u64),
             })),
-            Some("ping") => {
-                Ok(Response::Pong { epoch: u(doc.get("epoch")), shards: u(doc.get("shards")) })
-            }
+            Some("ping") => Ok(Response::Pong { epoch: u(doc.get("epoch")) }),
             Some("stats") => Ok(Response::Stats(Box::new(parse_stats(&doc)))),
             Some("metrics") => Ok(Response::Metrics(Box::new(parse_metrics(&doc)))),
             Some("trace") => Ok(Response::Trace(Box::new(TraceReply {
@@ -756,7 +753,7 @@ mod tests {
             }
         }
         let resps = [
-            Response::Pong { epoch: 3, shards: 2 },
+            Response::Pong { epoch: 3 },
             Response::Reloaded { epoch: 1, nodes: 10, edges: 20 },
             Response::DeltaApplied { epoch: 2, nodes: 10, added: 1, removed: 0 },
             Response::Config {

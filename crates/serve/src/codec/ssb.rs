@@ -178,10 +178,9 @@ impl super::Codec for SsbCodec {
                         put_f64(body, score);
                     }
                 }
-                Response::Pong { epoch, shards } => {
+                Response::Pong { epoch } => {
                     body.push(kind::PONG);
                     write_varint(body, *epoch);
-                    write_varint(body, *shards);
                 }
                 Response::Stats(s) => {
                     body.push(kind::STATS);
@@ -471,7 +470,7 @@ fn decode_response_body(r: &mut Reader) -> Result<Response, String> {
                 trace_id,
             }))
         }
-        kind::PONG => Ok(Response::Pong { epoch: r.varint("epoch")?, shards: r.varint("shards")? }),
+        kind::PONG => Ok(Response::Pong { epoch: r.varint("epoch")? }),
         kind::STATS => Ok(Response::Stats(Box::new(decode_stats(r)?))),
         kind::METRICS => Ok(Response::Metrics(Box::new(decode_metrics(r)?))),
         kind::TRACE => Ok(Response::Trace(Box::new(decode_traces(r)?))),
@@ -732,7 +731,7 @@ mod tests {
                 matches: Arc::new(vec![(9, 0.125)]),
                 trace_id: Some(42),
             }),
-            Response::Pong { epoch: u64::MAX, shards: 4 },
+            Response::Pong { epoch: u64::MAX },
             Response::Stats(Box::new(StatsReply {
                 epoch: 1,
                 epoch_swaps: 2,
@@ -789,7 +788,7 @@ mod tests {
                         TraceSpan::new("request", ssr_obs::NO_PARENT, 0, 9_000),
                         TraceSpan::new("decode", 0, 0, 300).attr("bytes", 12),
                         TraceSpan::new("engine", 0, 300, 8_000).attr("batch_size", 2),
-                        TraceSpan::new("shard-0", 2, 300, 7_500).attr("frontier", 40),
+                        TraceSpan::new("theta-0", 2, 300, 7_500).attr("frontier", 40),
                     ],
                 }],
             })),

@@ -8,46 +8,20 @@
 //! read downtime. The epoch counter is part of every result-cache key and
 //! every query response, so answers are always attributable to the exact
 //! graph version that produced them.
-//!
-//! With sharding ([`EpochStore::with_shards`]) a snapshot holds one
-//! deterministic sub-engine per shard plus the [`ShardPlan`] that placed
-//! whole weakly-connected components onto shards. Epoch semantics are
-//! unchanged by distribution: a reload/delta rebuilds **all** shard
-//! engines first and then publishes them behind the *single* snapshot
-//! pointer swap, so no reader can ever observe shards from two different
-//! epochs — the zero-stale-epoch guarantee holds per snapshot, not per
-//! shard.
 
 use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
-use ssr_graph::components::weakly_connected_components;
-use ssr_graph::{pack_components, DiGraph, NodeId, ShardPlan};
+use ssr_graph::{DiGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// One shard's slice of a snapshot: a deterministic sub-engine over the
-/// shard's induced subgraph plus the local → global id mapping.
-pub struct ShardSlice {
-    /// The shard's prepared sub-engine (whole-graph engine for
-    /// single-shard snapshots).
-    pub engine: Arc<QueryEngine>,
-    /// Ascending global node ids owned by this shard; index = shard-local
-    /// id. Empty (and unused) for single-shard snapshots, whose engine
-    /// already speaks global ids.
-    pub nodes: Arc<Vec<NodeId>>,
-}
 
 /// One published graph version: engine state shared by every query that
 /// started while it was current.
 pub struct Snapshot {
     /// Monotonically increasing version number, starting at 0.
     pub epoch: u64,
-    /// Per-shard engine slices (cheap to share: queries only touch
-    /// immutable state plus internal scratch pools). Length 1 without
-    /// sharding.
-    pub shards: Vec<ShardSlice>,
-    /// Component-to-shard placement; `None` for single-shard snapshots
-    /// (identity routing).
-    pub plan: Option<Arc<ShardPlan>>,
+    /// The prepared deterministic engine (cheap to share: queries only
+    /// touch immutable state plus internal scratch pools).
+    engine: Arc<QueryEngine>,
     /// The snapshot's edge list (deduplicated, as built), kept so
     /// `edge-delta` can derive the successor graph without re-reading
     /// files.
@@ -61,24 +35,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Number of shards this snapshot was built with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The whole-graph engine of a **single-shard** snapshot. Panics on a
-    /// sharded snapshot — no whole-graph engine exists there; go through
-    /// the router's scatter-gather instead.
+    /// The engine every query on this snapshot runs on.
     pub fn engine(&self) -> &Arc<QueryEngine> {
-        assert!(self.plan.is_none(), "sharded snapshot has no whole-graph engine");
-        &self.shards[0].engine
-    }
-
-    /// The cache-shard routing hint for `node`: its owning engine shard
-    /// when sharded (so one graph shard's entries concentrate on its own
-    /// cache shards), `None` for the hash-spread single-shard default.
-    pub fn cache_route(&self, node: NodeId) -> Option<usize> {
-        self.plan.as_deref().map(|p| p.owner(node))
+        &self.engine
     }
 }
 
@@ -93,38 +52,21 @@ pub struct EpochStore {
     swaps: AtomicU64,
     params: SimStarParams,
     opts: QueryEngineOptions,
-    shards: usize,
 }
 
 impl EpochStore {
-    /// Builds epoch 0 from `graph` with a single whole-graph engine.
-    /// `opts.deterministic` is forced on: the serving layer's cache
-    /// coherence depends on batch-composition independence (see
-    /// [`QueryEngineOptions::deterministic`]).
-    pub fn new(graph: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
-        Self::with_shards(graph, params, opts, 1)
-    }
-
-    /// Builds epoch 0 partitioned across `shards` engine workers (clamped
-    /// to ≥ 1; `1` is exactly [`EpochStore::new`]). Every published epoch
-    /// — initial, reload, delta — re-partitions its graph and rebuilds
-    /// all shard engines before the one atomic snapshot swap.
-    pub fn with_shards(
-        graph: DiGraph,
-        params: SimStarParams,
-        mut opts: QueryEngineOptions,
-        shards: usize,
-    ) -> Self {
+    /// Builds epoch 0 from `graph`. `opts.deterministic` is forced on:
+    /// the serving layer's cache coherence depends on batch-composition
+    /// independence (see [`QueryEngineOptions::deterministic`]).
+    pub fn new(graph: DiGraph, params: SimStarParams, mut opts: QueryEngineOptions) -> Self {
         opts.deterministic = true;
-        let shards = shards.max(1);
-        let snapshot = build_snapshot(0, graph, params, &opts, shards);
+        let snapshot = build_snapshot(0, graph, params, &opts);
         EpochStore {
             current: RwLock::new(Arc::new(snapshot)),
             admin: Mutex::new(()),
             swaps: AtomicU64::new(0),
             params,
             opts,
-            shards,
         }
     }
 
@@ -144,19 +86,13 @@ impl EpochStore {
         self.params
     }
 
-    /// The shard count every snapshot is partitioned into (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
     /// Builds a snapshot from `graph` and publishes it as the next epoch.
     /// In-flight queries keep their old snapshot; new queries see the new
     /// one as soon as this returns.
     pub fn publish(&self, graph: DiGraph) -> Arc<Snapshot> {
         let _admin = self.admin.lock().expect("admin lock poisoned");
         let next_epoch = self.current().epoch + 1;
-        let snapshot =
-            Arc::new(build_snapshot(next_epoch, graph, self.params, &self.opts, self.shards));
+        let snapshot = Arc::new(build_snapshot(next_epoch, graph, self.params, &self.opts));
         *self.current.write().expect("epoch cell poisoned") = snapshot.clone();
         self.swaps.fetch_add(1, Ordering::Relaxed);
         snapshot
@@ -187,8 +123,7 @@ impl EpochStore {
             .unwrap_or(0)
             .max(base.nodes);
         let graph = DiGraph::from_edges(n, &edges).map_err(|e| format!("bad delta: {e}"))?;
-        let snapshot =
-            Arc::new(build_snapshot(base.epoch + 1, graph, self.params, &self.opts, self.shards));
+        let snapshot = Arc::new(build_snapshot(base.epoch + 1, graph, self.params, &self.opts));
         // `from_edges` deduplicates, so the net addition count comes from
         // the built snapshot, not from `add.len()`.
         let added = (snapshot.edges.len() + removed).saturating_sub(base.edges.len());
@@ -203,45 +138,12 @@ fn build_snapshot(
     graph: DiGraph,
     params: SimStarParams,
     opts: &QueryEngineOptions,
-    shards: usize,
 ) -> Snapshot {
     let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
     let params_key = combine_keys(params.stable_key(), opts.stable_key());
     let nodes = graph.node_count();
-    let (plan, shard_slices) = if shards <= 1 {
-        let slice = ShardSlice {
-            engine: Arc::new(QueryEngine::with_options(&graph, params, opts.clone())),
-            nodes: Arc::new(Vec::new()),
-        };
-        (None, vec![slice])
-    } else {
-        let plan = pack_components(&weakly_connected_components(&graph), shards);
-        // All shard engines build before the caller publishes anything —
-        // the single pointer swap is what keeps epochs atomic across
-        // shards. Builds are independent, so they run concurrently.
-        let slices = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .nodes
-                .iter()
-                .map(|owned| {
-                    let graph = &graph;
-                    scope.spawn(move || {
-                        QueryEngine::for_node_subset(graph, owned, params, opts.clone())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&plan.nodes)
-                .map(|(h, owned)| ShardSlice {
-                    engine: Arc::new(h.join().expect("shard engine build panicked")),
-                    nodes: Arc::new(owned.clone()),
-                })
-                .collect()
-        });
-        (Some(Arc::new(plan)), slices)
-    };
-    Snapshot { epoch, shards: shard_slices, plan, edges: Arc::new(edges), nodes, params_key }
+    let engine = Arc::new(QueryEngine::with_options(&graph, params, opts.clone()));
+    Snapshot { epoch, engine, edges: Arc::new(edges), nodes, params_key }
 }
 
 /// Mixes the two stable keys into one (boost-style combine; both halves
@@ -320,75 +222,5 @@ mod tests {
         let before = a.current().params_key;
         a.publish(g());
         assert_eq!(a.current().params_key, before);
-    }
-
-    /// Two components: {0,1,2,3} (the diamond) and {4,5}.
-    fn two_component_graph() -> DiGraph {
-        DiGraph::from_edges(6, &[(1, 0), (2, 0), (3, 1), (3, 2), (5, 4)]).unwrap()
-    }
-
-    #[test]
-    fn sharded_snapshot_partitions_whole_components() {
-        let s = EpochStore::with_shards(
-            two_component_graph(),
-            SimStarParams::default(),
-            QueryEngineOptions::default(),
-            2,
-        );
-        assert_eq!(s.shard_count(), 2);
-        let snap = s.current();
-        assert_eq!(snap.shard_count(), 2);
-        let plan = snap.plan.as_deref().expect("sharded snapshot carries a plan");
-        // LPT: the 4-node diamond on shard 0, the 2-node pair on shard 1.
-        assert_eq!(*snap.shards[0].nodes, vec![0, 1, 2, 3]);
-        assert_eq!(*snap.shards[1].nodes, vec![4, 5]);
-        assert_eq!(snap.shards[0].engine.node_count(), 4);
-        assert_eq!(snap.shards[1].engine.node_count(), 2);
-        for v in 0..6u32 {
-            assert_eq!(snap.cache_route(v), Some(plan.owner(v)));
-        }
-    }
-
-    #[test]
-    fn sharded_sub_engines_are_bit_identical_to_the_global_engine() {
-        let g = two_component_graph();
-        let global = EpochStore::new(g.clone(), SimStarParams::default(), Default::default());
-        let sharded = EpochStore::with_shards(g, SimStarParams::default(), Default::default(), 2);
-        let gsnap = global.current();
-        let ssnap = sharded.current();
-        for slice in &ssnap.shards {
-            for (local, &node) in slice.nodes.iter().enumerate() {
-                let sub = slice.engine.query(local as u32);
-                let full = gsnap.engine().query(node);
-                for (l2, &n2) in slice.nodes.iter().enumerate() {
-                    assert_eq!(
-                        sub[l2].to_bits(),
-                        full[n2 as usize].to_bits(),
-                        "score ({node},{n2}) differs between shard and global engines"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_epochs_republish_all_shards_atomically() {
-        let s = EpochStore::with_shards(
-            two_component_graph(),
-            SimStarParams::default(),
-            QueryEngineOptions::default(),
-            3,
-        );
-        let before = s.current();
-        // The delta merges the two components; the new epoch must see one
-        // connected placement while the old snapshot is untouched.
-        let (snap, added, _) = s.apply_delta(&[(4, 0)], &[]).unwrap();
-        assert_eq!(added, 1);
-        assert_eq!(snap.epoch, 1);
-        assert_eq!(snap.shard_count(), 3);
-        let plan = snap.plan.as_deref().unwrap();
-        assert_eq!(plan.owner(0), plan.owner(4), "merged component must share a shard");
-        assert_eq!(before.epoch, 0);
-        assert_eq!(before.shards[0].engine.node_count(), 4);
     }
 }

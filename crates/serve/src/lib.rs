@@ -25,14 +25,6 @@
 //!   deterministic mode, making results bit-identical however requests
 //!   get coalesced — the invariant that lets cached, solo, and batched
 //!   answers interchange.
-//! * [`router`] — the **shard router**: snapshots optionally partition
-//!   the graph by weakly-connected component across N persistent engine
-//!   workers (components packed for balance — `ssr_graph::partition`),
-//!   queries scatter to the relevant shards and gather through a
-//!   deterministic k-way merge whose answers are **bit-identical** to the
-//!   single-engine deterministic path. Epochs survive distribution: a
-//!   reload/delta rebuilds every shard engine first and publishes them
-//!   behind the one snapshot pointer swap.
 //! * [`protocol`] / [`codec`] — the **typed protocol** ([`Request`] /
 //!   [`Response`], plain data with no serialization attached) and its two
 //!   interchangeable wire encodings behind one [`codec::Codec`] API:
@@ -84,7 +76,6 @@ pub mod loadgen;
 pub mod metrics;
 pub mod poller;
 pub mod protocol;
-pub mod router;
 pub(crate) mod runtime;
 pub mod server;
 pub mod tracing;
@@ -95,11 +86,10 @@ pub use batcher::{
 pub use cache::{CacheKey, CacheStats, ShardedCache};
 pub use client::{Client, ClientBuilder, ClientError, Reply};
 pub use codec::{Codec, Decoded, Malformed, WireFormat};
-pub use epoch::{EpochStore, ShardSlice, Snapshot};
+pub use epoch::{EpochStore, Snapshot};
 pub use metrics::QueryTrace;
 pub use protocol::{
     CacheDirective, MetricsReply, QueryReply, Request, Response, StatsReply, TraceReply,
 };
-pub use router::merge_ranked;
 pub use server::{Server, ServerOptions};
 pub use tracing::{parse_trace, parse_trace_line, render_trace, TraceCollector, TRACE_RING_CAP};

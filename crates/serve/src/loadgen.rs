@@ -301,9 +301,6 @@ pub struct PhaseResult {
     pub protocol: &'static str,
     /// Pipelining depth of the phase.
     pub pipeline: usize,
-    /// Engine shard count of the server the phase ran against (1 =
-    /// unsharded) — the shard axis `bench_check` gates per mode.
-    pub shards: usize,
     /// Server-reported connection gauge while the phase's sockets (and
     /// any held idle ones) were open; 0 when not sampled.
     pub connections: u64,
@@ -373,7 +370,6 @@ fn run_phase(
         name: name.to_string(),
         protocol: plan.protocol.name(),
         pipeline: plan.pipeline.max(1),
-        shards: 1,
         connections,
         report,
         cache_hits: after.0 - before.0,
@@ -413,31 +409,6 @@ pub fn run_standard_phases(
             phase_plan.nodes = nodes;
         }
         results.push(run_phase(addr, &mut admin, name, &phase_plan, 0)?);
-    }
-    Ok(results)
-}
-
-/// The shard-axis phases, run against a server started with `--shards N`:
-/// the `serial`/`batched` pair with `_shards{N}`-suffixed mode names, so a
-/// sharded server's numbers land in the same report (and under the same
-/// `bench_check` gate) as the unsharded ones without colliding. Cache off
-/// in both — the axis under test is the scatter-gather engine path.
-pub fn run_sharded_phases(
-    addr: SocketAddr,
-    plan: &LoadPlan,
-    window_us: u64,
-    shards: usize,
-) -> Result<Vec<PhaseResult>, ClientError> {
-    let mut admin = Client::connect(addr)?;
-    let mut results = Vec::new();
-    for (base, window) in [("serial", 0), ("batched", window_us)] {
-        admin.config(Some(window), None, Some(CacheDirective::Off), None, None)?;
-        admin.config(None, None, Some(CacheDirective::Clear), None, None)?;
-        let phase_plan = plan.clone().with_protocol(WireFormat::Jsonl, 1);
-        let name = format!("{base}_shards{shards}");
-        let mut result = run_phase(addr, &mut admin, &name, &phase_plan, 0)?;
-        result.shards = shards;
-        results.push(result);
     }
     Ok(results)
 }
@@ -561,7 +532,6 @@ pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> Strin
         Json::Obj(vec![
             ("protocol".into(), Json::Str(p.protocol.into())),
             ("pipeline".into(), Json::Num(p.pipeline as f64)),
-            ("shards".into(), Json::Num(p.shards as f64)),
             ("connections".into(), Json::Num(p.connections as f64)),
             ("requests".into(), Json::Num(p.report.requests as f64)),
             ("ok".into(), Json::Num(p.report.ok as f64)),
@@ -643,7 +613,6 @@ mod tests {
             name: name.into(),
             protocol: if name.starts_with("ssb") { "ssb/1" } else { "json/1" },
             pipeline: if name.ends_with("pipelined") { 8 } else { 1 },
-            shards: 1,
             connections: 0,
             report: LoadReport {
                 requests: 100,
@@ -698,7 +667,6 @@ mod tests {
             phase("json_serial", 1.0),
             phase("ssb_serial", 1.2),
             phase("ssb_pipelined", 3.0),
-            PhaseResult { shards: 2, ..phase("serial_shards2", 0.9) },
         ];
         let text = render_serve_json(&meta, &phases);
         let doc = crate::json::parse_json(text.trim()).unwrap();
@@ -719,13 +687,6 @@ mod tests {
         assert_eq!(
             modes.get("ssb_pipelined").unwrap().get("protocol").and_then(Json::as_str),
             Some("ssb/1")
-        );
-        // The shard axis rides along per mode: 1 everywhere by default,
-        // the labeled count on `_shardsN` modes.
-        assert_eq!(modes.get("serial").unwrap().get("shards").and_then(Json::as_num), Some(1.0));
-        assert_eq!(
-            modes.get("serial_shards2").unwrap().get("shards").and_then(Json::as_num),
-            Some(2.0)
         );
         let speedup = ds.get("speedup_batched_vs_serial").and_then(Json::as_num).unwrap();
         assert!((speedup - 2.5).abs() < 1e-9);

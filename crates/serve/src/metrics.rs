@@ -3,8 +3,7 @@
 //! and the structured slow-query log.
 //!
 //! One `ServeMetrics` (crate-internal) per server, shared by the event
-//! loop, the
-//! batcher's flush workers, and the shard router. All hot-path handles
+//! loop and the batcher's flush workers. All hot-path handles
 //! ([`ssr_obs::Counter`] / [`ssr_obs::Histogram`]) are registered once
 //! at server start, so recording is lock-free throughout. Stage
 //! histograms are in **microseconds**; the per-request [`QueryTrace`]
@@ -14,15 +13,16 @@
 //! The stage decomposition of a query (see README "Observability"):
 //!
 //! ```text
-//! accepted ──decode──►─cache──►─queue──►─engine──►─merge──►─encode──► done
+//! accepted ──decode──►─cache──►─queue──►─engine──►─encode──► done
 //! ```
 //!
 //! Stages are disjoint sub-intervals of `[accepted, encode done]`, so
 //! `Σ floor(stage_us) ≤ floor(total_us)` holds for every request — the
-//! invariant the e2e suite asserts. Lifetime counters live here (or in
-//! the cache/batcher, also server-lifetime) and **never** reset on epoch
-//! swaps; only the per-shard engine gauges are epoch-scoped, because
-//! engines are rebuilt per epoch.
+//! invariant the e2e suite asserts. Every stage histogram records one
+//! sample per request that reached the stage. Lifetime counters live
+//! here (or in the cache/batcher, also server-lifetime) and **never**
+//! reset on epoch swaps; only the engine gauges are epoch-scoped,
+//! because the engine is rebuilt per epoch.
 
 use crate::codec::WireFormat;
 use crate::protocol::{MetricsReply, QueryReply, Response, METRICS_VERSION};
@@ -44,10 +44,8 @@ pub struct QueryTrace {
     pub cache_ns: u64,
     /// Bounded-queue wait (submission to flush drain).
     pub queue_ns: u64,
-    /// Engine compute (scatter + shard sweeps, merge excluded).
+    /// Engine compute: the flush's `top_k_batch` call.
     pub engine_ns: u64,
-    /// Deterministic k-way merge (zero when unsharded).
-    pub merge_ns: u64,
 }
 
 /// The codec label both counters and histograms are keyed by.
@@ -85,7 +83,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) stage_cache: Histogram,
     pub(crate) stage_queue: Histogram,
     pub(crate) stage_engine: Histogram,
-    pub(crate) stage_merge: Histogram,
     pub(crate) stage_encode: Histogram,
     pub(crate) stage_total: Histogram,
     /// Decode/encode keyed per codec (µs).
@@ -93,8 +90,6 @@ pub(crate) struct ServeMetrics {
     decode_ssb: Histogram,
     encode_json: Histogram,
     encode_ssb: Histogram,
-    /// Engine compute per shard (µs), one histogram per shard worker.
-    pub(crate) shard_engine: Vec<Histogram>,
     /// Slow-query threshold, µs; 0 disables the log.
     slow_threshold_us: AtomicU64,
     /// Retained slow-query lines (newest last).
@@ -104,15 +99,9 @@ pub(crate) struct ServeMetrics {
 impl ServeMetrics {
     /// Registers every serve metric against a fresh registry (honoring
     /// the `SSR_OBS_DISABLE=1` kill switch).
-    pub(crate) fn new(shards: usize) -> ServeMetrics {
-        Self::with_registry(Registry::from_env(), shards)
-    }
-
-    fn with_registry(registry: Registry, shards: usize) -> ServeMetrics {
+    pub(crate) fn new() -> ServeMetrics {
+        let registry = Registry::from_env();
         let stage = |name: &str| registry.histogram("ssr_stage_us", &[("stage", name)]);
-        let shard_engine = (0..shards.max(1))
-            .map(|s| registry.histogram("ssr_shard_engine_us", &[("shard", &s.to_string())]))
-            .collect();
         // Info-style metric: the value is always 1, the payload is the
         // labels — crate version, wire protocols, readable .ssg versions.
         let store_versions =
@@ -143,14 +132,12 @@ impl ServeMetrics {
             stage_cache: stage("cache"),
             stage_queue: stage("queue"),
             stage_engine: stage("engine"),
-            stage_merge: stage("merge"),
             stage_encode: stage("encode"),
             stage_total: stage("total"),
             decode_json: registry.histogram("ssr_codec_decode_us", &[("codec", "json")]),
             decode_ssb: registry.histogram("ssr_codec_decode_us", &[("codec", "ssb")]),
             encode_json: registry.histogram("ssr_codec_encode_us", &[("codec", "json")]),
             encode_ssb: registry.histogram("ssr_codec_encode_us", &[("codec", "ssb")]),
-            shard_engine,
             slow_threshold_us: AtomicU64::new(0),
             slow_lines: Mutex::new(VecDeque::new()),
             registry,
@@ -222,7 +209,7 @@ impl ServeMetrics {
         self.slow_queries.inc();
         let mut line = format!(
             "slow-query total_us={total_us} node={} k={} epoch={} cached={} codec={} \
-             decode_us={} cache_us={} queue_us={} engine_us={} merge_us={} encode_us={}",
+             decode_us={} cache_us={} queue_us={} engine_us={} encode_us={}",
             reply.node,
             reply.k,
             reply.epoch,
@@ -232,7 +219,6 @@ impl ServeMetrics {
             trace.cache_ns / 1_000,
             trace.queue_ns / 1_000,
             trace.engine_ns / 1_000,
-            trace.merge_ns / 1_000,
             encode_ns / 1_000,
         );
         // Sampled queries cross-reference their span tree by trace id.
@@ -296,8 +282,8 @@ mod tests {
 
     #[test]
     fn slow_log_is_threshold_gated_and_bounded() {
-        let m = ServeMetrics::new(1);
-        let trace = QueryTrace { cache_ns: 800, queue_ns: 2_000, engine_ns: 5_000, merge_ns: 0 };
+        let m = ServeMetrics::new();
+        let trace = QueryTrace { cache_ns: 800, queue_ns: 2_000, engine_ns: 5_000 };
         // Disarmed: nothing retained.
         m.observe_query(WireFormat::Jsonl, &query_reply(), 1_500, trace, 900, 12_000);
         assert!(m.slow_lines().is_empty());
@@ -323,7 +309,7 @@ mod tests {
 
     #[test]
     fn reply_splices_pulled_values_sorted() {
-        let m = ServeMetrics::new(2);
+        let m = ServeMetrics::new();
         m.requests(WireFormat::Jsonl).inc();
         let reply =
             m.reply(vec![("ssr_cache_hits_total".into(), 5)], vec![("ssr_epoch".into(), 3)]);
@@ -332,10 +318,5 @@ mod tests {
         assert!(counters.windows(2).all(|w| w[0] <= w[1]), "sorted: {counters:?}");
         assert!(counters.contains(&"ssr_cache_hits_total"));
         assert!(reply.snapshot.gauges.iter().any(|(n, v)| n == "ssr_epoch" && *v == 3));
-        // Per-shard engine histograms exist for both shards.
-        for shard in ["0", "1"] {
-            let name = format!("ssr_shard_engine_us{{shard=\"{shard}\"}}");
-            assert!(reply.snapshot.hists.iter().any(|h| h.name == name), "missing {name}");
-        }
     }
 }

@@ -130,13 +130,11 @@ pub struct QueryReply {
 pub enum Response {
     /// Query result.
     Query(QueryReply),
-    /// `ping` acknowledgement with the current epoch and shard count —
-    /// enough for a readiness probe to confirm the serving topology.
+    /// `ping` acknowledgement with the current epoch — what a readiness
+    /// probe reports.
     Pong {
         /// Current epoch.
         epoch: u64,
-        /// Engine shards serving the current snapshot.
-        shards: u64,
     },
     /// `stats` snapshot.
     Stats(Box<StatsReply>),

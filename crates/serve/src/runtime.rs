@@ -562,11 +562,7 @@ impl EventLoop {
                 }
             }
             Request::Ping => {
-                let snapshot = self.inner.store.current();
-                PendingState::Ready(Response::Pong {
-                    epoch: snapshot.epoch,
-                    shards: snapshot.shards.len() as u64,
-                })
+                PendingState::Ready(Response::Pong { epoch: self.inner.store.current().epoch })
             }
             Request::Stats => PendingState::Ready(Response::Stats(Box::new(self.stats_reply()))),
             Request::Metrics => {

@@ -44,13 +44,6 @@ pub struct ServerOptions {
     pub cache_capacity: usize,
     /// Number of cache shards.
     pub cache_shards: usize,
-    /// Number of engine shards (1 = a single whole-graph engine, today's
-    /// path byte-for-byte). With more, every snapshot is partitioned by
-    /// weakly-connected component across this many persistent shard
-    /// workers and queries scatter-gather through the
-    /// [`crate::router`] — answers stay bit-identical to the single-engine
-    /// deterministic path.
-    pub shards: usize,
     /// Micro-batcher configuration.
     pub batch: BatcherOptions,
     /// Concurrent-connection cap; sockets beyond it receive one shed
@@ -73,7 +66,6 @@ impl Default for ServerOptions {
             engine: QueryEngineOptions::default(),
             cache_capacity: 4096,
             cache_shards: 8,
-            shards: 1,
             batch: BatcherOptions::default(),
             max_connections: 256,
             slow_query_us: 0,
@@ -153,8 +145,7 @@ pub(crate) struct Inner {
     waker: Waker,
     pub(crate) max_connections: usize,
     /// Total server threads: 1 event loop + flush workers + 1 admin
-    /// executor + shard workers (0 unsharded). The bound reported by
-    /// `stats`.
+    /// executor. The bound reported by `stats`.
     pub(crate) worker_threads: u64,
     pub(crate) started: Instant,
 }
@@ -172,7 +163,7 @@ impl Inner {
 
     /// Assembles the versioned `metrics` payload: the live registry plus
     /// values *pulled* at snapshot time from the cache, the batcher, and
-    /// the current epoch's shard engines. The split is deliberate —
+    /// the current epoch's engine. The split is deliberate —
     /// lifetime counters live in server-lifetime structures and survive
     /// epoch swaps; the `ssr_engine_*` gauges are epoch-scoped because
     /// engines are rebuilt per epoch.
@@ -202,20 +193,19 @@ impl Inner {
             pulled_gauges.push((format!("ssr_cache_entries{{shard=\"{shard}\"}}"), entries as u64));
             pulled_gauges.push((format!("ssr_cache_bytes{{shard=\"{shard}\"}}"), bytes as u64));
         }
-        for (shard, slice) in snapshot.shards.iter().enumerate() {
-            let stats = slice.engine.stats();
-            for (name, value) in [
-                ("sweeps", stats.sweeps),
-                ("iterations", stats.iterations),
-                ("dense_steps", stats.dense_steps),
-                ("lanes_used", stats.lanes_used),
-                ("lane_slots", stats.lane_slots),
-                ("frontier_active", stats.frontier_active),
-                ("frontier_slots", stats.frontier_slots),
-                ("resident_bytes", slice.engine.resident_bytes() as u64),
-            ] {
-                pulled_gauges.push((format!("ssr_engine_{name}{{shard=\"{shard}\"}}"), value));
-            }
+        let engine = snapshot.engine();
+        let stats = engine.stats();
+        for (name, value) in [
+            ("sweeps", stats.sweeps),
+            ("iterations", stats.iterations),
+            ("dense_steps", stats.dense_steps),
+            ("lanes_used", stats.lanes_used),
+            ("lane_slots", stats.lane_slots),
+            ("frontier_active", stats.frontier_active),
+            ("frontier_slots", stats.frontier_slots),
+            ("resident_bytes", engine.resident_bytes() as u64),
+        ] {
+            pulled_gauges.push((format!("ssr_engine_{name}"), value));
         }
         self.metrics.reply(pulled_counters, pulled_gauges)
     }
@@ -240,10 +230,9 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind((host, port))?;
         let addr = listener.local_addr()?;
-        let store =
-            Arc::new(EpochStore::with_shards(graph, opts.params, opts.engine.clone(), opts.shards));
+        let store = Arc::new(EpochStore::new(graph, opts.params, opts.engine.clone()));
         let cache = Arc::new(ShardedCache::new(opts.cache_capacity, opts.cache_shards));
-        let metrics = Arc::new(ServeMetrics::new(store.shard_count()));
+        let metrics = Arc::new(ServeMetrics::new());
         metrics.set_slow_query_us(opts.slow_query_us);
         let tracer = Arc::new(TraceCollector::new(opts.trace_sample, opts.trace_out.as_deref())?);
         let batcher = Batcher::start_instrumented(
@@ -252,10 +241,6 @@ impl Server {
             opts.batch.clone(),
             metrics.clone(),
         );
-        // Sharded stores add one persistent engine worker per shard; a
-        // single shard runs inline in the flush workers (no extra threads,
-        // so the stats surface is unchanged for the default path).
-        let shard_workers = if store.shard_count() > 1 { store.shard_count() as u64 } else { 0 };
         let (waker, wake_rx) = poller::waker()?;
         let completions =
             Arc::new(CompletionQueue { queue: Mutex::new(Vec::new()), waker: waker.clone() });
@@ -273,7 +258,7 @@ impl Server {
             stopped_cv: Condvar::new(),
             waker,
             max_connections: opts.max_connections.max(1),
-            worker_threads: 1 + opts.batch.workers.max(1) as u64 + 1 + shard_workers,
+            worker_threads: 1 + opts.batch.workers.max(1) as u64 + 1,
             started: Instant::now(),
         });
         let (admin_tx, admin_rx) = mpsc::channel::<AdminJob>();
@@ -289,8 +274,7 @@ impl Server {
     }
 
     /// Total server threads: 1 event loop + flush workers + 1 admin
-    /// executor + shard workers (0 unsharded). Constant at any connection
-    /// count.
+    /// executor. Constant at any connection count.
     pub fn worker_threads(&self) -> u64 {
         self.inner.worker_threads
     }

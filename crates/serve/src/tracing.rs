@@ -119,9 +119,9 @@ fn push_stage(t: &mut Trace, cur: &mut u64, name: &str, dur_ns: u64) -> usize {
 /// Builds the span tree of one finished sampled query from everything
 /// the event loop observed: stage timings, pipeline context, and the
 /// reply itself. Root is `request`; its children are the disjoint stage
-/// spans (`decode`/`cache`/`queue`/`engine`/`merge`/`encode`); the
-/// `engine` span nests one `shard-N` span per shard that computed, each
-/// holding its per-step (`theta-i`/`lambda-i`) frontier/dense trace.
+/// spans (`decode`/`cache`/`queue`/`engine`/`encode`); the `engine` span
+/// nests the sweep's per-step (`theta-i`/`lambda-i`) frontier/dense
+/// trace.
 ///
 /// One parameter per pipeline observation point — collapsing them into a
 /// struct would just move the field list one call site up.
@@ -160,41 +160,29 @@ pub fn assemble_trace(
         let engine_idx = push_stage(&mut t, &mut cur, "engine", stages.engine_ns);
         if let Some(d) = detail {
             t.spans[queue_idx] = t.spans[queue_idx].clone().attr("depth", d.queue_depth);
-            t.spans[engine_idx] =
-                t.spans[engine_idx].clone().attr("batch_size", d.batch_size).attr("dedup", d.dedup);
+            t.spans[engine_idx] = t.spans[engine_idx]
+                .clone()
+                .attr("batch_size", d.batch_size)
+                .attr("dedup", d.dedup)
+                .attr("dense_steps", d.engine.dense_steps());
             let (e_start, e_dur) = (t.spans[engine_idx].start_ns, t.spans[engine_idx].dur_ns);
-            for (shard, etrace) in d.shards.iter() {
-                let steps_ns: u64 = etrace.steps.iter().map(|s| s.dur_ns).sum();
-                let shard_idx = t.spans.len();
+            let mut scur = 0u64;
+            for step in &d.engine.steps {
+                let dur = step.dur_ns.min(e_dur.saturating_sub(scur));
+                let kind = if step.pass == 0 { "theta" } else { "lambda" };
                 t.spans.push(
                     TraceSpan::new(
-                        &format!("shard-{shard}"),
+                        &format!("{kind}-{}", step.index),
                         engine_idx as i64,
-                        e_start,
-                        steps_ns.min(e_dur),
+                        e_start + scur,
+                        dur,
                     )
-                    .attr("dense_steps", etrace.dense_steps()),
+                    .attr("frontier", step.frontier)
+                    .attr("dense", step.dense),
                 );
-                let shard_dur = t.spans[shard_idx].dur_ns;
-                let mut scur = 0u64;
-                for step in &etrace.steps {
-                    let dur = step.dur_ns.min(shard_dur.saturating_sub(scur));
-                    let kind = if step.pass == 0 { "theta" } else { "lambda" };
-                    t.spans.push(
-                        TraceSpan::new(
-                            &format!("{kind}-{}", step.index),
-                            shard_idx as i64,
-                            e_start + scur,
-                            dur,
-                        )
-                        .attr("frontier", step.frontier)
-                        .attr("dense", step.dense),
-                    );
-                    scur += dur;
-                }
+                scur += dur;
             }
         }
-        push_stage(&mut t, &mut cur, "merge", stages.merge_ns);
     }
     // Encode runs last; anchor it to the end of the request, clamped so
     // it never overlaps the stages already placed.
@@ -299,7 +287,7 @@ mod tests {
                 TraceSpan::new("request", NO_PARENT, 0, 1000),
                 TraceSpan::new("decode", 0, 0, 50),
                 TraceSpan::new("engine", 0, 50, 800).attr("batch_size", 3),
-                TraceSpan::new("shard-1", 2, 50, 700).attr("frontier", 12),
+                TraceSpan::new("theta-1", 2, 50, 700).attr("frontier", 12),
             ],
         }
     }
@@ -354,9 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn assembled_traces_validate_with_shard_steps() {
+    fn assembled_traces_validate_with_engine_steps() {
         use simrank_star::{EngineStep, EngineTrace};
-        let stages = QueryTrace { cache_ns: 100, queue_ns: 400, engine_ns: 3_000, merge_ns: 200 };
+        let stages = QueryTrace { cache_ns: 100, queue_ns: 400, engine_ns: 3_000 };
         let steps = vec![
             EngineStep { pass: 0, index: 0, frontier: 9, dense: false, dur_ns: 700 },
             EngineStep { pass: 1, index: 2, frontier: 20, dense: true, dur_ns: 900 },
@@ -367,18 +355,24 @@ mod tests {
             queue_depth: 3,
             batch_size: 4,
             dedup: 1,
-            shards: std::sync::Arc::new(vec![(0, EngineTrace { steps })]),
+            engine: std::sync::Arc::new(EngineTrace { steps }),
         };
         let t = assemble_trace(12, "ssb", &reply(false), 250, &stages, Some(&detail), 80, 5_000);
         t.validate().unwrap();
         assert_eq!(t.attr("codec"), Some("ssb"));
         let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
-        for required in ["decode", "cache", "queue", "engine", "merge", "encode"] {
-            assert!(names.contains(&required), "missing stage {required}");
+        assert_eq!(
+            names,
+            ["request", "decode", "cache", "queue", "engine", "theta-0", "lambda-2", "encode"]
+        );
+        // Steps nest directly under `engine`, which carries the dense-step
+        // count.
+        let engine = names.iter().position(|&n| n == "engine").unwrap();
+        assert_eq!(t.spans[engine].attrs.iter().find(|(k, _)| k == "dense_steps").unwrap().1, "1");
+        for step in ["theta-0", "lambda-2"] {
+            let idx = names.iter().position(|&n| n == step).unwrap();
+            assert_eq!(t.spans[idx].parent, engine as i64, "{step}");
         }
-        assert!(names.contains(&"shard-0"));
-        assert!(names.contains(&"theta-0"));
-        assert!(names.contains(&"lambda-2"));
     }
 
     #[test]
@@ -395,12 +389,7 @@ mod tests {
     fn assembly_clamps_overlong_stage_timings() {
         // Stage clock reads that (pathologically) exceed the end-to-end
         // interval must still produce a tree the analyzer accepts.
-        let stages = QueryTrace {
-            cache_ns: u64::MAX / 4,
-            queue_ns: 1_000,
-            engine_ns: 1_000,
-            merge_ns: 1_000,
-        };
+        let stages = QueryTrace { cache_ns: u64::MAX / 4, queue_ns: 1_000, engine_ns: 1_000 };
         let t = assemble_trace(1, "json", &reply(false), 500, &stages, None, 500, 1_000);
         t.validate().unwrap();
     }

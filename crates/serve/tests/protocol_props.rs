@@ -180,7 +180,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         matches: Arc::new(m),
                         trace_id: (cached > 1).then_some(x),
                     }),
-                    1 => Response::Pong { epoch, shards: y },
+                    1 => Response::Pong { epoch },
                     2 => Response::Stats(Box::new(stats)),
                     3 => Response::Reloaded { epoch, nodes: x, edges: y },
                     4 => Response::DeltaApplied { epoch, nodes: x, added: y, removed: z },

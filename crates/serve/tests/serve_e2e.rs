@@ -215,7 +215,7 @@ fn idle_connections_are_cheap_and_stay_live() {
     assert_eq!(stats.worker_threads, 3);
     // Every held socket still answers — first, last, and a few between.
     for i in [0usize, 67, 133, 199] {
-        assert_eq!(idle[i].ping().unwrap().0, 0, "idle connection {i}");
+        assert_eq!(idle[i].ping().unwrap(), 0, "idle connection {i}");
     }
     drop(idle);
     server.shutdown();
@@ -416,35 +416,15 @@ fn json_and_ssb_answers_are_bit_identical_solo_and_pipelined_across_reload() {
 
 /// Concurrent clients, an epoch swap (file reload + edge delta)
 /// mid-stream, and the assertion that every response is consistent with
-/// the epoch it claims — no stale-epoch answers. Runs both unsharded and
-/// with engine shards: a sharded epoch swap rebuilds every shard engine
-/// before the one snapshot pointer swap, so the guarantee must hold
-/// bit-for-bit there too (the graphs deliberately change component
-/// structure across epochs, so every swap also re-partitions).
+/// the epoch it claims — no stale-epoch answers.
 #[test]
 fn epoch_swap_under_concurrent_load_has_no_stale_answers() {
-    epoch_swap_no_stale_answers(1);
-}
-
-#[test]
-fn sharded_epoch_swap_under_concurrent_load_has_no_stale_answers() {
-    epoch_swap_no_stale_answers(3);
-}
-
-fn epoch_swap_no_stale_answers(shards: usize) {
     let params = SimStarParams { c: 0.6, iterations: 6 };
-    let server = Server::start(
-        graph_v0(),
-        "127.0.0.1",
-        0,
-        ServerOptions {
-            params,
-            shards,
-            batch: BatcherOptions { window_us: 300, ..Default::default() },
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let server = start(ServerOptions {
+        params,
+        batch: BatcherOptions { window_us: 300, ..Default::default() },
+        ..Default::default()
+    });
     let addr = server.addr();
     let k = 5;
 
@@ -469,7 +449,7 @@ fn epoch_swap_no_stale_answers(shards: usize) {
     // Write v1 to a temp file for the reload op.
     let dir = std::env::temp_dir().join("ssr_serve_e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let v1_path = dir.join(format!("v1_{}_s{shards}.txt", std::process::id()));
+    let v1_path = dir.join(format!("v1_{}.txt", std::process::id()));
     std::fs::write(&v1_path, gio::to_edge_list_string(&v1)).unwrap();
 
     // (epoch, node, matches) per ok response, one stream per client.
@@ -566,62 +546,6 @@ fn epoch_swap_no_stale_answers(shards: usize) {
     server.shutdown();
 }
 
-/// The shard-router acceptance gate, over the wire: a server partitioned
-/// across engine shards answers bit-identically to an unsharded server on
-/// the same graph, on both wire formats, with `k` exceeding the smaller
-/// components (so cross-shard zero candidates reach the merged prefix).
-/// The thread budget grows by exactly one persistent worker per shard and
-/// is surfaced through `stats`.
-#[test]
-fn sharded_server_answers_bit_identical_to_unsharded() {
-    let params = SimStarParams { c: 0.6, iterations: 6 };
-    // Three weakly-connected components of sizes 5, 3, 3: with three
-    // shards each lands on its own sub-engine.
-    let graph = || {
-        DiGraph::from_edges(
-            11,
-            &[(1, 0), (2, 0), (3, 1), (3, 2), (4, 3), (6, 5), (7, 6), (5, 7), (9, 8), (10, 9)],
-        )
-        .unwrap()
-    };
-    let k = 6; // larger than the 3-node components: zero tails merge in
-    let unsharded =
-        Server::start(graph(), "127.0.0.1", 0, ServerOptions { params, ..Default::default() })
-            .unwrap();
-    let sharded = Server::start(
-        graph(),
-        "127.0.0.1",
-        0,
-        ServerOptions { params, shards: 3, ..Default::default() },
-    )
-    .unwrap();
-    assert_eq!(unsharded.worker_threads(), 3);
-    // 1 event loop + 1 flush worker + 1 admin + 3 shard workers.
-    assert_eq!(sharded.worker_threads(), 6);
-    for format in [WireFormat::Jsonl, WireFormat::Ssb] {
-        let mut single = Client::builder().protocol(format).connect(unsharded.addr()).unwrap();
-        let mut multi = Client::builder().protocol(format).connect(sharded.addr()).unwrap();
-        for node in 0..11u32 {
-            let Reply::Ok(a) = single.query(node, k).unwrap() else { panic!("unsharded {node}") };
-            let Reply::Ok(b) = multi.query(node, k).unwrap() else { panic!("sharded {node}") };
-            assert_eq!(
-                a.matches, b.matches,
-                "{format:?} node {node}: sharded answer must be bit-identical"
-            );
-            assert_eq!((a.epoch, b.epoch), (0, 0));
-            // Cached pass: routed cache shards return the same bits.
-            let Reply::Ok(c) = multi.query(node, k).unwrap() else { panic!() };
-            assert!(c.cached, "{format:?} node {node} second pass must hit the cache");
-            assert_eq!(c.matches, a.matches);
-        }
-    }
-    let mut admin = Client::connect(sharded.addr()).unwrap();
-    let stats = admin.stats().unwrap();
-    assert_eq!(stats.worker_threads, 6);
-    unsharded.shutdown();
-    sharded.shutdown();
-}
-
 /// Observability satellite regression: `stats` and `metrics` counters
 /// are server-lifetime — an epoch reload or edge delta must never reset
 /// them. (They used to live partly in epoch-scoped structures; this
@@ -687,23 +611,26 @@ fn lifetime_counters_survive_epoch_swaps() {
 /// The `metrics` op means the same thing on both wires: same metric name
 /// sets, and — fetched back-to-back with no queries in between — the
 /// query-stage histograms are value-identical across `json/1` and
-/// `ssb/1`. With two engine shards, both per-shard engine histograms
-/// record work.
+/// `ssb/1`. Every stage histogram counts requests, not flushes: a
+/// pipelined burst that coalesces into fewer flushes than jobs still
+/// records one `queue` and one `engine` sample per flushed job.
 #[test]
-fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
-    // Two weakly-connected components (5 + 3 nodes) so two shards both
-    // see queries.
-    let graph =
-        DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap();
-    let server =
-        Server::start(graph, "127.0.0.1", 0, ServerOptions { shards: 2, ..Default::default() })
-            .unwrap();
+fn metrics_op_is_equivalent_across_codecs_with_one_sample_per_request() {
+    let server = start(ServerOptions {
+        batch: BatcherOptions { window_us: 20_000, ..Default::default() },
+        ..Default::default()
+    });
     let addr = server.addr();
     let mut json = Client::builder().protocol(WireFormat::Jsonl).connect(addr).unwrap();
-    let mut ssb = Client::builder().protocol(WireFormat::Ssb).connect(addr).unwrap();
+    let mut ssb = Client::builder().protocol(WireFormat::Ssb).pipeline(8).connect(addr).unwrap();
+    // Eight misses in one pipelined burst share the 20 ms window; the
+    // same queries over json then hit the cache.
+    let burst: Vec<(NodeId, usize)> = (0..8u32).map(|node| (node, 4)).collect();
+    for reply in ssb.query_pipelined(&burst).unwrap() {
+        assert!(matches!(reply, Reply::Ok(_)), "{reply:?}");
+    }
     for node in 0..8u32 {
         assert!(matches!(json.query(node, 4).unwrap(), Reply::Ok(_)));
-        assert!(matches!(ssb.query(node, 4).unwrap(), Reply::Ok(_)));
     }
 
     // Quiesced (every query answered); fetch the registry over both wires.
@@ -727,27 +654,31 @@ fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
             panic!("histogram {name} missing: {:?}", hist_names(m));
         })
     };
-    for stage in ["cache", "queue", "engine", "merge", "total"] {
+    for stage in ["cache", "queue", "engine", "total"] {
         let name = format!("ssr_stage_us{{stage=\"{stage}\"}}");
         assert_eq!(hist(&a, &name), hist(&b, &name), "{name} differs across codecs");
     }
-    let total = hist(&a, "ssr_stage_us{stage=\"total\"}");
-    assert_eq!(total.count, 16, "8 json + 8 ssb queries observed end-to-end");
+    let stage_count = |stage: &str| hist(&a, &format!("ssr_stage_us{{stage=\"{stage}\"}}")).count;
+    assert_eq!(stage_count("total"), 16, "8 ssb + 8 json queries observed end-to-end");
+    assert_eq!(stage_count("cache"), 16, "every query probes the cache once");
 
-    // Per-shard decomposition at shards=2: both shards recorded engine
-    // time, and both codecs agree on the bits.
-    for shard in 0..2 {
-        let name = format!("ssr_shard_engine_us{{shard=\"{shard}\"}}");
-        let h = hist(&a, &name);
-        assert!(h.count > 0, "{name} must have recorded engine work");
-        assert_eq!(hist(&b, &name), h);
-    }
-
-    // Per-codec counters: each wire counted its own traffic (8 queries +
-    // 1 metrics fetch each; the ssb fetch happened after json's).
     let get = |m: &ssr_serve::MetricsReply, name: &str| {
         m.snapshot.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0)
     };
+    let (flushes, jobs) =
+        (get(&a, "ssr_batch_flushes_total"), get(&a, "ssr_batch_flushed_jobs_total"));
+    assert_eq!(jobs, 8, "the burst's misses, and nothing else, were flushed");
+    assert!(flushes < jobs, "the burst must coalesce: {flushes} flushes for {jobs} jobs");
+    assert_eq!(stage_count("queue"), jobs, "one queue sample per flushed job");
+    assert_eq!(stage_count("engine"), jobs, "one engine sample per flushed job");
+
+    // One engine per snapshot: its gauges carry no shard label.
+    let gauge = |name: &str| a.snapshot.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+    assert!(gauge("ssr_engine_resident_bytes").is_some_and(|v| v > 0));
+    assert!(gauge("ssr_engine_sweeps").is_some_and(|v| v > 0));
+
+    // Per-codec counters: each wire counted its own traffic (8 queries +
+    // 1 metrics fetch each; the ssb fetch happened after json's).
     assert_eq!(get(&a, "ssr_requests_total{codec=\"json\"}"), 9);
     assert_eq!(get(&b, "ssr_requests_total{codec=\"json\"}"), 9);
     assert_eq!(get(&b, "ssr_requests_total{codec=\"ssb\"}"), 9);
@@ -756,7 +687,7 @@ fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
 
 /// Tentpole invariant: stage spans are disjoint sub-intervals of a
 /// request's life, so for every sampled request
-/// `decode + cache + queue + engine + merge + encode ≤ total`. The
+/// `decode + cache + queue + engine + encode ≤ total`. The
 /// sample is the slow-query log at a 1µs threshold — every query
 /// qualifies — and the lines carry the full per-stage breakdown.
 #[test]
@@ -789,7 +720,6 @@ fn stage_span_sums_bound_end_to_end_latency() {
             + field("cache_us")
             + field("queue_us")
             + field("engine_us")
-            + field("merge_us")
             + field("encode_us");
         assert!(sum <= total, "stage sum {sum}µs exceeds end-to-end {total}µs in: {line}");
     }
@@ -861,21 +791,20 @@ fn reload_from_binary_store_is_bit_identical_to_text() {
     bytes[last] ^= 0x40;
     std::fs::write(&bad_path, &bytes).unwrap();
     assert!(admin.reload(&bad_path.to_string_lossy()).is_err());
-    assert_eq!(admin.ping().unwrap().0, 2);
+    assert_eq!(admin.ping().unwrap(), 2);
     server.shutdown();
     for p in [&text_path, &ssg_path, &bad_path] {
         std::fs::remove_file(p).ok();
     }
 }
 
-/// Tracing tentpole acceptance: a server sampling every request
-/// (`trace_sample: 1`) across two engine shards answers bit-identically
-/// to an untraced single-engine server, every sampled reply carries its
-/// trace id, and every recorded trace satisfies the analyzer's
-/// invariants with per-shard engine spans.
+/// Tracing acceptance: a server sampling every request
+/// (`trace_sample: 1`) answers bit-identically to an untraced server,
+/// every sampled reply carries its trace id, and every recorded trace
+/// satisfies the analyzer's invariants, with the sweep's `theta-i` /
+/// `lambda-i` steps nested directly under the `engine` span.
 #[test]
-fn traced_sharded_answers_match_untraced_unsharded_bits() {
-    // Two weakly-connected components so both shards compute.
+fn traced_answers_match_untraced_bits() {
     let graph = || {
         DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap()
     };
@@ -884,7 +813,7 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
         graph(),
         "127.0.0.1",
         0,
-        ServerOptions { shards: 2, trace_sample: 1, ..Default::default() },
+        ServerOptions { trace_sample: 1, ..Default::default() },
     )
     .unwrap();
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
@@ -895,7 +824,7 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
             let Reply::Ok(y) = b.query(node, 5).unwrap() else { panic!("traced {node}") };
             assert_eq!(
                 x.matches, y.matches,
-                "{format:?} node {node}: tracing + sharding must not move answer bits"
+                "{format:?} node {node}: tracing must not move answer bits"
             );
             assert_eq!(x.trace_id, None, "untraced server must not stamp trace ids");
             assert!(y.trace_id.is_some(), "{format:?} node {node}: sampled reply carries its id");
@@ -906,7 +835,7 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
     assert_eq!(dump.version, ssr_obs::TRACE_SCHEMA_VERSION);
     assert_eq!(dump.sample_every, 1);
     assert!(dump.traces.len() >= 16, "16 sampled queries, got {} traces", dump.traces.len());
-    let mut shard_spans = 0usize;
+    let mut step_spans = 0usize;
     for t in &dump.traces {
         t.validate().unwrap_or_else(|e| panic!("trace {}: {e}", t.id));
         let has = |name: &str| t.spans.iter().any(|s| s.name == name);
@@ -914,13 +843,18 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
             assert!(has(required), "trace {} missing `{required}`", t.id);
         }
         if t.attr("cached") == Some("false") {
-            for required in ["queue", "engine", "merge"] {
+            for required in ["queue", "engine"] {
                 assert!(has(required), "uncached trace {} missing `{required}`", t.id);
             }
         }
-        shard_spans += t.spans.iter().filter(|s| s.name.starts_with("shard-")).count();
+        let engine = t.spans.iter().position(|s| s.name == "engine").map(|i| i as i64);
+        let is_step = |name: &str| name.starts_with("theta-") || name.starts_with("lambda-");
+        for step in t.spans.iter().filter(|s| is_step(&s.name)) {
+            assert_eq!(Some(step.parent), engine, "trace {}: {} outside `engine`", t.id, step.name);
+            step_spans += 1;
+        }
     }
-    assert!(shard_spans > 0, "per-shard engine spans must appear in the span trees");
+    assert!(step_spans > 0, "engine step spans must appear in the span trees");
     plain.shutdown();
     traced.shutdown();
 }
@@ -976,17 +910,13 @@ fn trace_op_is_codec_equivalent_and_sampling_retunes_at_runtime() {
 }
 
 /// The readiness probe's contract: `ping` answers with the live epoch
-/// and shard count on both codecs (what `serve-probe --healthz` prints).
+/// on both codecs (what `serve-probe --healthz` prints).
 #[test]
-fn ping_reports_epoch_and_shard_count() {
-    let graph =
-        DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap();
-    let server =
-        Server::start(graph, "127.0.0.1", 0, ServerOptions { shards: 2, ..Default::default() })
-            .unwrap();
+fn ping_reports_epoch() {
+    let server = start(ServerOptions::default());
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
         let mut client = Client::builder().protocol(format).connect(server.addr()).unwrap();
-        assert_eq!(client.ping().unwrap(), (0, 2), "{format:?}");
+        assert_eq!(client.ping().unwrap(), 0, "{format:?}");
     }
     server.shutdown();
 }

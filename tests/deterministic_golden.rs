@@ -1,6 +1,6 @@
 //! Deterministic answers pinned across commits. The property tests check
-//! that deterministic bits agree across lane widths, batches, backings,
-//! shards and codecs within one commit; these committed FNV-1a digests of
+//! that deterministic bits agree across lane widths, batches, backings
+//! and codecs within one commit; these committed FNV-1a digests of
 //! the query engine's deterministic answers on a seeded citation graph
 //! catch a change to the bits themselves. A change that alters them on
 //! purpose must say why and commit the new values, which the failure
