@@ -1,21 +1,19 @@
 //! All-pairs perf trajectory — `BENCH_allpairs.json`, the sibling of the
 //! query-engine benchmark ([`crate::query_bench`]).
 //!
-//! Six execution modes per dataset:
+//! Five execution modes per dataset:
 //!
 //! * **serial** — [`simrank_star::geometric::iterate_serial`]: the textbook
 //!   single-threaded row-at-a-time sweep (the pre-blocking baseline);
 //! * **blocked** — [`simrank_star::AllPairsEngine::full`] over the plain
 //!   kernel: 16-lane blocked kernel application + fused update, row blocks
 //!   dispatched over worker threads;
-//! * **memo** — the same sweep over the edge-concentrated kernel
-//!   (Algorithm 1's memoization), compression time reported separately;
+//! * **memo** — [`simrank_star::geometric::Memoized::run`]: the same
+//!   sweep over the edge-concentrated kernel (Algorithm 1's memoization),
+//!   compression time ([`simrank_star::geometric::Memoized::new`])
+//!   reported separately;
 //! * **topk** — [`simrank_star::AllPairsEngine::top_k_all`]: streaming
-//!   per-block ranking that never materializes the `n²` matrix, plain CSR
-//!   lane kernel;
-//! * **topk_memo** — the same ranking workload over the memoized kernel
-//!   (the head-to-head "memoized kernel vs plain CSR" comparison on the
-//!   compute-dense Horner path);
+//!   per-block ranking that never materializes the `n²` matrix;
 //! * **subset** — [`simrank_star::AllPairsEngine::rows`] on an
 //!   in-degree-stratified row sample (the partial-pairs path).
 //!
@@ -29,7 +27,8 @@
 //! gates it against the committed baseline with `bench_check`.
 
 use crate::timed;
-use simrank_star::{geometric, AllPairsEngine, AllPairsOptions, SimStarParams};
+use simrank_star::{geometric, AllPairsEngine, SimStarParams};
+use ssr_compress::CompressOptions;
 use ssr_datasets::{load, DatasetId};
 use ssr_eval::metrics::top_k_overlap;
 use ssr_eval::queries::select_queries;
@@ -117,7 +116,6 @@ struct DatasetReport {
     blocked: ModeStats,
     memo: ModeStats,
     topk: ModeStats,
-    topk_memo: ModeStats,
     subset: ModeStats,
 }
 
@@ -129,18 +127,13 @@ impl DatasetReport {
     fn speedup_memo_vs_blocked(&self) -> f64 {
         self.blocked.min_ms() / self.memo.min_ms().max(1e-9)
     }
-
-    /// Memoized kernel vs plain CSR on the streaming ranking workload.
-    fn speedup_memo_topk(&self) -> f64 {
-        self.topk.min_ms() / self.topk_memo.min_ms().max(1e-9)
-    }
 }
 
 /// Runs the benchmark, prints a summary table, and writes the JSON report.
 pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
     // (dataset, divisor, reps): sizes chosen so the serial baseline stays
     // in seconds; Web-Google's stand-in compresses hardest (R-MAT shares
-    // in-sets), so it demonstrates the memoized kernel's win.
+    // in-sets), the memoized kernel's best case.
     // Smoke needs enough work per pass (hundreds of ms) and enough passes
     // for a stable median: the regression gate compares medians across
     // runs, and a tiny workload's median drifts far more than 25% on a
@@ -157,19 +150,8 @@ pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
         ssr_linalg::available_threads()
     );
     println!(
-        "{:<11} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
-        "dataset",
-        "n",
-        "m",
-        "serial",
-        "blocked",
-        "memo",
-        "topk",
-        "topk_memo",
-        "subset",
-        "blk/ser",
-        "mem/blk",
-        "mem/topk"
+        "{:<11} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
+        "dataset", "n", "m", "serial", "blocked", "memo", "topk", "subset", "blk/ser", "mem/blk"
     );
     for &(id, divisor, reps) in &plan {
         let d = load(id, divisor);
@@ -177,10 +159,9 @@ pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
         let n = g.node_count();
 
         let (engine, build) = timed(|| AllPairsEngine::new(g, params));
-        let memo_opts = AllPairsOptions { compress: true, ..Default::default() };
-        let (memo_engine, memo_build) =
-            timed(|| AllPairsEngine::with_options(g, params, memo_opts));
-        let report_comp = memo_engine.compression().expect("compressed engine has stats");
+        let (memoized, memo_build) =
+            timed(|| geometric::Memoized::new(g, &CompressOptions::default()));
+        let report_comp = memoized.kernel().compressed().size_report();
 
         let serial = passes(reps, || {
             std::hint::black_box(geometric::iterate_serial(g, &params));
@@ -189,13 +170,10 @@ pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
             std::hint::black_box(engine.full());
         });
         let memo = passes(reps, || {
-            std::hint::black_box(memo_engine.full());
+            std::hint::black_box(memoized.run(&params));
         });
         let topk = passes(reps, || {
             std::hint::black_box(engine.top_k_all(TOP_K));
-        });
-        let topk_memo = passes(reps, || {
-            std::hint::black_box(memo_engine.top_k_all(TOP_K));
         });
         let subset_rows = {
             let mut q = select_queries(g, 5, SUBSET_ROWS.div_ceil(5), SEED);
@@ -237,11 +215,10 @@ pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
             blocked,
             memo,
             topk,
-            topk_memo,
             subset,
         };
         println!(
-            "{:<11} {:>6} {:>8} {:>8.0}ms {:>8.0}ms {:>8.0}ms {:>8.0}ms {:>8.0}ms {:>8.1}ms {:>7.2}x {:>7.2}x {:>7.2}x",
+            "{:<11} {:>6} {:>8} {:>8.0}ms {:>8.0}ms {:>8.0}ms {:>8.0}ms {:>8.1}ms {:>7.2}x {:>7.2}x",
             report.name,
             report.nodes,
             report.edges,
@@ -249,11 +226,9 @@ pub fn run_allpairs_bench(opts: &AllPairsBenchOptions) {
             report.blocked.min_ms(),
             report.memo.min_ms(),
             report.topk.min_ms(),
-            report.topk_memo.min_ms(),
             report.subset.min_ms(),
             report.speedup_blocked_vs_serial(),
             report.speedup_memo_vs_blocked(),
-            report.speedup_memo_topk(),
         );
         reports.push(report);
     }
@@ -292,7 +267,6 @@ fn render_json(smoke: bool, reports: &[DatasetReport]) -> String {
         let _ = writeln!(s, "        \"blocked\": {},", r.blocked.json());
         let _ = writeln!(s, "        \"memo\": {},", r.memo.json());
         let _ = writeln!(s, "        \"topk\": {},", r.topk.json());
-        let _ = writeln!(s, "        \"topk_memo\": {},", r.topk_memo.json());
         let _ = writeln!(s, "        \"subset\": {}", r.subset.json());
         s.push_str("      },\n");
         let _ = writeln!(
@@ -301,8 +275,7 @@ fn render_json(smoke: bool, reports: &[DatasetReport]) -> String {
             r.speedup_blocked_vs_serial()
         );
         let _ =
-            writeln!(s, "      \"speedup_memo_vs_blocked\": {:.2},", r.speedup_memo_vs_blocked());
-        let _ = writeln!(s, "      \"speedup_memo_topk\": {:.2}", r.speedup_memo_topk());
+            writeln!(s, "      \"speedup_memo_vs_blocked\": {:.2}", r.speedup_memo_vs_blocked());
         s.push_str(if i + 1 < reports.len() { "    },\n" } else { "    }\n" });
     }
     s.push_str("  ]\n}\n");
@@ -344,7 +317,6 @@ mod tests {
             blocked: stats(),
             memo: stats(),
             topk: stats(),
-            topk_memo: stats(),
             subset: stats(),
         };
         let json = render_json(true, &[r]);
@@ -354,12 +326,11 @@ mod tests {
             "\"blocked\"",
             "\"memo\"",
             "\"topk\"",
-            "\"topk_memo\"",
             "\"subset\"",
             "\"min_ms\"",
             "\"median_ms\"",
             "\"speedup_blocked_vs_serial\"",
-            "\"speedup_memo_topk\"",
+            "\"speedup_memo_vs_blocked\"",
             "\"compression\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");

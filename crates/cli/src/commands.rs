@@ -25,21 +25,21 @@ COMMANDS:
             [--c 0.6] [--k 5] [--threshold 0] [--format text|json]
             [--output FILE] [--load-full false]
   allpairs  block-parallel all-pairs SimRank* through the AllPairsEngine
-            --input FILE [--top-k K] [--subset ID,ID,...] [--compress false]
+            --input FILE [--top-k K] [--subset ID,ID,...]
             [--threads 0] [--blocks 0] [--c 0.6] [--k 5] [--threshold 0]
             [--format text|json] [--output FILE] [--load-full false]
             [--memory false]
             --subset computes only those rows (partial pairs); --top-k
             streams per-row rankings without materializing the matrix —
             both run straight off a v2 .ssg store (bounded memory); the
-            full matrix and --compress need the in-memory CSR (--load-full
-            true on v2 input); --compress runs the memoized (edge-
-            concentrated) kernel and reports its compression stats;
-            --format json emits machine-readable output (rankings share
-            the serve protocol's matches shape)
+            full matrix needs the in-memory CSR (--load-full true on v2
+            input); compute --algo memo-gsr gives the same matrix through
+            the memoized (edge-concentrated) kernel; --format json emits
+            machine-readable output (rankings share the serve protocol's
+            matches shape)
   query     single-source SimRank* through the amortized QueryEngine
             --input FILE (--node ID | --nodes ID,ID,... | --batch N)
-            [--top-k 10] [--c 0.6] [--k 5] [--seed 0] [--compress false]
+            [--top-k 10] [--c 0.6] [--k 5] [--seed 0]
             [--format text|json] [--load-full false] [--memory false]
             [--deterministic false]
             --nodes/--batch run the batched lane kernel; --batch samples N
@@ -47,9 +47,7 @@ COMMANDS:
             a v2 .ssg input streams adjacency off the mmap-backed store
             (no full CSR in memory) unless --load-full true; --memory
             prints a resident-bytes accounting line; --deterministic makes
-            results batch-composition-independent bit for bit and turns
-            --compress off (deterministic sweeps never run the edge-
-            concentrated kernel);
+            results batch-composition-independent bit for bit;
             --format json emits the serve protocol's machine-readable
             result shape
   serve     concurrent query server (newline-JSON and binary ssb/1 over
@@ -108,8 +106,8 @@ COMMANDS:
             accepts .ssg files for --input (format sniffed by content);
             v2 stores stream through query/allpairs row paths, while
             full-CSR paths (compute, stats, audit, the all-pairs full
-            matrix, --compress, --batch) refuse them unless --load-full
-            true decodes the whole graph
+            matrix, --batch) refuse them unless --load-full true decodes
+            the whole graph
             store build  --input FILE --output FILE.ssg
                          [--dataset NAME] [--divisor N] [--build-params S]
                          [--store-version 2]
@@ -342,7 +340,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
             "k",
             "top-k",
             "subset",
-            "compress",
             "threads",
             "blocks",
             "threshold",
@@ -367,7 +364,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
         ));
     }
     let opts = AllPairsOptions {
-        compress: args.get("compress", false)?,
         threads: args.get("threads", 0usize)?,
         block_rows: args.get("blocks", 0usize)?,
         ..Default::default()
@@ -393,13 +389,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
     } else {
         load_graph_source(&args)?
     };
-    if opts.compress && matches!(source, GraphSource::Access(_)) {
-        return Err(ArgError(
-            "--compress needs the in-memory graph (edge concentration reads the whole \
-             adjacency); pass `--load-full true`"
-                .into(),
-        ));
-    }
     let n = source.node_count();
     if let Some(rows) = &subset {
         if rows.is_empty() {
@@ -427,16 +416,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
     );
     if args.get("memory", false)? {
         out.push_str(&memory_line(engine.resident_bytes(), &source));
-    }
-    if let Some(r) = engine.compression() {
-        out.push_str(&format!(
-            "# compression: m={} m~={} ratio={:.1}% concentrators={} bytes={}\n",
-            r.original_edges,
-            r.compressed_edges,
-            100.0 * r.ratio,
-            r.concentrators,
-            r.estimated_bytes,
-        ));
     }
     let json_mode = format == OutputFormat::Json;
     if top > 0 {
@@ -558,7 +537,6 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
             "c",
             "k",
             "seed",
-            "compress",
             "format",
             "json",
             "load-full",
@@ -618,17 +596,9 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
         }
     }
     let opts = QueryEngineOptions {
-        compress: args.get("compress", false)?,
         deterministic: args.get("deterministic", false)?,
         ..Default::default()
     };
-    if opts.compress && matches!(source, GraphSource::Access(_)) {
-        return Err(ArgError(
-            "--compress needs the in-memory graph (edge concentration reads the whole \
-             adjacency); pass `--load-full true`"
-                .into(),
-        ));
-    }
     let engine = source.query_engine(params, opts);
     let memory = if args.get("memory", false)? {
         memory_line(engine.resident_bytes(), &source)
@@ -996,19 +966,34 @@ mod tests {
     }
 
     #[test]
-    fn allpairs_compress_reports_stats() {
+    fn compute_memo_gsr_matches_allpairs_full() {
+        use ssr_serve::json::{parse_json, Json};
+        // The memoized full matrix and the engine's plain one name the same
+        // pairs with scores within 1e-10. JSON carries shortest-round-trip
+        // scores: the 7-digit text can differ in its last digit.
         let p = tmp_graph();
-        let plain = run("allpairs", &toks(&format!("--input {p} --k 4"))).unwrap();
-        assert!(!plain.contains("# compression"));
-        let memo = run("allpairs", &toks(&format!("--input {p} --k 4 --compress true"))).unwrap();
-        assert!(memo.contains("# compression"), "{memo}");
-        assert!(memo.contains("ratio="));
-        assert!(memo.contains("bytes="));
-        // Same scores either way.
-        let strip = |s: &str| {
-            s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
+        let entries = |cmd: &str, extra: &str| {
+            let out = run(cmd, &toks(&format!("--input {p} --k 4 --format json{extra}"))).unwrap();
+            let doc = parse_json(out.trim()).unwrap();
+            doc.get("entries")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|e| {
+                    let e = e.as_arr().unwrap();
+                    let num = |i: usize| e[i].as_num().unwrap();
+                    (num(0) as u32, num(1) as u32, num(2))
+                })
+                .collect::<Vec<_>>()
         };
-        assert_eq!(strip(&plain), strip(&memo));
+        let memo = entries("compute", " --algo memo-gsr");
+        let full = entries("allpairs", "");
+        assert!(!memo.is_empty());
+        assert_eq!(memo.len(), full.len());
+        for (&(a, b, s), &(fa, fb, fs)) in memo.iter().zip(&full) {
+            assert_eq!((a, b), (fa, fb));
+            assert!((s - fs).abs() < 1e-10, "({a}, {b}): memo {s} vs plain {fs}");
+        }
     }
 
     #[test]
@@ -1092,16 +1077,6 @@ mod tests {
         assert!(out.contains("batched top-3"));
         let rows = out.lines().filter(|l| !l.starts_with('#')).count();
         assert!(rows > 0 && rows <= 12, "{rows}");
-    }
-
-    #[test]
-    fn query_compressed_engine_matches_plain() {
-        let p = tmp_graph();
-        let plain = run("query", &toks(&format!("--input {p} --nodes 1,2 --top-k 3"))).unwrap();
-        let memo =
-            run("query", &toks(&format!("--input {p} --nodes 1,2 --top-k 3 --compress true")))
-                .unwrap();
-        assert_eq!(plain, memo);
     }
 
     #[test]
@@ -1442,15 +1417,9 @@ mod tests {
             let reference = run(cmd, &toks(&args.replacen(&ssg, &text, 1))).unwrap();
             assert_eq!(out, reference, "{cmd}");
         }
-        // Batched sampling and edge concentration also need the CSR.
+        // Batched sampling also needs the CSR.
         let err = run("query", &toks(&format!("--input {ssg} --batch 3"))).unwrap_err();
         assert!(err.0.contains("--load-full"), "{err}");
-        let err =
-            run("query", &toks(&format!("--input {ssg} --node 8 --compress true"))).unwrap_err();
-        assert!(err.0.contains("--compress needs the in-memory graph"), "{err}");
-        let err = run("allpairs", &toks(&format!("--input {ssg} --top-k 2 --compress true")))
-            .unwrap_err();
-        assert!(err.0.contains("--compress needs the in-memory graph"), "{err}");
         std::fs::remove_file(&ssg).ok();
     }
 

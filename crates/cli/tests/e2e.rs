@@ -81,19 +81,8 @@ fn allpairs_pipeline() {
         "--output", graph,
     ]);
 
-    // Streaming top-k over the memoized kernel, with compression stats.
-    let ranked = run_ok(&[
-        "allpairs",
-        "--input",
-        graph,
-        "--top-k",
-        "3",
-        "--compress",
-        "true",
-        "--threads",
-        "2",
-    ]);
-    assert!(ranked.contains("# compression"), "{ranked}");
+    // Streaming top-k.
+    let ranked = run_ok(&["allpairs", "--input", graph, "--top-k", "3", "--threads", "2"]);
     assert!(ranked.lines().filter(|l| !l.starts_with('#')).count() > 0);
 
     // Partial pairs for two rows must match the full matrix's rows.

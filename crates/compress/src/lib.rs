@@ -2,11 +2,14 @@
 //!
 //! Section 4.3 of the paper: the per-iteration cost of SimRank\*'s
 //! fine-grained memoization equals the edge count of the induced bigraph
-//! `G̃`, so we compress `G̃` by replacing each **biclique** `(X, Y)`
-//! (`|X|·|Y|` edges) with a *concentrator node* (`|X| + |Y|` edges). Minimum
-//! edge concentration is NP-hard (X. Lin, DAM 2000); following the paper we
-//! use a frequent-itemset–flavoured greedy heuristic in the spirit of
-//! Buehrer & Chellapilla (WSDM'08):
+//! `G̃ = (T ∪ B, Ẽ)` (Definition 2: `T` holds the nodes with out-edges, `B`
+//! those with in-edges, and each edge `u → v` is a bigraph edge, so bottom
+//! node `v`'s neighborhood is its in-neighbor set `I(v)`). So we compress
+//! `G̃`, mining the in-neighbor sets directly, by replacing each
+//! **biclique** `(X, Y)` (`|X|·|Y|` edges) with a *concentrator node*
+//! (`|X| + |Y|` edges). Minimum edge concentration is NP-hard (X. Lin, DAM
+//! 2000); following the paper we use a frequent-itemset–flavoured greedy
+//! heuristic in the spirit of Buehrer & Chellapilla (WSDM'08):
 //!
 //! 1. **Duplicate grouping** — bottom nodes with identical in-neighbor sets
 //!    immediately form a biclique (hash-group, `O(m)`).

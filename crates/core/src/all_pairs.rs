@@ -1,9 +1,8 @@
 //! Block-parallel all-pairs SimRank\* engine.
 //!
 //! The paper's headline experiments are *all-pairs*: the full `n × n`
-//! similarity matrix, made tractable by fine-grained memoization
-//! (Algorithm 1 over the edge-concentrated kernel). This module gives that
-//! workload the same scale treatment the single-source [`QueryEngine`] got:
+//! similarity matrix. This module gives that workload the same scale
+//! treatment the single-source [`QueryEngine`] got:
 //!
 //! * **Block-parallel full sweep** — [`AllPairsEngine::full`] runs the
 //!   geometric recurrence `Ŝ_{k+1} = (C/2)(Ŝ_k Qᵀ + (Ŝ_k Qᵀ)ᵀ) + (1−C)·I`
@@ -14,11 +13,6 @@
 //!   into one parallel pass (the seed path ran it as three serial sweeps
 //!   plus a fresh `n×n` allocation per iteration; here two ping-pong
 //!   buffers live for the whole run).
-//! * **Memoized kernels** — with [`AllPairsOptions::compress`] the sweep
-//!   applies the [`crate::CompressedRightMultiplier`] (edge concentration,
-//!   `O(n·(m̃+n))` per iteration instead of `O(n·(m+n))`), so the paper's
-//!   memoization speedup finally reaches the all-pairs path through the
-//!   same engine surface as everything else.
 //! * **Partial pairs** — [`AllPairsEngine::rows`] computes an arbitrary
 //!   row subset without paying for `n²`: each 16-row chunk of requested
 //!   rows runs the [`QueryEngine`]'s two-pass Horner sweep exactly as
@@ -33,7 +27,10 @@
 //! [`crate::geometric::Memoized::run`] are thin exact-compatible wrappers
 //! over the full sweep; the pre-blocking textbook loop survives as
 //! [`crate::geometric::iterate_serial`] — the benchmark baseline and the
-//! property-test oracle.
+//! property-test oracle. The engine itself always applies the plain kernel:
+//! the paper's memoized kernel (Algorithm 1 over the edge-concentrated
+//! graph) runs only through the two `Memoized` types,
+//! [`crate::geometric::Memoized`] and [`crate::exponential::Memoized`].
 //!
 //! ```text
 //! full(): one iteration, T worker threads, row blocks of `block_rows`
@@ -52,7 +49,6 @@
 use crate::kernel::{transpose_into, PlainRightMultiplier, RightMultiplier, BLOCK};
 use crate::query_engine::{partial_top_k, QueryEngineOptions, SeriesKind};
 use crate::{QueryEngine, SimStarParams, SimilarityMatrix};
-use ssr_compress::{CompressOptions, SizeReport};
 use ssr_graph::{DiGraph, NodeId};
 use ssr_linalg::{available_threads, dispatch_row_blocks, Dense};
 
@@ -64,12 +60,6 @@ pub struct AllPairsOptions {
     /// partial sum (the lattice form, like
     /// [`crate::series::exponential_partial_sum`]).
     pub kind: SeriesKind,
-    /// Run every sweep over the edge-concentrated kernel (Algorithm 1's
-    /// memoization). Compression is a preprocessing phase and runs eagerly
-    /// at engine construction.
-    pub compress: bool,
-    /// Compression options used when `compress` is set.
-    pub compress_options: CompressOptions,
     /// Worker threads for the block dispatch. `0` (the default) uses
     /// [`ssr_linalg::available_threads`]; an explicit count overrides it
     /// (the property tests pin results across arbitrary counts — blocking
@@ -84,13 +74,7 @@ pub struct AllPairsOptions {
 
 impl Default for AllPairsOptions {
     fn default() -> Self {
-        AllPairsOptions {
-            kind: SeriesKind::Geometric,
-            compress: false,
-            compress_options: CompressOptions::default(),
-            threads: 0,
-            block_rows: 0,
-        }
+        AllPairsOptions { kind: SeriesKind::Geometric, threads: 0, block_rows: 0 }
     }
 }
 
@@ -111,10 +95,8 @@ impl Default for AllPairsOptions {
 /// ```
 pub struct AllPairsEngine {
     qe: QueryEngine,
-    /// Plain-kernel twin of the query engine's lane kernel for the full
-    /// sweep (walks raw adjacency: add-then-scale, exactly the seed
-    /// kernel). `None` when `compress` is set — then the sweep shares the
-    /// query engine's compressed kernel.
+    /// The full sweep's kernel (walks raw adjacency: add-then-scale,
+    /// exactly the seed kernel). `None` on an access backing.
     plain: Option<PlainRightMultiplier>,
     opts: AllPairsOptions,
 }
@@ -126,35 +108,24 @@ impl AllPairsEngine {
     }
 
     /// Builds an engine: copies the graph's adjacency, precomputes the
-    /// `1/|I(v)|` weights, the lattice coefficient table, and the plain or
-    /// edge-concentrated kernel — all shared by every subsequent sweep.
+    /// `1/|I(v)|` weights, the lattice coefficient table, and the plain
+    /// kernel — all shared by every subsequent sweep.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: AllPairsOptions) -> Self {
-        let qe_opts = QueryEngineOptions {
-            kind: opts.kind,
-            compress: opts.compress,
-            compress_options: opts.compress_options,
-            ..QueryEngineOptions::default()
-        };
+        let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_options(g, params, qe_opts);
-        let plain = if opts.compress { None } else { Some(PlainRightMultiplier::new(g)) };
-        AllPairsEngine { qe, plain, opts }
+        AllPairsEngine { qe, plain: Some(PlainRightMultiplier::new(g)), opts }
     }
 
     /// Builds an engine over a random-access backing (e.g. an on-disk
     /// `.ssg` store) without materialising the CSR. Subset [`Self::rows`]
     /// and [`Self::top_k`] work as usual; the Geometric [`Self::full`]
-    /// sweep needs the in-memory kernels and panics — load the graph fully
-    /// for the full matrix. `compress` is likewise rejected (edge
-    /// concentration needs the whole graph in memory).
+    /// sweep needs the in-memory kernel and panics — load the graph fully
+    /// for the full matrix.
     pub fn with_access(
         src: std::sync::Arc<dyn ssr_graph::NeighborAccess>,
         params: SimStarParams,
         opts: AllPairsOptions,
     ) -> Self {
-        assert!(
-            !opts.compress,
-            "edge concentration needs an in-memory graph; load the graph fully to compress"
-        );
         let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_access(src, params, qe_opts);
         AllPairsEngine { qe, plain: None, opts }
@@ -175,26 +146,16 @@ impl AllPairsEngine {
         &self.opts
     }
 
-    /// What edge concentration bought (`None` without `compress`): the
-    /// footnote-15 ratio, compressed edge count, and resident bytes — so
-    /// memoization wins are visible without a benchmark run.
-    pub fn compression(&self) -> Option<SizeReport> {
-        self.qe.compressed_kernel().map(|k| k.compressed().size_report())
+    /// The kernel the full sweep applies.
+    fn kernel(&self) -> &PlainRightMultiplier {
+        self.plain.as_ref().expect(
+            "the all-pairs full sweep needs an in-memory graph backing; \
+             load the graph fully (or use rows()/top_k(), which stream)",
+        )
     }
 
-    /// The kernel the full sweep applies (plain or memoized).
-    fn kernel(&self) -> &dyn RightMultiplier {
-        match &self.plain {
-            Some(k) => k,
-            None => self.qe.compressed_kernel().expect(
-                "the all-pairs full sweep needs an in-memory graph backing; \
-                 load the graph fully (or use rows()/top_k(), which stream)",
-            ),
-        }
-    }
-
-    /// Approximate resident bytes of the engine (graph backing plus
-    /// precomputed kernels) — see [`QueryEngine::resident_bytes`].
+    /// Approximate resident bytes of the engine (graph backing plus the
+    /// precomputed kernel) — see [`QueryEngine::resident_bytes`].
     pub fn resident_bytes(&self) -> usize {
         self.qe.resident_bytes() + self.plain.as_ref().map_or(0, |k| k.resident_bytes())
     }
@@ -446,7 +407,7 @@ mod tests {
             DiGraph::from_edges(5, &[(2, 1), (1, 0), (2, 3), (3, 4)]).unwrap(),
             DiGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 4)])
                 .unwrap(),
-            // K_{2,3} plus a tail: compresses, has an isolated node.
+            // K_{2,3} plus a tail: has an isolated node.
             DiGraph::from_edges(7, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (4, 5)])
                 .unwrap(),
         ]
@@ -482,19 +443,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn memoized_full_matches_plain() {
-        for g in graphs() {
-            let p = SimStarParams { c: 0.8, iterations: 5 };
-            let plain = AllPairsEngine::new(&g, p).full();
-            let opts = AllPairsOptions { compress: true, threads: 3, ..Default::default() };
-            let engine = AllPairsEngine::with_options(&g, p, opts);
-            let memo = engine.full();
-            assert!(plain.matrix().approx_eq(memo.matrix(), 1e-12));
-            assert!(engine.compression().is_some());
         }
     }
 
@@ -576,7 +524,6 @@ mod tests {
         let engine = AllPairsEngine::new(g, SimStarParams::default());
         assert_eq!(engine.rows(&[]).rows(), 0);
         assert!(engine.top_k(&[], 3).is_empty());
-        assert!(engine.compression().is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! | per-path contribution rates (§3.2 examples) | [`series::path_contribution`] |
 //! | single-source queries (the evaluation's workload) | [`single_source`] — `O(K²m)` per query |
 //! | amortized query serving (this repo's extension) | [`QueryEngine`] — precomputed state, sparse-frontier sweeps, batched lanes, top-k |
-//! | block-parallel all-pairs (this repo's extension) | [`AllPairsEngine`] — threaded row-block sweeps, memoized kernels, partial pairs, streaming top-k |
+//! | block-parallel all-pairs (this repo's extension) | [`AllPairsEngine`] — threaded row-block sweeps, partial pairs, streaming top-k |
 //! | exact fixed point (Sylvester solve, ground truth) | [`exact::solve_exact`] |
 //! | per-path score decomposition (§3.2 rates) | [`explain::explain_pair`] |
 //!

@@ -11,8 +11,7 @@
 //!   backing) plus `inv_in[v] = 1/|I(v)|`, built once per graph and shared
 //!   by every query. `Q`'s row `x` is `I(x)` at weight `inv_in[x]` and
 //!   `Qᵀ`'s row `i` is `O(i)` at weight `inv_in[j]` per entry `j`, so
-//!   neither is materialised as a matrix. The edge-concentrated kernel
-//!   from `ssr-compress` is built only on request.
+//!   neither is materialised as a matrix.
 //! * **Two-pass Horner sweep** — the lattice
 //!   `Σ_θ Σ_λ c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as `Σ_λ V_λ(Qᵀ)^λ`
 //!   with `V_λ = Σ_θ c[θ][λ]·u_θ`: a forward pass advances
@@ -46,10 +45,9 @@
 //! whether the step is a sorted sparse push or, on the in-memory backing,
 //! a dense scatter or gather.
 
-use crate::kernel::{CompressedRightMultiplier, RightMultiplier, BLOCK};
+use crate::kernel::BLOCK;
 use crate::series::{exponential_weights, geometric_weights, lattice_coeffs};
 use crate::SimStarParams;
-use ssr_compress::CompressOptions;
 use ssr_graph::components::{weakly_connected_components, weakly_connected_components_from_edges};
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use ssr_linalg::Dense;
@@ -101,15 +99,6 @@ pub struct QueryEngineOptions {
     /// staying sparse longer — the default (0.25) is higher than the
     /// one-lane `density_cutoff`.
     pub batch_density_cutoff: f64,
-    /// Run the 16-lane sweep's dense Horner steps over the
-    /// edge-concentrated graph (Algorithm 1's memoization) instead of raw
-    /// adjacency. Compression is a preprocessing phase — the paper times it
-    /// separately — so it runs eagerly at engine construction. Deterministic
-    /// mode turns it off: the kernel regroups sums, so its bits differ from
-    /// the sparse push's.
-    pub compress: bool,
-    /// Compression options used when `compress` is set.
-    pub compress_options: CompressOptions,
     /// Batch-composition-independent arithmetic: every query produces the
     /// same bits whether it runs alone, in any batch, at either lane width,
     /// next to any other lanes, or on either backing. Sparse active lists
@@ -119,7 +108,7 @@ pub struct QueryEngineOptions {
     /// access backing's dense gather adds before it scales, so its
     /// deterministic sweeps stay sparse. `frontier_epsilon` is forced to
     /// `0` (the union-support pruning rule would let one lane's magnitude
-    /// decide another lane's support) and `compress` is turned off.
+    /// decide another lane's support).
     /// Serving layers that cache results keyed by `(node, params)` need
     /// this — otherwise a cache hit and a recompute can disagree in the
     /// last ulps. Costs the pruning speedup; off by default.
@@ -133,8 +122,6 @@ impl Default for QueryEngineOptions {
             frontier_epsilon: 1e-13,
             density_cutoff: 0.125,
             batch_density_cutoff: 0.25,
-            compress: false,
-            compress_options: CompressOptions::default(),
             deterministic: false,
         }
     }
@@ -142,7 +129,7 @@ impl Default for QueryEngineOptions {
 
 impl QueryEngineOptions {
     /// A stable 64-bit key over every option that can change query
-    /// *results* (series kind, epsilon, cutoffs, compression, determinism).
+    /// *results* (series kind, epsilon, cutoffs, determinism).
     /// Unlike `Hash`, the value is fixed across processes and releases of
     /// the standard library, so it is safe to persist or to key a result
     /// cache shared between runs. Combine with
@@ -156,7 +143,6 @@ impl QueryEngineOptions {
         h = h.push(self.frontier_epsilon.to_bits());
         h = h.push(self.density_cutoff.to_bits());
         h = h.push(self.batch_density_cutoff.to_bits());
-        h = h.push(self.compress as u64);
         h = h.push(self.deterministic as u64);
         h.0
     }
@@ -650,9 +636,6 @@ pub struct QueryEngine {
     theta_tail: Vec<f64>,
     params: SimStarParams,
     opts: QueryEngineOptions,
-    /// The edge-concentrated `X·Qᵀ` kernel (`opts.compress`), built
-    /// eagerly; 16-lane sweeps run their dense Horner steps through it.
-    compressed: Option<CompressedRightMultiplier>,
     /// Weakly-connected component label per node: batches are chunked by
     /// component so the lanes of a chunk share frontier support (lanes
     /// outside a node's component are provably zero — packing unrelated
@@ -673,15 +656,12 @@ impl QueryEngine {
     }
 
     /// Builds an engine over a copy of `g`'s adjacency, precomputing the
-    /// `1/|I(v)|` weights, the lattice coefficient table, and (if
-    /// `opts.compress`) the edge-concentrated lane kernel.
+    /// `1/|I(v)|` weights and the lattice coefficient table.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let opts = validate_options(params, opts);
-        let compressed =
-            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
         let component = weakly_connected_components(g).label;
         let inv_in = inv_in_degrees(g);
-        Self::build(Backing::Memory(g.clone()), inv_in, component, compressed, params, opts)
+        Self::build(Backing::Memory(g.clone()), inv_in, component, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -697,20 +677,12 @@ impl QueryEngine {
     /// coincides exactly. A deterministic sweep on this backing stays
     /// sparse (its dense Horner gather adds before it scales, which is not
     /// the sparse push's arithmetic); the in-memory engine densifies.
-    ///
-    /// `opts.compress` is incompatible with access backings (edge
-    /// concentration needs the materialised graph) and panics, unless
-    /// deterministic mode has already turned it off.
     pub fn with_access(
         src: Arc<dyn NeighborAccess>,
         params: SimStarParams,
         opts: QueryEngineOptions,
     ) -> Self {
         let opts = validate_options(params, opts);
-        assert!(
-            !opts.compress,
-            "edge concentration needs an in-memory graph; load the graph fully to compress"
-        );
         let n = src.node_count();
         let inv_in = inv_in_degrees(&*src);
         // Component labels from the edge stream (no DiGraph materialised;
@@ -724,14 +696,13 @@ impl QueryEngine {
             }),
         )
         .label;
-        Self::build(Backing::Access(src), inv_in, component, None, params, opts)
+        Self::build(Backing::Access(src), inv_in, component, params, opts)
     }
 
     fn build(
         backing: Backing,
         inv_in: Vec<f64>,
         component: Vec<u32>,
-        compressed: Option<CompressedRightMultiplier>,
         params: SimStarParams,
         opts: QueryEngineOptions,
     ) -> Self {
@@ -744,7 +715,6 @@ impl QueryEngine {
             theta_tail,
             params,
             opts,
-            compressed,
             component,
             solo_scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
@@ -765,18 +735,15 @@ impl QueryEngine {
 
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (the graph copy's adjacency in both directions, or the
-    /// access source's own accounting), the `O(n)` weight vector and
-    /// component labels, and the edge-concentrated kernel if built.
-    /// Scratch pools and coefficient tables (`O(K²)`) are excluded — they
-    /// are query-, not graph-, proportional.
+    /// access source's own accounting) and the `O(n)` weight vector and
+    /// component labels. Scratch pools and coefficient tables (`O(K²)`)
+    /// are excluded — they are query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
             Backing::Memory(g) => g.estimated_bytes(),
             Backing::Access(src) => src.resident_bytes(),
         };
-        let kernel = self.compressed.as_ref().map_or(0, |k| k.compressed().estimated_bytes());
         backing
-            + kernel
             + self.inv_in.len() * std::mem::size_of::<f64>()
             + self.component.len() * std::mem::size_of::<u32>()
     }
@@ -794,12 +761,6 @@ impl QueryEngine {
     /// Frozen lifetime work counters — see [`EngineStatsSnapshot`].
     pub fn stats(&self) -> EngineStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Compression ratio of the edge-concentrated kernel (0 when not
-    /// compressed).
-    pub fn compression_ratio(&self) -> f64 {
-        self.compressed.as_ref().map_or(0.0, |k| k.compression_ratio())
     }
 
     /// Single-source scores `ŝ(q, ·)` as a fresh vector.
@@ -1005,20 +966,18 @@ impl QueryEngine {
     ///
     /// `q_rows` pushes `Q` rows (u-advance) and `qt_rows` pushes `Qᵀ` rows
     /// (Horner advance). Once dense, the u-advance pushes the `Q` row of
-    /// every nonzero node, and the Horner advance gathers `Q` rows (or, for
-    /// 16-lane sweeps of a compressed engine, runs the edge-concentrated
-    /// kernel) — the arithmetic the 16-lane sweep always had, lane for
-    /// lane. Where that gather gives the push's bits
-    /// ([`PushRows::GATHER_MATCHES_PUSH`]), a one-lane Horner advance
-    /// pushes the `Qᵀ` row of every nonzero node instead: a frontier just
-    /// past the cutoff is still mostly zero, and a gather would read every
-    /// edge. A deterministic sweep densifies only on those backings, where
-    /// every dense step reproduces the sorted sparse push's bits; the
-    /// kernel is never built in deterministic mode. Leaves the folded
-    /// result in `s.w` (lane-major) for [`BlockScratch::emit_lanes`]; every
-    /// other scratch frontier is left cleared. With `trace` set, every
-    /// advance is individually timed and recorded — strictly between
-    /// advances, so traced results stay bitwise identical to untraced ones.
+    /// every nonzero node, and the Horner advance gathers `Q` rows — the
+    /// arithmetic the 16-lane sweep always had, lane for lane. Where that
+    /// gather gives the push's bits ([`PushRows::GATHER_MATCHES_PUSH`]), a
+    /// one-lane Horner advance pushes the `Qᵀ` row of every nonzero node
+    /// instead: a frontier just past the cutoff is still mostly zero, and a
+    /// gather would read every edge. A deterministic sweep densifies only on
+    /// those backings, where every dense step reproduces the sorted sparse
+    /// push's bits. Leaves the folded result in `s.w` (lane-major) for
+    /// [`BlockScratch::emit_lanes`]; every other scratch frontier is left
+    /// cleared. With `trace` set, every advance is individually timed and
+    /// recorded — strictly between advances, so traced results stay bitwise
+    /// identical to untraced ones.
     fn sweep_with<const W: usize, Q: PushRows, Qt: PushRows>(
         &self,
         queries: &[NodeId],
@@ -1036,7 +995,6 @@ impl QueryEngine {
         // the sweep sparse.
         let cutoff =
             if det && !Q::GATHER_MATCHES_PUSH { self.n } else { (cutoff * self.n as f64) as usize };
-        let kernel = self.compressed.as_ref().filter(|_| W == BLOCK);
         let timed = trace.is_some();
         let mut tally = Tally::default();
         let mut record =
@@ -1089,10 +1047,12 @@ impl QueryEngine {
             if !s.w.is_zero() {
                 // r ← r·Qᵀ: push over Qᵀ rows, or gather over Q rows.
                 let started = timed.then(Instant::now);
-                advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, |x, y| match kernel {
-                    Some(kernel) => kernel.apply_block(x.as_flattened(), y.as_flattened_mut(), W),
-                    None if W == 1 && Q::GATHER_MATCHES_PUSH => scatter::<W>(qt_rows, x, y),
-                    None => gather::<W>(q_rows, x, y),
+                advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, |x, y| {
+                    if W == 1 && Q::GATHER_MATCHES_PUSH {
+                        scatter::<W>(qt_rows, x, y)
+                    } else {
+                        gather::<W>(q_rows, x, y)
+                    }
                 });
                 record(&s.w, 1, lambda, started);
             }
@@ -1100,13 +1060,6 @@ impl QueryEngine {
             s.vs[lambda].clear();
         }
         self.stats.flush(queries.len() as u64, W as u64, &tally);
-    }
-
-    /// The edge-concentrated lane kernel, when the engine was built with
-    /// `compress` (shared with the all-pairs engine so compression runs
-    /// once per graph).
-    pub(crate) fn compressed_kernel(&self) -> Option<&CompressedRightMultiplier> {
-        self.compressed.as_ref()
     }
 }
 
@@ -1119,16 +1072,14 @@ fn length_weights(params: &SimStarParams, kind: SeriesKind) -> Vec<f64> {
 }
 
 /// Shared constructor validation (both backings): parameter checks plus
-/// deterministic mode forcing `frontier_epsilon = 0` and `compress` off
-/// (see the option docs).
+/// deterministic mode forcing `frontier_epsilon = 0` (see the option docs).
 fn validate_options(params: SimStarParams, mut opts: QueryEngineOptions) -> QueryEngineOptions {
     params.validate();
     if opts.deterministic {
-        // Pruning couples lanes and the edge-concentrated kernel regroups
-        // sums (see the option docs); everything else deterministic mode
-        // needs is handled in the sweep and the advance function.
+        // Pruning couples lanes (see the option docs); everything else
+        // deterministic mode needs is handled in the sweep and the advance
+        // function.
         opts.frontier_epsilon = 0.0;
-        opts.compress = false;
     }
     assert!(opts.frontier_epsilon >= 0.0, "epsilon must be non-negative");
     assert!(
@@ -1372,21 +1323,18 @@ mod tests {
 
     #[test]
     fn batched_rows_match_single_queries() {
-        for compress in [false, true] {
-            for g in graphs() {
-                let p = SimStarParams { c: 0.7, iterations: 5 };
-                let opts = QueryEngineOptions { compress, ..Default::default() };
-                let engine = QueryEngine::with_options(&g, p, opts);
-                // Every node, then every node again up to a full chunk:
-                // both lane widths.
-                let n = g.node_count() as NodeId;
-                for len in [n as usize, BLOCK] {
-                    let queries: Vec<NodeId> = (0..len as NodeId).map(|i| n - 1 - i % n).collect();
-                    let batch = engine.query_batch(&queries);
-                    for (i, &q) in queries.iter().enumerate() {
-                        let dense = single_source_dense(&g, q, &p);
-                        assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
-                    }
+        for g in graphs() {
+            let p = SimStarParams { c: 0.7, iterations: 5 };
+            let engine = QueryEngine::new(&g, p);
+            // Every node, then every node again up to a full chunk: both
+            // lane widths.
+            let n = g.node_count() as NodeId;
+            for len in [n as usize, BLOCK] {
+                let queries: Vec<NodeId> = (0..len as NodeId).map(|i| n - 1 - i % n).collect();
+                let batch = engine.query_batch(&queries);
+                for (i, &q) in queries.iter().enumerate() {
+                    let dense = single_source_dense(&g, q, &p);
+                    assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
                 }
             }
         }
@@ -1589,20 +1537,17 @@ mod tests {
 
     #[test]
     fn deterministic_mode_forces_zero_epsilon() {
-        // ... and turns compression off, so the access backing accepts
-        // the same options.
+        // On both backings.
         let g = &graphs()[0];
         let opts = QueryEngineOptions {
             deterministic: true,
             frontier_epsilon: 1e-6,
-            compress: true,
             ..Default::default()
         };
         let engine = QueryEngine::with_options(g, SimStarParams::default(), opts.clone());
         assert_eq!(engine.options().frontier_epsilon, 0.0);
-        assert!(!engine.options().compress && engine.compressed_kernel().is_none());
         let acc = QueryEngine::with_access(access_of(g), SimStarParams::default(), opts);
-        assert!(!acc.options().compress);
+        assert_eq!(acc.options().frontier_epsilon, 0.0);
     }
 
     #[test]
@@ -1614,16 +1559,6 @@ mod tests {
         assert_ne!(a.stable_key(), det.stable_key());
         assert_ne!(a.stable_key(), exp.stable_key());
         assert_ne!(det.stable_key(), exp.stable_key());
-    }
-
-    #[test]
-    fn compression_ratio_reported() {
-        // K_{2,3} compresses; the plain engine reports zero.
-        let g = DiGraph::from_edges(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]).unwrap();
-        let p = SimStarParams::default();
-        assert_eq!(QueryEngine::new(&g, p).compression_ratio(), 0.0);
-        let opts = QueryEngineOptions { compress: true, ..Default::default() };
-        assert!(QueryEngine::with_options(&g, p, opts).compression_ratio() > 0.0);
     }
 
     fn access_of(g: &DiGraph) -> Arc<dyn NeighborAccess> {
@@ -1686,13 +1621,5 @@ mod tests {
         let mem = QueryEngine::new(&g, p);
         assert!(acc.resident_bytes() > 0);
         assert!(mem.resident_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "edge concentration")]
-    fn access_backing_rejects_compression() {
-        let g = graphs().remove(0);
-        let opts = QueryEngineOptions { compress: true, ..Default::default() };
-        let _ = QueryEngine::with_access(access_of(&g), SimStarParams::default(), opts);
     }
 }

@@ -1,10 +1,12 @@
 //! Property tests pinning the block-parallel [`AllPairsEngine`] — blocked
-//! full sweep, memoized kernel, partial-pairs rows, any thread count — to
-//! the serial textbook reference [`geometric::iterate_serial`] within
-//! `1e-10`, plus streaming top-k agreement against the materialized matrix.
+//! full sweep, partial-pairs rows, any thread count — and the memoized
+//! full sweep ([`geometric::iterate_memo`]) to the serial textbook
+//! reference [`geometric::iterate_serial`] within `1e-10`, plus streaming
+//! top-k agreement against the materialized matrix.
 
 use proptest::prelude::*;
 use simrank_star::{geometric, AllPairsEngine, AllPairsOptions, SimStarParams};
+use ssr_compress::CompressOptions;
 use ssr_graph::{DiGraph, NodeId};
 
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -47,27 +49,23 @@ proptest! {
 
     /// Memoized (edge-concentrated) full sweep == serial textbook loop.
     #[test]
-    fn memoized_full_matches_serial(
-        (n, edges) in arb_graph(16, 50),
-        threads in 1usize..=3,
-    ) {
+    fn memoized_full_matches_serial((n, edges) in arb_graph(16, 50)) {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.6, iterations: 5 };
         let serial = geometric::iterate_serial(&g, &p);
-        let opts = AllPairsOptions { compress: true, threads, ..Default::default() };
-        let memo = AllPairsEngine::with_options(&g, p, opts).full();
+        let memo = geometric::iterate_memo(&g, &p, &CompressOptions::default());
         for i in 0..n {
             for j in 0..n {
                 prop_assert!(
                     (memo.score(i as NodeId, j as NodeId) - serial.score(i as NodeId, j as NodeId)).abs() < 1e-10,
-                    "threads={}, i={}, j={}", threads, i, j
+                    "i={}, j={}", i, j
                 );
             }
         }
     }
 
-    /// Partial-pairs rows (the Horner path, plain and memoized) == the
-    /// matching serial rows, for an arbitrary subset in arbitrary order.
+    /// Partial-pairs rows (the Horner path) == the matching serial rows,
+    /// for an arbitrary subset in arbitrary order.
     #[test]
     fn partial_pairs_match_serial_rows(
         (n, edges) in arb_graph(16, 50),
@@ -78,16 +76,14 @@ proptest! {
         let subset: Vec<NodeId> = subset.into_iter().map(|q| q % n as u32).collect();
         let p = SimStarParams { c: 0.7, iterations: 5 };
         let serial = geometric::iterate_serial(&g, &p);
-        for compress in [false, true] {
-            let opts = AllPairsOptions { compress, threads, ..Default::default() };
-            let rows = AllPairsEngine::with_options(&g, p, opts).rows(&subset);
-            for (i, &q) in subset.iter().enumerate() {
-                for v in 0..n {
-                    prop_assert!(
-                        (rows.get(i, v) - serial.score(q, v as NodeId)).abs() < 1e-10,
-                        "compress={}, q={}, v={}", compress, q, v
-                    );
-                }
+        let opts = AllPairsOptions { threads, ..Default::default() };
+        let rows = AllPairsEngine::with_options(&g, p, opts).rows(&subset);
+        for (i, &q) in subset.iter().enumerate() {
+            for v in 0..n {
+                prop_assert!(
+                    (rows.get(i, v) - serial.score(q, v as NodeId)).abs() < 1e-10,
+                    "q={}, v={}", q, v
+                );
             }
         }
     }

@@ -66,8 +66,8 @@ proptest! {
         }
     }
 
-    /// Batched rows (plain and compressed kernels, one-lane and 16-lane
-    /// chunks) == dense sweep == all-pairs rows.
+    /// Batched rows (one-lane and 16-lane chunks) == dense sweep ==
+    /// all-pairs rows.
     #[test]
     fn batched_matches_dense_and_matrix(
         (n, edges, _q) in arb_graph_and_query(14, 50),
@@ -76,21 +76,17 @@ proptest! {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.7, iterations: 5 };
         let full = geometric::iterate(&g, &p);
-        for compress in [false, true] {
-            let opts = QueryEngineOptions { compress, ..Default::default() };
-            let engine = QueryEngine::with_options(&g, p, opts);
-            for len in [1, n, 16, 17] {
-                let queries = chunk_of(len, n, shift);
-                let batch = engine.query_batch(&queries);
-                for (i, &q) in queries.iter().enumerate() {
-                    let dense = single_source_dense(&g, q, &p);
-                    let row = batch.row(i);
-                    for v in 0..n {
-                        prop_assert!((row[v] - dense[v]).abs() < 1e-10,
-                            "compress={compress}, len={len}, q={q}, v={v}");
-                        prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10,
-                            "compress={compress}, len={len}, q={q}, v={v}");
-                    }
+        let engine = QueryEngine::new(&g, p);
+        for len in [1, n, 16, 17] {
+            let queries = chunk_of(len, n, shift);
+            let batch = engine.query_batch(&queries);
+            for (i, &q) in queries.iter().enumerate() {
+                let dense = single_source_dense(&g, q, &p);
+                let row = batch.row(i);
+                for v in 0..n {
+                    prop_assert!((row[v] - dense[v]).abs() < 1e-10, "len={len}, q={q}, v={v}");
+                    prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10,
+                        "len={len}, q={q}, v={v}");
                 }
             }
         }

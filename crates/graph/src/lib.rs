@@ -11,8 +11,6 @@
 //!   self-loop policies.
 //! * [`io`] — plain-text edge-list parsing/writing (the format used by SNAP
 //!   datasets the paper evaluates on).
-//! * [`bipartite`] — the *induced bigraph* `G̃ = (T ∪ B, Ẽ)` of Definition 2,
-//!   the input to edge-concentration compression.
 //! * [`paths`] — in-link path machinery (Section 3.1 of the paper): level
 //!   sets, symmetric/dissymmetric in-link path oracles, and the exact
 //!   pair-graph reachability oracle for the "zero-SimRank" predicate of
@@ -30,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod bipartite;
 mod builder;
 pub mod components;
 mod digraph;
@@ -41,7 +38,6 @@ pub mod perm;
 pub mod stats;
 
 pub use access::NeighborAccess;
-pub use bipartite::InducedBigraph;
 pub use builder::GraphBuilder;
 pub use digraph::{edge_digest, DiGraph};
 pub use error::GraphError;

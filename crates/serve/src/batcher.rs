@@ -121,26 +121,12 @@ pub trait CompletionSink: Send + Sync {
     fn complete(&self, tag: u64, result: Result<QueryAnswer, SubmitError>);
 }
 
-/// How a queued job reports back: a blocking slot ([`Batcher::serve`]) or
-/// an asynchronous sink ([`Batcher::submit`]).
-enum JobReply {
-    Slot(Arc<Slot>),
-    Sink { sink: Arc<dyn CompletionSink>, tag: u64 },
-}
-
-impl JobReply {
-    fn fill(&self, r: Result<QueryAnswer, SubmitError>) {
-        match self {
-            JobReply::Slot(slot) => slot.fill(r),
-            JobReply::Sink { sink, tag } => sink.complete(*tag, r),
-        }
-    }
-}
-
 struct Job {
     node: NodeId,
     k: usize,
-    reply: JobReply,
+    /// Where the outcome goes, and the caller's correlation tag for it.
+    sink: Arc<dyn CompletionSink>,
+    tag: u64,
     /// Cache-probe time spent at admission, carried into the trace.
     cache_ns: u64,
     /// When the job entered the bounded queue (queue-wait stage start).
@@ -154,25 +140,9 @@ struct Job {
     queue_depth: usize,
 }
 
-struct Slot {
-    result: Mutex<Option<Result<QueryAnswer, SubmitError>>>,
-    done: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, r: Result<QueryAnswer, SubmitError>) {
-        *self.result.lock().expect("slot poisoned") = Some(r);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<QueryAnswer, SubmitError> {
-        let mut guard = self.result.lock().expect("slot poisoned");
-        loop {
-            match guard.take() {
-                Some(r) => return r,
-                None => guard = self.done.wait(guard).expect("slot poisoned"),
-            }
-        }
+impl Job {
+    fn reply(&self, r: Result<QueryAnswer, SubmitError>) {
+        self.sink.complete(self.tag, r);
     }
 }
 
@@ -272,23 +242,12 @@ impl Batcher {
         Batcher { inner, workers: Mutex::new(workers) }
     }
 
-    /// Serves one query: cache lookup first (hits never enter the queue),
-    /// then a blocking submission through the flush pipeline. The direct
-    /// path for library users and tests; the event-driven server uses
-    /// [`Batcher::submit`] instead.
-    pub fn serve(&self, node: NodeId, k: usize) -> Result<QueryAnswer, SubmitError> {
-        let slot = Arc::new(Slot { result: Mutex::new(None), done: Condvar::new() });
-        match self.enqueue(node, k, false, JobReply::Slot(slot.clone()))? {
-            Some(hit) => Ok(hit),
-            None => slot.wait(),
-        }
-    }
-
-    /// Submits one query asynchronously. A cache hit is returned inline as
-    /// `Ok(Some(answer))` without entering the queue; `Ok(None)` means the
-    /// job was queued and its outcome will arrive at `sink` (tagged `tag`)
-    /// from a flush-worker thread. Admission errors surface immediately as
-    /// `Err` — nothing is delivered to the sink for them.
+    /// Submits one query: snapshot range check, cache lookup, bounded
+    /// queue entry. A cache hit is returned inline as `Ok(Some(answer))`
+    /// without entering the queue; `Ok(None)` means the job was queued and
+    /// its outcome will arrive at `sink` (tagged `tag`) from a flush-worker
+    /// thread. Admission errors surface immediately as `Err` — nothing is
+    /// delivered to the sink for them.
     pub fn submit(
         &self,
         node: NodeId,
@@ -296,19 +255,6 @@ impl Batcher {
         traced: bool,
         sink: &Arc<dyn CompletionSink>,
         tag: u64,
-    ) -> Result<Option<QueryAnswer>, SubmitError> {
-        self.enqueue(node, k, traced, JobReply::Sink { sink: sink.clone(), tag })
-    }
-
-    /// Shared admission path: snapshot range check, cache lookup, bounded
-    /// queue entry. `Ok(Some)` is a cache hit (the reply is dropped
-    /// unused); `Ok(None)` means queued.
-    fn enqueue(
-        &self,
-        node: NodeId,
-        k: usize,
-        traced: bool,
-        reply: JobReply,
     ) -> Result<Option<QueryAnswer>, SubmitError> {
         let snapshot = self.inner.store.current();
         if (node as usize) >= snapshot.nodes {
@@ -349,7 +295,8 @@ impl Batcher {
             queue.push_back(Job {
                 node,
                 k,
-                reply,
+                sink: sink.clone(),
+                tag,
                 cache_ns,
                 queued_at: Instant::now(),
                 traced,
@@ -406,7 +353,7 @@ impl Batcher {
         }
         // Fail anything the workers left behind.
         for job in self.inner.queue.lock().expect("batch queue poisoned").drain(..) {
-            job.reply.fill(Err(SubmitError::Closed));
+            job.reply(Err(SubmitError::Closed));
         }
     }
 }
@@ -460,7 +407,7 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Executes one flush: dedupes nodes, runs the blocked top-k batch on the
-/// current snapshot's engine, fills every job's slot, and populates the
+/// current snapshot's engine, replies to every job, and populates the
 /// cache.
 fn flush(inner: &Inner, batch: Vec<Job>) {
     // Queue-wait ends here for every job in the batch.
@@ -470,7 +417,7 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
     let (runnable, stale): (Vec<&Job>, Vec<&Job>) =
         batch.iter().partition(|j| (j.node as usize) < snapshot.nodes);
     for job in stale {
-        job.reply.fill(Err(SubmitError::BadNode { nodes: snapshot.nodes }));
+        job.reply(Err(SubmitError::BadNode { nodes: snapshot.nodes }));
     }
     if runnable.is_empty() {
         return;
@@ -530,13 +477,7 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
                 engine: engine_trace.clone().unwrap_or_default(),
             })
         });
-        job.reply.fill(Ok(QueryAnswer {
-            epoch: snapshot.epoch,
-            cached: false,
-            matches,
-            trace,
-            detail,
-        }));
+        job.reply(Ok(QueryAnswer { epoch: snapshot.epoch, cached: false, matches, trace, detail }));
     }
 }
 
@@ -545,6 +486,30 @@ mod tests {
     use super::*;
     use simrank_star::{QueryEngineOptions, SimStarParams};
     use ssr_graph::DiGraph;
+    use std::sync::mpsc;
+
+    /// Delivers each queued job's tag and outcome over a channel.
+    struct ChannelSink(mpsc::Sender<(u64, Result<QueryAnswer, SubmitError>)>);
+
+    impl CompletionSink for ChannelSink {
+        fn complete(&self, tag: u64, result: Result<QueryAnswer, SubmitError>) {
+            let _ = self.0.send((tag, result));
+        }
+    }
+
+    /// Submits one query and blocks for its answer: a cache hit inline, a
+    /// queued job through a channel-backed sink.
+    fn serve(b: &Batcher, node: NodeId, k: usize) -> Result<QueryAnswer, SubmitError> {
+        let (tx, rx) = mpsc::channel();
+        let sink: Arc<dyn CompletionSink> = Arc::new(ChannelSink(tx));
+        if let Some(hit) = b.submit(node, k, false, &sink, 0)? {
+            return Ok(hit);
+        }
+        // Only the queued job holds the sink now: were it dropped
+        // unanswered, `recv` would fail instead of hanging the test.
+        drop(sink);
+        rx.recv().expect("job dropped without a reply").1
+    }
 
     fn setup(opts: BatcherOptions) -> (Arc<EpochStore>, Arc<ShardedCache>, Batcher) {
         let g = DiGraph::from_edges(6, &[(1, 0), (2, 0), (3, 1), (3, 2), (4, 3), (5, 4)]).unwrap();
@@ -559,10 +524,10 @@ mod tests {
     fn serves_correct_answers_and_caches() {
         let (store, _, b) = setup(BatcherOptions { window_us: 0, ..Default::default() });
         let expect = store.current().engine().top_k(1, 3);
-        let first = b.serve(1, 3).unwrap();
+        let first = serve(&b, 1, 3).unwrap();
         assert!(!first.cached);
         assert_eq!(*first.matches, expect);
-        let second = b.serve(1, 3).unwrap();
+        let second = serve(&b, 1, 3).unwrap();
         assert!(second.cached);
         assert_eq!(*second.matches, expect);
         assert_eq!(b.stats().flushed_jobs, 1, "the cached hit must not flush");
@@ -577,7 +542,7 @@ mod tests {
             let handles: Vec<_> = (0..6u32)
                 .map(|node| {
                     let b = &b;
-                    scope.spawn(move || b.serve(node, 4).unwrap())
+                    scope.spawn(move || serve(b, node, 4).unwrap())
                 })
                 .collect();
             for (node, h) in handles.into_iter().enumerate() {
@@ -600,7 +565,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let b = &b;
-                    scope.spawn(move || b.serve(2, 2 + (i % 2)).unwrap())
+                    scope.spawn(move || serve(b, 2, 2 + (i % 2)).unwrap())
                 })
                 .collect();
             for h in handles {
@@ -619,8 +584,8 @@ mod tests {
         let (store, _, b) = setup(BatcherOptions { window_us: 20_000, ..Default::default() });
         let engine = store.current().engine().clone();
         std::thread::scope(|scope| {
-            let small = scope.spawn(|| b.serve(3, 1).unwrap());
-            let large = scope.spawn(|| b.serve(3, 5).unwrap());
+            let small = scope.spawn(|| serve(&b, 3, 1).unwrap());
+            let large = scope.spawn(|| serve(&b, 3, 5).unwrap());
             let (small, large) = (small.join().unwrap(), large.join().unwrap());
             assert_eq!(*small.matches, engine.top_k(3, 1));
             assert_eq!(*large.matches, engine.top_k(3, 5));
@@ -631,7 +596,7 @@ mod tests {
     #[test]
     fn bad_node_rejected_without_flushing() {
         let (_, _, b) = setup(BatcherOptions::default());
-        assert_eq!(b.serve(99, 3), Err(SubmitError::BadNode { nodes: 6 }));
+        assert_eq!(serve(&b, 99, 3), Err(SubmitError::BadNode { nodes: 6 }));
         assert_eq!(b.stats().submitted, 0);
     }
 
@@ -639,7 +604,7 @@ mod tests {
     fn window_zero_flushes_serially() {
         let (_, _, b) = setup(BatcherOptions { window_us: 0, ..Default::default() });
         for node in 0..4 {
-            b.serve(node, 2).unwrap();
+            serve(&b, node, 2).unwrap();
         }
         let stats = b.stats();
         assert_eq!(stats.flushes, 4);
@@ -650,55 +615,30 @@ mod tests {
     fn shutdown_closes_submissions() {
         let (_, _, b) = setup(BatcherOptions::default());
         b.shutdown();
-        assert_eq!(b.serve(1, 3), Err(SubmitError::Closed));
-    }
-
-    struct TestSink {
-        got: Mutex<Vec<(u64, Result<QueryAnswer, SubmitError>)>>,
-        ready: Condvar,
-    }
-
-    impl CompletionSink for TestSink {
-        fn complete(&self, tag: u64, result: Result<QueryAnswer, SubmitError>) {
-            self.got.lock().unwrap().push((tag, result));
-            self.ready.notify_all();
-        }
-    }
-
-    impl TestSink {
-        fn wait_for(&self, n: usize) -> Vec<(u64, Result<QueryAnswer, SubmitError>)> {
-            let mut guard = self.got.lock().unwrap();
-            while guard.len() < n {
-                let (g, t) = self.ready.wait_timeout(guard, Duration::from_secs(10)).unwrap();
-                guard = g;
-                assert!(!t.timed_out(), "sink never completed");
-            }
-            guard.clone()
-        }
+        assert_eq!(serve(&b, 1, 3), Err(SubmitError::Closed));
     }
 
     #[test]
     fn async_submit_completes_through_the_sink() {
         let (store, _, b) = setup(BatcherOptions { window_us: 0, ..Default::default() });
-        let sink = Arc::new(TestSink { got: Mutex::new(Vec::new()), ready: Condvar::new() });
-        let dyn_sink: Arc<dyn CompletionSink> = sink.clone();
+        let (tx, rx) = mpsc::channel();
+        let sink: Arc<dyn CompletionSink> = Arc::new(ChannelSink(tx));
         // Miss: queued, completed asynchronously with the engine's answer.
-        assert_eq!(b.submit(1, 3, false, &dyn_sink, 77).unwrap(), None);
-        let got = sink.wait_for(1);
-        let (tag, result) = &got[0];
-        assert_eq!(*tag, 77);
-        let answer = result.as_ref().unwrap();
+        assert_eq!(b.submit(1, 3, false, &sink, 77).unwrap(), None);
+        let (tag, result) = rx.recv_timeout(Duration::from_secs(10)).expect("sink never completed");
+        assert_eq!(tag, 77);
+        let answer = result.unwrap();
         assert!(!answer.cached);
         assert_eq!(*answer.matches, store.current().engine().top_k(1, 3));
         // Hit: returned inline, nothing more reaches the sink.
-        let hit = b.submit(1, 3, false, &dyn_sink, 78).unwrap().expect("cache hit");
+        let hit = b.submit(1, 3, false, &sink, 78).unwrap().expect("cache hit");
         assert!(hit.cached);
         assert_eq!(hit.matches, answer.matches);
-        assert_eq!(sink.got.lock().unwrap().len(), 1);
+        assert!(rx.try_recv().is_err());
         // Admission errors surface immediately, not via the sink.
-        assert_eq!(b.submit(99, 3, false, &dyn_sink, 79), Err(SubmitError::BadNode { nodes: 6 }));
+        assert_eq!(b.submit(99, 3, false, &sink, 79), Err(SubmitError::BadNode { nodes: 6 }));
         // Shutdown fails queued jobs through their sink.
         b.shutdown();
-        assert_eq!(b.submit(2, 3, false, &dyn_sink, 80), Err(SubmitError::Closed));
+        assert_eq!(b.submit(2, 3, false, &sink, 80), Err(SubmitError::Closed));
     }
 }

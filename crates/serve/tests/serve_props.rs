@@ -7,16 +7,38 @@
 use proptest::prelude::*;
 use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_graph::{DiGraph, NodeId};
-use ssr_serve::batcher::{Batcher, BatcherOptions};
+use ssr_serve::batcher::{Batcher, BatcherOptions, CompletionSink, SubmitError};
 use ssr_serve::cache::ShardedCache;
 use ssr_serve::epoch::EpochStore;
-use std::sync::Arc;
+use ssr_serve::QueryAnswer;
+use std::sync::{mpsc, Arc};
 
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..=max_n).prop_flat_map(move |n| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..=max_m)
             .prop_map(move |edges| (n, edges))
     })
+}
+
+/// Delivers a queued job's outcome over a channel.
+struct ChannelSink(mpsc::Sender<Result<QueryAnswer, SubmitError>>);
+
+impl CompletionSink for ChannelSink {
+    fn complete(&self, _tag: u64, result: Result<QueryAnswer, SubmitError>) {
+        let _ = self.0.send(result);
+    }
+}
+
+/// Submits one query and blocks for its answer: a cache hit inline, a
+/// queued job through a channel-backed sink.
+fn serve(b: &Batcher, node: NodeId, k: usize) -> Result<QueryAnswer, SubmitError> {
+    let (tx, rx) = mpsc::channel();
+    let sink: Arc<dyn CompletionSink> = Arc::new(ChannelSink(tx));
+    if let Some(hit) = b.submit(node, k, false, &sink, 0)? {
+        return Ok(hit);
+    }
+    drop(sink);
+    rx.recv().expect("job dropped without a reply")
 }
 
 fn pipeline(
@@ -55,10 +77,10 @@ proptest! {
             ..Default::default()
         });
         let uncached: Vec<_> = (0..n as NodeId)
-            .map(|q| serial.serve(q, k).unwrap())
+            .map(|q| serve(&serial, q, k).unwrap())
             .collect();
         let cached: Vec<_> = (0..n as NodeId)
-            .map(|q| serial.serve(q, k).unwrap())
+            .map(|q| serve(&serial, q, k).unwrap())
             .collect();
 
         // Micro-batched pipeline: all queries submitted concurrently and
@@ -73,7 +95,7 @@ proptest! {
             let handles: Vec<_> = (0..n as NodeId)
                 .map(|q| {
                     let wide = &wide;
-                    scope.spawn(move || wide.serve(q, k).unwrap())
+                    scope.spawn(move || serve(wide, q, k).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -105,13 +127,13 @@ proptest! {
         });
         let engine = store.current().engine().clone();
         let ks = [1usize, 3, 7];
-        let answers: Vec<(NodeId, usize, ssr_serve::QueryAnswer)> =
+        let answers: Vec<(NodeId, usize, QueryAnswer)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..n as NodeId)
                     .flat_map(|q| ks.iter().map(move |&k| (q, k)))
                     .map(|(q, k)| {
                         let wide = &wide;
-                        scope.spawn(move || (q, k, wide.serve(q, k).unwrap()))
+                        scope.spawn(move || (q, k, serve(wide, q, k).unwrap()))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -1,10 +1,12 @@
 //! All-pairs ranking through the block-parallel `AllPairsEngine`:
-//! full-matrix sweep, memoized (edge-concentrated) kernel, partial-pairs
-//! rows, and streaming top-k — on a synthetic citation graph.
+//! full-matrix sweep, partial-pairs rows, and streaming top-k — plus the
+//! paper's memoized (edge-concentrated) full sweep — on a synthetic
+//! citation graph.
 //!
 //! Run with: `cargo run --release --example all_pairs_ranking`
 
-use simrank_star::{geometric, AllPairsEngine, AllPairsOptions, SimStarParams};
+use simrank_star::{geometric, AllPairsEngine, SimStarParams};
+use ssr_compress::CompressOptions;
 use ssr_gen::citation::{citation_graph, CitationParams};
 
 fn main() {
@@ -17,18 +19,16 @@ fn main() {
     let full = engine.full();
     println!("full sweep: n = {}, s(0, 1) = {:.6}", full.node_count(), full.score(0, 1));
 
-    // The same scores through the memoized kernel — with the compression
-    // report that makes the speedup legible.
-    let memo_engine = AllPairsEngine::with_options(
-        &g,
-        params,
-        AllPairsOptions { compress: true, ..Default::default() },
-    );
-    let memo = memo_engine.full();
-    let stats = memo_engine.compression().expect("compressed engine reports stats");
+    // The same scores through the paper's memoized kernel (memo-gSR*,
+    // Algorithm 1), with the compression report of its preprocessing phase.
+    let memoized = geometric::Memoized::new(&g, &CompressOptions::default());
+    let memo = memoized.run(&params);
+    let stats = memoized.kernel().compressed().size_report();
+    let diff = full.max_diff(&memo);
+    assert!(diff < 1e-10, "memoized sweep drifted from the plain one: {diff:.2e}");
     println!(
         "memoized sweep: max diff = {:.2e}, compression {:.1}% (m {} -> m~ {}, {} concentrators, {} bytes)",
-        full.max_diff(&memo),
+        diff,
         100.0 * stats.ratio,
         stats.original_edges,
         stats.compressed_edges,
