@@ -658,10 +658,16 @@ impl QueryEngine {
     /// Builds an engine over a copy of `g`'s adjacency, precomputing the
     /// `1/|I(v)|` weights and the lattice coefficient table.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
+        Self::from_graph(g.clone(), params, opts)
+    }
+
+    /// Builds an engine like [`QueryEngine::with_options`], but moves `g`
+    /// in instead of copying it.
+    pub fn from_graph(g: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let opts = validate_options(params, opts);
-        let component = weakly_connected_components(g).label;
-        let inv_in = inv_in_degrees(g);
-        Self::build(Backing::Memory(g.clone()), inv_in, component, params, opts)
+        let component = weakly_connected_components(&g).label;
+        let inv_in = inv_in_degrees(&g);
+        Self::build(Backing::Memory(g), inv_in, component, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -727,10 +733,13 @@ impl QueryEngine {
         self.n
     }
 
-    /// Whether the engine computes over an on-demand [`NeighborAccess`]
-    /// backing rather than its own copy of the graph.
-    pub fn is_access_backed(&self) -> bool {
-        matches!(self.backing, Backing::Access(_))
+    /// The graph the engine sweeps, or `None` when it computes over an
+    /// on-demand [`NeighborAccess`] backing.
+    pub fn graph(&self) -> Option<&DiGraph> {
+        match &self.backing {
+            Backing::Memory(g) => Some(g),
+            Backing::Access(_) => None,
+        }
     }
 
     /// Bytes of graph-proportional state this engine holds resident: the
@@ -1572,7 +1581,7 @@ mod tests {
             let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
             let mem = QueryEngine::with_options(&g, p, opts.clone());
             let acc = QueryEngine::with_access(access_of(&g), p, opts);
-            assert!(acc.is_access_backed() && !mem.is_access_backed());
+            assert!(acc.graph().is_none() && mem.graph() == Some(&g));
             let all: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
             for q in &all {
                 assert_eq!(mem.query(*q), acc.query(*q), "q={q}");

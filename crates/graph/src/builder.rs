@@ -88,7 +88,7 @@ impl GraphBuilder {
     ///
     /// # Errors
     /// [`GraphError::SelfLoop`] if a self-loop was added while forbidden.
-    pub fn build(mut self) -> Result<DiGraph, GraphError> {
+    pub fn build(self) -> Result<DiGraph, GraphError> {
         if !self.allow_self_loops {
             if let Some(&(v, _)) = self.edges.iter().find(|&&(u, v)| u == v) {
                 return Err(GraphError::SelfLoop(v));
@@ -101,9 +101,7 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_nodes);
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        Ok(DiGraph::from_sorted_deduped(n, &self.edges))
+        DiGraph::from_edges(n, &self.edges)
     }
 }
 

@@ -25,9 +25,15 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
-    /// Builds a graph with `n` nodes from an edge list. Duplicate edges are
-    /// collapsed; self-loops are kept (callers that must forbid them use
-    /// [`crate::GraphBuilder`]).
+    /// Builds a graph with `n` nodes from an edge list in any order.
+    /// Duplicate edges are collapsed; self-loops are kept (callers that
+    /// must forbid them use [`crate::GraphBuilder`]).
+    ///
+    /// A counting sort: targets are bucketed by source, and a row is
+    /// sorted and deduplicated only when it arrives out of order. The
+    /// in-direction is then filled in ascending source order, so its rows
+    /// come out sorted without a pass of their own. Every vector is sized
+    /// exactly.
     ///
     /// # Errors
     /// Returns [`GraphError::NodeOutOfRange`] if any endpoint is `>= n`.
@@ -40,48 +46,93 @@ impl DiGraph {
                 return Err(GraphError::NodeOutOfRange { node: v, node_count: n });
             }
         }
-        let mut sorted: Vec<(NodeId, NodeId)> = edges.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Ok(Self::from_sorted_deduped(n, &sorted))
-    }
-
-    /// Builds a graph from edges that are already sorted by `(source, target)`
-    /// and deduplicated. Internal fast path shared by the builder.
-    pub(crate) fn from_sorted_deduped(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let m = edges.len();
         let mut out_offsets = vec![0usize; n + 1];
-        let mut in_degree = vec![0usize; n];
-        for &(u, v) in edges {
+        for &(u, _) in edges {
             out_offsets[u as usize + 1] += 1;
-            in_degree[v as usize] += 1;
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
         }
-        let mut out_targets = vec![0 as NodeId; m];
-        {
-            let mut cursor = out_offsets.clone();
-            for &(u, v) in edges {
-                out_targets[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
+        let mut out_targets = vec![0 as NodeId; edges.len()];
+        let mut cursor = out_offsets.clone();
+        for &(u, v) in edges {
+            out_targets[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+        }
+        // Sort the rows that need it and close the gaps duplicates leave.
+        let mut kept = 0;
+        for u in 0..n {
+            let (start, end) = (out_offsets[u], out_offsets[u + 1]);
+            let row = &mut out_targets[start..end];
+            let mut len = row.len();
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                row.sort_unstable();
+                len = 0;
+                for i in 0..row.len() {
+                    if len == 0 || row[i] != row[len - 1] {
+                        row[len] = row[i];
+                        len += 1;
+                    }
+                }
             }
-        }
-        let mut in_offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            in_offsets[v + 1] = in_offsets[v] + in_degree[v];
-        }
-        let mut in_sources = vec![0 as NodeId; m];
-        {
-            let mut cursor = in_offsets.clone();
-            // Edges are sorted by source, so each in-list fills in ascending
-            // source order and ends up sorted without an extra pass.
-            for &(u, v) in edges {
-                in_sources[cursor[v as usize]] = u;
-                cursor[v as usize] += 1;
+            if kept < start {
+                out_targets.copy_within(start..start + len, kept);
             }
+            out_offsets[u] = kept;
+            kept += len;
         }
-        DiGraph { n, out_offsets, out_targets, in_offsets, in_sources }
+        out_offsets[n] = kept;
+        out_targets.truncate(kept);
+        out_targets.shrink_to_fit();
+        let (in_offsets, in_sources) = transpose_csr(n, &out_offsets, &out_targets);
+        Ok(DiGraph { n, out_offsets, out_targets, in_offsets, in_sources })
+    }
+
+    /// This graph with `add` and `remove` applied as one edit, plus the
+    /// numbers of edges the edit actually added and removed, as
+    /// `(graph, added, removed)`.
+    ///
+    /// Both lists may hold duplicates and may be in any order. An edge
+    /// both added and removed ends present and counts once in each
+    /// number. Adds of present edges and removals of absent ones (ids
+    /// `>= n` included) change nothing and are not counted. Added edges
+    /// may grow the node range, by at most two ids per distinct added
+    /// edge, so every graph size stays proportional to its input.
+    ///
+    /// Only the rows the edit names are merged; the spans of adjacency
+    /// between them are copied whole, in both directions. The result
+    /// equals [`DiGraph::from_edges`] on the edited edge list.
+    ///
+    /// # Errors
+    /// [`GraphError::NodeGrowth`] if an added id lies past that bound.
+    /// Nothing is allocated for the graph before this check.
+    pub fn with_delta(
+        &self,
+        add: &[(NodeId, NodeId)],
+        remove: &[(NodeId, NodeId)],
+    ) -> Result<(DiGraph, usize, usize), GraphError> {
+        let mut add = sorted_unique(add.iter().copied());
+        let top = add.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+        let limit = self.n + 2 * add.len();
+        if top > limit {
+            return Err(GraphError::NodeGrowth { node: (top - 1) as NodeId, limit });
+        }
+        let n = self.n.max(top);
+        let present = |&(u, v): &(NodeId, NodeId)| (u as usize) < self.n && self.has_edge(u, v);
+        let mut remove = sorted_unique(remove.iter().copied().filter(present));
+        let removed = remove.len();
+        // What is left touches the graph: removals of present edges no add
+        // restores, and adds of absent edges.
+        remove.retain(|e| add.binary_search(e).is_err());
+        add.retain(|e| !present(e));
+        let added = add.len() + removed - remove.len();
+        let (out_offsets, out_targets) =
+            patch_rows(n, &self.out_offsets, &self.out_targets, &add, &remove);
+        let reversed =
+            |edges: &[(NodeId, NodeId)]| sorted_unique(edges.iter().map(|&(u, v)| (v, u)));
+        let (in_offsets, in_sources) =
+            patch_rows(n, &self.in_offsets, &self.in_sources, &reversed(&add), &reversed(&remove));
+        Ok((DiGraph { n, out_offsets, out_targets, in_offsets, in_sources }, added, removed))
     }
 
     /// Rebuilds a graph directly from its four CSR arrays — the zero-parse
@@ -210,26 +261,25 @@ impl DiGraph {
         0..self.n as NodeId
     }
 
-    /// The transpose graph `Gᵀ` (every edge reversed).
+    /// The transpose graph `Gᵀ` (every edge reversed): the two
+    /// directions trade places.
     pub fn transpose(&self) -> DiGraph {
-        let mut edges: Vec<(NodeId, NodeId)> = self.edges().map(|(u, v)| (v, u)).collect();
-        edges.sort_unstable();
-        // Transposing cannot introduce duplicates.
-        Self::from_sorted_deduped(self.n, &edges)
+        DiGraph {
+            n: self.n,
+            out_offsets: self.in_offsets.clone(),
+            out_targets: self.in_sources.clone(),
+            in_offsets: self.out_offsets.clone(),
+            in_sources: self.out_targets.clone(),
+        }
     }
 
     /// The symmetrised graph: for every edge `u -> v`, both `u -> v` and
     /// `v -> u` are present. Models undirected graphs (e.g. DBLP
     /// co-authorship) in the directed framework, exactly as the paper does.
     pub fn symmetrized(&self) -> DiGraph {
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.edge_count() * 2);
-        for (u, v) in self.edges() {
-            edges.push((u, v));
-            edges.push((v, u));
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        Self::from_sorted_deduped(self.n, &edges)
+        let edges: Vec<(NodeId, NodeId)> =
+            self.edges().flat_map(|(u, v)| [(u, v), (v, u)]).collect();
+        Self::from_edges(self.n, &edges).expect("reversed edges keep their ids in range")
     }
 
     /// True when for every edge `u -> v` the reverse edge also exists.
@@ -254,9 +304,9 @@ impl DiGraph {
                 }
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        (Self::from_sorted_deduped(keep.len(), &edges), remap)
+        let sub =
+            Self::from_edges(keep.len(), &edges).expect("renumbered ids are below keep.len()");
+        (sub, remap)
     }
 
     /// Estimated resident bytes of the CSR arrays (used by the Fig. 6(h)
@@ -272,6 +322,89 @@ impl DiGraph {
             + self.out_targets.capacity() * std::mem::size_of::<NodeId>()
             + self.in_sources.capacity() * std::mem::size_of::<NodeId>()
     }
+}
+
+/// The other direction of a sorted CSR: entry `j` of row `i` becomes
+/// entry `i` of row `j`. Rows are visited in ascending order, so every
+/// output row fills sorted.
+fn transpose_csr(n: usize, offsets: &[usize], adj: &[NodeId]) -> (Vec<usize>, Vec<NodeId>) {
+    let mut t_offsets = vec![0usize; n + 1];
+    for &j in adj {
+        t_offsets[j as usize + 1] += 1;
+    }
+    for j in 0..n {
+        t_offsets[j + 1] += t_offsets[j];
+    }
+    let mut t_adj = vec![0 as NodeId; adj.len()];
+    let mut cursor = t_offsets.clone();
+    for i in 0..n {
+        for &j in &adj[offsets[i]..offsets[i + 1]] {
+            t_adj[cursor[j as usize]] = i as NodeId;
+            cursor[j as usize] += 1;
+        }
+    }
+    (t_offsets, t_adj)
+}
+
+/// The distinct pairs of `pairs`, sorted.
+fn sorted_unique(pairs: impl Iterator<Item = (NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
+    let mut pairs: Vec<(NodeId, NodeId)> = pairs.collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// One CSR direction with `add` merged in and `remove` taken out, grown
+/// to `n` rows. Both are sorted `(row, entry)` pairs; every `add` entry is
+/// absent from its row and every `remove` entry present. Only the rows
+/// they name are merged: the adjacency between them is copied as whole
+/// spans, whose offsets shift by the net change before them.
+fn patch_rows(
+    n: usize,
+    offsets: &[usize],
+    adj: &[NodeId],
+    mut add: &[(NodeId, NodeId)],
+    mut remove: &[(NodeId, NodeId)],
+) -> (Vec<usize>, Vec<NodeId>) {
+    // Rows past the old node range are empty.
+    let old_start = |row: usize| offsets[row.min(offsets.len() - 1)];
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut new_adj = Vec::with_capacity(adj.len() + add.len() - remove.len());
+    new_offsets.push(0);
+    let mut row = 0;
+    while row < n {
+        let next = match (add.first(), remove.first()) {
+            (Some(a), Some(r)) => a.0.min(r.0) as usize,
+            (Some(e), None) | (None, Some(e)) => e.0 as usize,
+            (None, None) => n,
+        };
+        // Rows `row..next` are untouched.
+        let (from, start) = (old_start(row), new_adj.len());
+        new_adj.extend_from_slice(&adj[from..old_start(next)]);
+        new_offsets.extend((row + 1..=next).map(|r| start + old_start(r) - from));
+        if next == n {
+            break;
+        }
+        let in_row = |edits: &[(NodeId, NodeId)]| edits.partition_point(|e| e.0 as usize == next);
+        let (ins, rest) = add.split_at(in_row(add));
+        add = rest;
+        let (del, rest) = remove.split_at(in_row(remove));
+        remove = rest;
+        let mut ins = ins.iter().map(|e| e.1).peekable();
+        let mut del = del.iter().map(|e| e.1).peekable();
+        for &x in &adj[old_start(next)..old_start(next + 1)] {
+            while let Some(y) = ins.next_if(|&y| y < x) {
+                new_adj.push(y);
+            }
+            if del.next_if_eq(&x).is_none() {
+                new_adj.push(x);
+            }
+        }
+        new_adj.extend(ins);
+        new_offsets.push(new_adj.len());
+        row = next + 1;
+    }
+    (new_offsets, new_adj)
 }
 
 /// Checks one CSR direction: offset shape, monotonicity, strictly

@@ -27,6 +27,15 @@ pub enum GraphError {
         /// The underlying I/O error message.
         String,
     ),
+    /// An edge delta's added edges named a node id at or past `limit`,
+    /// the node count plus two per distinct added edge (see
+    /// [`crate::DiGraph::with_delta`]).
+    NodeGrowth {
+        /// The largest added node id.
+        node: u32,
+        /// The node count the delta may grow the graph to.
+        limit: usize,
+    },
     /// Raw CSR arrays handed to [`crate::DiGraph::from_csr`] were
     /// structurally inconsistent (non-monotone offsets, unsorted
     /// adjacency, out-of-range ids, mismatched directions).
@@ -47,6 +56,11 @@ impl fmt::Display for GraphError {
                 write!(f, "edge-list parse error at line {line}: {message}")
             }
             GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
+            GraphError::NodeGrowth { node, limit } => write!(
+                f,
+                "added node id {node} would grow the graph past {limit} nodes \
+                 (its node count plus 2 per distinct added edge)"
+            ),
             GraphError::InvalidCsr(msg) => write!(f, "invalid CSR arrays: {msg}"),
         }
     }

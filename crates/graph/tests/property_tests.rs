@@ -1,14 +1,108 @@
 //! Property-based tests of the graph substrate.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
 use ssr_graph::components::{strongly_connected_components, weakly_connected_components};
-use ssr_graph::{io, paths, DiGraph, GraphBuilder};
+use ssr_graph::{io, paths, DiGraph, GraphBuilder, GraphError};
+use std::collections::BTreeSet;
 
-fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+type Edge = (u32, u32);
+
+fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<Edge>)> {
     (2usize..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..=max_m)
-            .prop_map(move |edges| (n, edges))
+        vec((0..n as u32, 0..n as u32), 0..=max_m).prop_map(move |edges| (n, edges))
     })
+}
+
+/// An edge list in one of three orders: as drawn (unsorted, with
+/// duplicates), sorted with its duplicates, or sorted and deduplicated.
+fn arb_ordered_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<Edge>)> {
+    (arb_edges(max_n, max_m), 0..3u32).prop_map(|((n, mut edges), order)| {
+        if order > 0 {
+            edges.sort_unstable();
+        }
+        if order > 1 {
+            edges.dedup();
+        }
+        (n, edges)
+    })
+}
+
+/// A graph and one edit of it, as `(n, edges, add, remove)`. Fresh pairs
+/// use ids up to `n + 3`, so adds may grow the node range with gaps (or
+/// past the growth bound) and removals name ids `>= n`. Both lists also
+/// draw edges the graph has, repeat their own first half, and share
+/// edges with each other; either may be empty.
+fn arb_delta() -> impl Strategy<Value = (usize, Vec<Edge>, Vec<Edge>, Vec<Edge>)> {
+    arb_edges(24, 90).prop_flat_map(|(n, edges)| {
+        let fresh = move || vec((0..n as u32 + 4, 0..n as u32 + 4), 0..6);
+        let picks = || vec(0usize..1 << 16, 0..6);
+        ((Just(n), Just(edges)), (fresh(), fresh()), (picks(), picks(), picks())).prop_map(
+            |((n, edges), (mut add, mut remove), (add_present, remove_present, both))| {
+                let pick = |i: usize, from: &[Edge]| from.get(i % from.len().max(1)).copied();
+                add.extend(add_present.iter().filter_map(|&i| pick(i, &edges)));
+                remove.extend(remove_present.iter().filter_map(|&i| pick(i, &edges)));
+                let pool: Vec<Edge> = edges.iter().chain(&add).copied().collect();
+                for e in both.iter().filter_map(|&i| pick(i, &pool)) {
+                    add.push(e);
+                    remove.push(e);
+                }
+                add.extend(add[..add.len() / 2].to_vec());
+                remove.extend(remove[..remove.len() / 2].to_vec());
+                (n, edges, add, remove)
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The counting sort builds exactly the sorted, deduplicated input in
+    /// both directions, with every vector sized exactly.
+    #[test]
+    fn from_edges_matches_sorted_reference((n, edges) in arb_ordered_edges(24, 90)) {
+        let g = DiGraph::from_edges(n, &edges).unwrap();
+        let reference: Vec<Edge> = edges.iter().copied().collect::<BTreeSet<_>>().into_iter().collect();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), reference.clone());
+        let mut reversed: Vec<Edge> = reference.iter().map(|&(u, v)| (v, u)).collect();
+        reversed.sort_unstable();
+        let in_edges: Vec<Edge> =
+            g.nodes().flat_map(|v| g.in_neighbors(v).iter().map(move |&u| (v, u))).collect();
+        prop_assert_eq!(in_edges, reversed);
+        let (words, ids) = (std::mem::size_of::<usize>(), std::mem::size_of::<u32>());
+        prop_assert_eq!(g.estimated_bytes(), 2 * (n + 1) * words + 2 * reference.len() * ids);
+    }
+
+    /// A patched graph equals `from_edges` on the edited edge list, array
+    /// for array, and reports the edges the edit really added and removed.
+    /// Adds win over removes; growth past the bound is refused.
+    #[test]
+    fn with_delta_matches_rebuild((n, edges, add, remove) in arb_delta()) {
+        let g = DiGraph::from_edges(n, &edges).unwrap();
+        prop_assert_eq!(g.with_delta(&[], &[]).unwrap(), (g.clone(), 0, 0));
+        let before: BTreeSet<Edge> = g.edges().collect();
+        let adds: BTreeSet<Edge> = add.iter().copied().collect();
+        let removes: BTreeSet<Edge> = remove.iter().copied().collect();
+        let top = adds.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+        let limit = n + 2 * adds.len();
+        match g.with_delta(&add, &remove) {
+            Err(refused) => {
+                prop_assert!(top > limit, "refused a delta within the bound: {refused}");
+                prop_assert_eq!(refused, GraphError::NodeGrowth { node: top as u32 - 1, limit });
+            }
+            Ok((patched, added, removed)) => {
+                prop_assert!(top <= limit, "accepted node {} past the bound {limit}", top - 1);
+                let kept: BTreeSet<Edge> = before.difference(&removes).copied().collect();
+                let after: Vec<Edge> = kept.union(&adds).copied().collect();
+                let rebuilt = DiGraph::from_edges(n.max(top), &after).unwrap();
+                prop_assert_eq!(patched.estimated_bytes(), rebuilt.estimated_bytes());
+                prop_assert_eq!(&patched, &rebuilt);
+                prop_assert_eq!(removed, before.intersection(&removes).count());
+                prop_assert_eq!(added, adds.difference(&kept).count());
+            }
+        }
+    }
 }
 
 proptest! {

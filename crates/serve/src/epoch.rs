@@ -5,9 +5,12 @@
 //! keep computing on it even while an admin `reload`/`edge-delta` builds
 //! and publishes a successor — the HTAP-style separation (update path vs
 //! read-optimized serving path) that lets graph swaps happen with zero
-//! read downtime. The epoch counter is part of every result-cache key and
-//! every query response, so answers are always attributable to the exact
-//! graph version that produced them.
+//! read downtime. A `reload` hands its graph to the new engine; an
+//! `edge-delta` patches the rows it touches in the current engine's graph
+//! ([`DiGraph::with_delta`]) instead of rebuilding every edge. The epoch
+//! counter is part of every result-cache key and every query response, so
+//! answers are always attributable to the exact graph version that
+//! produced them.
 
 use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_graph::{DiGraph, NodeId};
@@ -15,17 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One published graph version: engine state shared by every query that
-/// started while it was current.
+/// started while it was current. The engine holds the only copy of the
+/// graph ([`Snapshot::graph`]), which the next `edge-delta` patches.
 pub struct Snapshot {
     /// Monotonically increasing version number, starting at 0.
     pub epoch: u64,
     /// The prepared deterministic engine (cheap to share: queries only
     /// touch immutable state plus internal scratch pools).
     engine: Arc<QueryEngine>,
-    /// The snapshot's edge list (deduplicated, as built), kept so
-    /// `edge-delta` can derive the successor graph without re-reading
-    /// files.
-    pub edges: Arc<Vec<(NodeId, NodeId)>>,
     /// Node count of the snapshot's graph.
     pub nodes: usize,
     /// Stable result-identity key: params ⊕ engine options (see
@@ -38,6 +38,11 @@ impl Snapshot {
     /// The engine every query on this snapshot runs on.
     pub fn engine(&self) -> &Arc<QueryEngine> {
         &self.engine
+    }
+
+    /// The graph this snapshot serves: the engine's own adjacency.
+    pub fn graph(&self) -> &DiGraph {
+        self.engine.graph().expect("snapshot engines are built over an in-memory graph")
     }
 }
 
@@ -99,9 +104,16 @@ impl EpochStore {
     }
 
     /// Applies an edge delta to the current snapshot's graph and publishes
-    /// the result. Added edges may grow the node range; removals of absent
-    /// edges are ignored. Returns the new snapshot and the number of edges
-    /// actually added/removed.
+    /// the result. The new graph patches only the rows the delta names
+    /// ([`DiGraph::with_delta`]). An edge both added and removed ends
+    /// present; adds of present edges and removals of absent ones are
+    /// ignored. Added edges may grow the node range by at most two ids
+    /// per distinct added edge. Returns the new snapshot and the number of
+    /// edges actually added/removed.
+    ///
+    /// # Errors
+    /// A delta past the growth bound is refused before anything is built,
+    /// and the current epoch stays published.
     pub fn apply_delta(
         &self,
         add: &[(NodeId, NodeId)],
@@ -109,24 +121,9 @@ impl EpochStore {
     ) -> Result<(Arc<Snapshot>, usize, usize), String> {
         let _admin = self.admin.lock().expect("admin lock poisoned");
         let base = self.current();
-        let removals: std::collections::HashSet<(NodeId, NodeId)> =
-            remove.iter().copied().collect();
-        let mut edges: Vec<(NodeId, NodeId)> =
-            base.edges.iter().copied().filter(|e| !removals.contains(e)).collect();
-        let removed = base.edges.len() - edges.len();
-        edges.extend(add.iter().copied());
-        let n = edges
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .map(|v| v as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(base.nodes);
-        let graph = DiGraph::from_edges(n, &edges).map_err(|e| format!("bad delta: {e}"))?;
+        let (graph, added, removed) =
+            base.graph().with_delta(add, remove).map_err(|e| format!("bad delta: {e}"))?;
         let snapshot = Arc::new(build_snapshot(base.epoch + 1, graph, self.params, &self.opts));
-        // `from_edges` deduplicates, so the net addition count comes from
-        // the built snapshot, not from `add.len()`.
-        let added = (snapshot.edges.len() + removed).saturating_sub(base.edges.len());
         *self.current.write().expect("epoch cell poisoned") = snapshot.clone();
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok((snapshot, added, removed))
@@ -139,11 +136,10 @@ fn build_snapshot(
     params: SimStarParams,
     opts: &QueryEngineOptions,
 ) -> Snapshot {
-    let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
     let params_key = combine_keys(params.stable_key(), opts.stable_key());
     let nodes = graph.node_count();
-    let engine = Arc::new(QueryEngine::with_options(&graph, params, opts.clone()));
-    Snapshot { epoch, engine, edges: Arc::new(edges), nodes, params_key }
+    let engine = Arc::new(QueryEngine::from_graph(graph, params, opts.clone()));
+    Snapshot { epoch, engine, nodes, params_key }
 }
 
 /// Mixes the two stable keys into one (boost-style combine; both halves
@@ -193,11 +189,32 @@ mod tests {
         assert_eq!(snap.nodes, 6);
         assert_eq!(added, 2);
         assert_eq!(removed, 1);
-        assert!(snap.edges.contains(&(4, 0)));
-        assert!(!snap.edges.contains(&(3, 2)));
+        assert!(snap.graph().has_edge(4, 0));
+        assert!(!snap.graph().has_edge(3, 2));
         // Removing an absent edge is a no-op, not an error.
         let (_, added, removed) = s.apply_delta(&[], &[(9, 9)]).unwrap();
         assert_eq!((added, removed), (0, 0));
+        // Re-adding a present edge adds nothing; a removal named twice
+        // removes once; an edge both added and removed stays, counted
+        // once each way.
+        let (snap, added, removed) =
+            s.apply_delta(&[(4, 0), (1, 0)], &[(2, 0), (2, 0), (1, 0)]).unwrap();
+        assert_eq!((added, removed), (1, 2));
+        assert!(snap.graph().has_edge(4, 0) && snap.graph().has_edge(1, 0));
+        assert!(!snap.graph().has_edge(2, 0));
+        assert_eq!(snap.graph().edge_count(), 4);
+    }
+
+    #[test]
+    fn delta_past_the_growth_bound_is_refused() {
+        let s = store();
+        let Err(err) = s.apply_delta(&[(u32::MAX, 0)], &[]) else { panic!("huge id accepted") };
+        assert!(err.contains("4294967295"), "{err}");
+        // Two distinct adds may grow 4 nodes to at most 8.
+        assert!(s.apply_delta(&[(8, 0), (1, 2)], &[]).is_err());
+        assert_eq!((s.current().epoch, s.swap_count()), (0, 0));
+        let (snap, added, _) = s.apply_delta(&[(7, 0), (1, 2)], &[]).unwrap();
+        assert_eq!((snap.nodes, added), (8, 2));
     }
 
     #[test]

@@ -687,7 +687,7 @@ impl EventLoop {
             epoch: snapshot.epoch,
             epoch_swaps: self.inner.store.swap_count(),
             nodes: snapshot.nodes as u64,
-            edges: snapshot.edges.len() as u64,
+            edges: snapshot.graph().edge_count() as u64,
             c: params.c,
             iterations: params.iterations as u64,
             uptime_ms: self.inner.started.elapsed().as_secs_f64() * 1e3,

@@ -129,12 +129,15 @@ fn malformed_requests_get_errors_not_disconnects() {
         r#"{"op":"query"}"#,
         r#"{"op":"query","node":999}"#,
         r#"{"op":"query","node":-3}"#,
+        // A valid u32 id that would size the graph at 2^32 nodes.
+        r#"{"op":"edge-delta","add":[[4294967295,0]]}"#,
     ] {
         let resp = client.request_line(bad).unwrap();
         assert!(matches!(resp, Response::Error { .. }), "{bad}: {resp:?}");
     }
-    // The connection is still serviceable afterwards.
-    assert!(matches!(client.query(1, 2).unwrap(), Reply::Ok(_)));
+    // The connection is still serviceable afterwards, on the same epoch.
+    let Reply::Ok(reply) = client.query(1, 2).unwrap() else { panic!("query after errors") };
+    assert_eq!(reply.epoch, 0);
     server.shutdown();
 }
 
@@ -572,11 +575,14 @@ fn lifetime_counters_survive_epoch_swaps() {
     let path = dir.join(format!("obs_v1_{}.txt", std::process::id()));
     std::fs::write(&path, gio::to_edge_list_string(&graph_v1())).unwrap();
     assert_eq!(client.reload(&path.to_string_lossy()).unwrap(), 1);
+    let v1_edges = graph_v1().edge_count() as u64;
+    assert_eq!(client.stats().unwrap().edges, v1_edges);
     assert_eq!(client.edge_delta(&[(3, 5)], &[]).unwrap(), 2);
 
     // Nothing reset: every lifetime counter is at least its pre-swap
     // value, and the swaps themselves were counted.
     let after = client.stats().unwrap();
+    assert_eq!(after.edges, v1_edges + 1, "the delta adds one absent edge");
     assert!(after.requests > before.requests);
     assert!(after.cache.hits >= before.cache.hits);
     assert!(after.cache.misses >= before.cache.misses);
