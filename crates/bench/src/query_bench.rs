@@ -13,7 +13,8 @@
 //!   fixed-size batches from [`ssr_eval::queries::select_query_batches`],
 //!   packing query rows into the blocked 16-lane kernel;
 //!
-//! plus **engine_topk** (the partial-selection result mode), and a
+//! plus **engine_topk** ([`simrank_star::QueryEngine::top_k`], the ranked
+//! result mode), and a
 //! **lane_width** axis: CPU ms per query of
 //! [`simrank_star::QueryEngine::top_k_batch`] with every chunk forced to one
 //! lane or to 16, at 1/2/4/8/16 queries per call, in both
@@ -29,6 +30,7 @@ use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::{select_queries, select_query_batches};
 use ssr_graph::NodeId;
+use ssr_obs::thread_cpu_time;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -130,19 +132,10 @@ fn best_of(reps: usize, mut pass: impl FnMut() -> Vec<(Duration, usize)>) -> Mod
         .expect("at least one pass")
 }
 
-/// CPU time this thread has run so far, from
-/// `/proc/thread-self/schedstat` (steal excluded); `None` where the kernel
-/// does not expose it. The kernel brings the figure up to date at every
-/// scheduler tick, so a reading can lag by one tick (a few ms).
-fn thread_cpu() -> Option<Duration> {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    stat.split_whitespace().next()?.parse().ok().map(Duration::from_nanos)
-}
-
 /// Which clock the `lane_width` axis reads: thread CPU time where
 /// available, wall clock otherwise.
 fn lane_clock() -> &'static str {
-    if thread_cpu().is_some() {
+    if thread_cpu_time().is_some() {
         "thread_cpu"
     } else {
         "wall"
@@ -151,13 +144,13 @@ fn lane_clock() -> &'static str {
 
 /// Time of `f` on the `lane_width` clock.
 fn lane_timed(f: impl FnOnce()) -> Duration {
-    let Some(start) = thread_cpu() else { return timed(f).1 };
+    let Some(start) = thread_cpu_time() else { return timed(f).1 };
     f();
-    thread_cpu().map_or(Duration::ZERO, |end| end.saturating_sub(start))
+    thread_cpu_time().map_or(Duration::ZERO, |end| end.saturating_sub(start))
 }
 
-/// Shortest measured window on the `lane_width` axis: long enough that a
-/// scheduler tick of clock lag stays a few percent.
+/// Shortest measured window on the `lane_width` axis, so each cell
+/// averages many calls.
 const LANE_WINDOW: Duration = Duration::from_millis(100);
 
 /// The `lane_width` axis for one engine: for each width and call size,
@@ -258,7 +251,7 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             queries.iter().map(|&q| (timed(|| engine.query_into(q, &mut row)).1, 1)).collect()
         });
 
-        // engine top-k: partial selection on top of the sweep.
+        // engine top-k: the sweep ranked in one pass over its lane.
         let topk = best_of(reps, || {
             queries.iter().map(|&q| (timed(|| engine.top_k(q, TOP_K)).1, 1)).collect()
         });

@@ -18,10 +18,11 @@
 //!   rows runs the [`QueryEngine`]'s two-pass Horner sweep exactly as
 //!   [`QueryEngine::query_batch`] would (same lane width, sparse frontiers,
 //!   dense fallback), chunks dispatched in parallel over pooled scratch.
-//! * **Streaming top-k** — [`AllPairsEngine::top_k`] ranks every requested
-//!   row by partial selection *per block*, so ranking workloads never
-//!   materialize the full matrix: peak memory is one scratch set per
-//!   worker plus the `n·k` result, not `n²`.
+//! * **Streaming top-k** — [`AllPairsEngine::top_k`] ranks each 16-row
+//!   chunk as its sweep folds, all lanes in one pass over the folded
+//!   frontier (see [`QueryEngine::top_k_batch`]), so ranking workloads
+//!   never materialize the full matrix or copy out a row: peak memory is
+//!   one scratch set per worker plus the `n·k` result, not `n²`.
 //!
 //! [`crate::geometric::iterate`], [`crate::geometric::iterate_memo`] and
 //! [`crate::geometric::Memoized::run`] are thin exact-compatible wrappers
@@ -47,7 +48,7 @@
 //! ```
 
 use crate::kernel::{transpose_into, PlainRightMultiplier, RightMultiplier, BLOCK};
-use crate::query_engine::{partial_top_k, QueryEngineOptions, SeriesKind};
+use crate::query_engine::{LaneSink, QueryEngineOptions, SeriesKind};
 use crate::{QueryEngine, SimStarParams, SimilarityMatrix};
 use ssr_graph::{DiGraph, NodeId};
 use ssr_linalg::{available_threads, dispatch_row_blocks, Dense};
@@ -196,16 +197,16 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(out.as_mut_slice(), n, BLOCK, threads, |start_row, slab| {
             let chunk = &subset[start_row..start_row + slab.len() / n];
-            self.qe.sweep_chunk(chunk, None, None, |lane, row, _| {
-                slab[lane * n..][..n].copy_from_slice(row);
-            });
+            let mut copy = |lane: usize, row: &[f64]| slab[lane * n..][..n].copy_from_slice(row);
+            self.qe.sweep_chunk(chunk, None, None, LaneSink::Rows(&mut copy));
         });
         out
     }
 
-    /// Streaming top-`k`: for every node of `subset`, its `k` best matches
-    /// (excluding itself, ties broken by ascending id) by partial selection
-    /// — ranked per block as the sweep produces it, so the full matrix is
+    /// Streaming top-`k`: for every node of `subset`, its `k` best matches,
+    /// exactly as [`QueryEngine::top_k`] ranks them (itself excluded, ties
+    /// broken by ascending id, `k` clamped to `n − 1`). Each chunk's lanes
+    /// are ranked in one pass as its sweep folds, so the full matrix is
     /// never materialized. Peak memory is one scratch set per worker plus
     /// the result, not `n²`.
     pub fn top_k(&self, subset: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
@@ -220,9 +221,8 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(&mut results, 1, BLOCK, threads, |start_row, res_chunk| {
             let chunk = &subset[start_row..start_row + res_chunk.len()];
-            self.qe.sweep_chunk(chunk, None, None, |lane, row, idx| {
-                res_chunk[lane] = partial_top_k(row, chunk[lane], k, idx);
-            });
+            let mut keep = |lane: usize, list| res_chunk[lane] = list;
+            self.qe.sweep_chunk(chunk, None, None, LaneSink::TopK(k, &mut keep));
         });
         results
     }

@@ -31,9 +31,11 @@
 //!   component so lanes overlap; a chunk of more than `SOLO_CROSSOVER` (4)
 //!   queries runs as one 16-lane sweep, a smaller one as one-lane sweeps,
 //!   so a lone query never pays for fifteen idle lanes.
-//! * **Top-k** — [`QueryEngine::top_k`] selects the `k` best matches by
-//!   partial selection (`select_nth_unstable`) instead of sorting the full
-//!   row, reading each lane's row straight from the folded sweep.
+//! * **Top-k** — [`QueryEngine::top_k`] and its batch forms rank every
+//!   occupied lane at once, in one ascending pass over the folded sweep:
+//!   a node that beats no lane's current `k`-th best score costs one
+//!   `W`-wide compare, and only winners touch a lane's `k`-entry heap. No
+//!   lane is copied out and no full row is sorted.
 //!
 //! Every path returns the same scores as the dense reference sweep
 //! ([`crate::single_source::single_source_dense`]) within `1e-10` — the
@@ -58,11 +60,11 @@ use std::time::Instant;
 /// Chunks of at most this many queries run as that many one-lane sweeps;
 /// larger chunks run as one [`BLOCK`]-lane sweep, which touches all its
 /// lanes however few are occupied. Measured on the `lane_width` axis of
-/// `BENCH_query_engine.json` (`K = 8`, CPU ms per query, three graphs in
-/// two modes): at 4 queries per call one lane wins all six cases, by
-/// 1.53–2.31×. At 8 the 16-lane sweep wins CitHepTh in both modes (2.26
-/// against 2.72 ms, 2.20 against 2.75 ms deterministic) and loses the
-/// other four by 1.18–1.58×.
+/// `BENCH_query_engine.json` (`K = 8`, thread CPU ms per query, three
+/// graphs in two modes): at 4 queries per call one lane wins five of six
+/// cases, by 1.17–2.29×, and loses CitHepTh deterministic by 4% (1.90
+/// against 1.82 ms). At 8 the 16-lane sweep wins CitHepTh and Web-Google
+/// in both modes, by 1.01–1.53×, and loses DBLP in both by 1.45–1.61×.
 const SOLO_CROSSOVER: usize = 4;
 
 /// Which SimRank\* series the engine evaluates.
@@ -271,14 +273,14 @@ impl<const W: usize> BlockFrontier<W> {
 }
 
 /// Reusable state of one `W`-lane sweep (four frontiers plus the `K + 1`
-/// accumulators, ≈ `(K+5)·8·W·n` bytes) and the buffers its lanes are
-/// ranked through. Pooled per width by the engine: no allocation on the
-/// hot path after warmup.
+/// accumulators, ≈ `(K+5)·8·W·n` bytes) and the row its lanes are copied
+/// out through. Pooled per width by the engine: no allocation on the hot
+/// path after warmup.
 struct BlockScratch<const W: usize> {
     u: BlockFrontier<W>,
     u_next: BlockFrontier<W>,
     /// `r` of the Horner pass; holds the folded result until
-    /// [`Self::emit_lanes`] hands it out and clears it.
+    /// [`Self::emit`] hands it out and clears it.
     w: BlockFrontier<W>,
     w_next: BlockFrontier<W>,
     /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` during the forward
@@ -288,8 +290,6 @@ struct BlockScratch<const W: usize> {
     /// All-zero `n`-row that a `W > 1` result's lanes are copied through
     /// one at a time (unused at `W = 1`, where `w.vals` is the row).
     row: Vec<f64>,
-    /// Partial-selection index buffer for top-k ranking.
-    idx: Vec<u32>,
 }
 
 impl<const W: usize> BlockScratch<W> {
@@ -301,33 +301,47 @@ impl<const W: usize> BlockScratch<W> {
             w_next: BlockFrontier::new(n),
             vs: (0..=k).map(|_| BlockFrontier::new(n)).collect(),
             row: if W == 1 { Vec::new() } else { vec![0.0; n] },
-            idx: Vec::new(),
         }
     }
 
-    /// Hands lane `i < lanes` of the folded result to `emit(i, row, idx)`
-    /// as a full `n`-row that is zero off the support, then clears `w`.
-    fn emit_lanes(&mut self, lanes: usize, mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>)) {
-        let BlockScratch { w, row, idx, .. } = self;
-        if W == 1 {
-            emit(0, w.vals.as_flattened(), idx);
-        } else {
-            for lane in 0..lanes {
-                // Every lane shares the union support, so each copy
-                // overwrites all of the previous lane's entries.
-                copy_lane_into(w, lane, row);
-                emit(lane, row, idx);
+    /// Hands the folded result of `queries` (lane `i` holds `queries[i]`)
+    /// to `sink` as lanes `first + i`, then clears `w`.
+    fn emit(&mut self, queries: &[NodeId], first: usize, sink: &mut LaneSink<'_>) {
+        let BlockScratch { w, row, .. } = self;
+        match sink {
+            LaneSink::TopK(k, f) => {
+                for (lane, ranked) in rank_lanes(&w.vals, queries, *k).into_iter().enumerate() {
+                    f(first + lane, ranked);
+                }
             }
-            if w.dense {
-                row.fill(0.0);
-            } else {
-                for &i in &w.active {
-                    row[i as usize] = 0.0;
+            LaneSink::Rows(f) if W == 1 => f(first, w.vals.as_flattened()),
+            LaneSink::Rows(f) => {
+                for lane in 0..queries.len() {
+                    // Every lane shares the union support, so each copy
+                    // overwrites all of the previous lane's entries.
+                    copy_lane_into(w, lane, row);
+                    f(first + lane, row);
+                }
+                if w.dense {
+                    row.fill(0.0);
+                } else {
+                    for &i in &w.active {
+                        row[i as usize] = 0.0;
+                    }
                 }
             }
         }
         w.clear();
     }
+}
+
+/// Where a sweep hands each occupied lane's result: lane `i` is the `i`-th
+/// query of the call.
+pub(crate) enum LaneSink<'a> {
+    /// `f(i, row)`: the full `n`-row, zero off the support.
+    Rows(&'a mut dyn FnMut(usize, &[f64])),
+    /// `f(i, ranked)`: the top-`k` matches ([`rank_lanes`]).
+    TopK(usize, &'a mut dyn FnMut(usize, Vec<(NodeId, f64)>)),
 }
 
 /// Copies lane `lane` of a folded frontier into a full row: every node
@@ -783,11 +797,14 @@ impl QueryEngine {
     /// zero-allocation hot path (after scratch warmup).
     pub fn query_into(&self, q: NodeId, out: &mut [f64]) {
         assert_eq!(out.len(), self.n, "output buffer size");
-        self.for_each_row(&[q], None, None, |_, row, _| out.copy_from_slice(row));
+        let mut copy = |_, row: &[f64]| out.copy_from_slice(row);
+        self.for_each_lane(&[q], None, None, LaneSink::Rows(&mut copy));
     }
 
-    /// Top-`k` most-similar nodes to `q` (excluding `q`, ties broken by
-    /// ascending id) by partial selection — no full-row sort.
+    /// Top-`k` most-similar nodes to `q`: descending score, ties broken by
+    /// ascending id, `q` itself excluded, `k` clamped to `n − 1`. Ranked in
+    /// one pass over the folded sweep (see the module docs), no row sort.
+    /// Panics if a score is NaN.
     pub fn top_k(&self, q: NodeId, k: usize) -> Vec<(NodeId, f64)> {
         self.top_k_batch_inner(&[q], k, None, None).remove(0)
     }
@@ -810,19 +827,21 @@ impl QueryEngine {
 
     fn query_batch_inner(&self, queries: &[NodeId], trace: Option<&mut EngineTrace>) -> Dense {
         let mut out = Dense::zeros(queries.len(), self.n);
-        self.for_each_row(queries, None, trace, |i, row, _| out.row_mut(i).copy_from_slice(row));
+        let mut copy = |i: usize, row: &[f64]| out.row_mut(i).copy_from_slice(row);
+        self.for_each_lane(queries, None, trace, LaneSink::Rows(&mut copy));
         out
     }
 
-    /// Batched top-`k`: one partial selection per query, read straight
-    /// from each chunk's folded sweep (no `queries × n` matrix).
+    /// Batched top-`k`: entry `i` is [`Self::top_k`]`(queries[i], k)`.
+    /// Each chunk ranks all its lanes in one pass over its folded sweep, so
+    /// no lane is copied out and no `queries × n` matrix is built.
     pub fn top_k_batch(&self, queries: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
         self.top_k_batch_inner(queries, k, None, None)
     }
 
     /// [`Self::top_k_batch`] with per-advance introspection appended to
     /// `trace`. The ranked lists are bitwise identical to the untraced
-    /// call (selection is a pure function of the swept rows).
+    /// call (ranking is a pure function of the swept rows).
     pub fn top_k_batch_traced(
         &self,
         queries: &[NodeId],
@@ -854,24 +873,23 @@ impl QueryEngine {
         trace: Option<&mut EngineTrace>,
     ) -> Vec<Vec<(NodeId, f64)>> {
         let mut ranked = vec![Vec::new(); queries.len()];
-        self.for_each_row(queries, width, trace, |i, row, idx| {
-            ranked[i] = partial_top_k(row, queries[i], k, idx);
-        });
+        let mut keep = |i: usize, list| ranked[i] = list;
+        self.for_each_lane(queries, width, trace, LaneSink::TopK(k, &mut keep));
         ranked
     }
 
-    /// Sweeps `queries` chunk by chunk and hands query `i`'s row to
-    /// `emit(i, row, idx)` (see [`Self::sweep_chunk`]). Chunks are cut
+    /// Sweeps `queries` chunk by chunk and hands query `i`'s result to
+    /// `sink` as lane `i` (see [`Self::sweep_chunk`]). Chunks are cut
     /// after grouping the queries by weakly-connected component, so the
     /// lanes of each chunk overlap in support. Each lane's sweep is
     /// independent, so the grouping changes execution only — never which
-    /// row belongs to which query.
-    fn for_each_row(
+    /// result belongs to which query.
+    fn for_each_lane(
         &self,
         queries: &[NodeId],
         width: Option<usize>,
         mut trace: Option<&mut EngineTrace>,
-        mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>),
+        mut sink: LaneSink<'_>,
     ) {
         for &q in queries {
             assert!((q as usize) < self.n, "query node out of range");
@@ -882,38 +900,50 @@ impl QueryEngine {
         for idxs in order.chunks(BLOCK) {
             chunk.clear();
             chunk.extend(idxs.iter().map(|&i| queries[i]));
-            self.sweep_chunk(&chunk, width, trace.as_deref_mut(), |lane, row, idx| {
-                emit(idxs[lane], row, idx)
-            });
+            let trace = trace.as_deref_mut();
+            match &mut sink {
+                LaneSink::Rows(f) => self.sweep_chunk(
+                    &chunk,
+                    width,
+                    trace,
+                    LaneSink::Rows(&mut |lane, row| f(idxs[lane], row)),
+                ),
+                LaneSink::TopK(k, f) => self.sweep_chunk(
+                    &chunk,
+                    width,
+                    trace,
+                    LaneSink::TopK(*k, &mut |lane, list| f(idxs[lane], list)),
+                ),
+            }
         }
     }
 
     /// Sweeps one chunk of at most [`BLOCK`] queries and hands lane `i`'s
-    /// folded row (a full `n`-row, zero off the support) to
-    /// `emit(i, row, idx)`, `idx` being a reusable selection buffer. The
-    /// chunk runs at `width` lanes if given, else by its size alone: one
-    /// 16-lane sweep above [`SOLO_CROSSOVER`] queries, one one-lane sweep
-    /// per query otherwise. Shared by every entry point of this engine and
-    /// by the all-pairs engine's parallel workers (`&self` only touches
-    /// shared immutable state; each call takes its own pooled scratch).
+    /// result, for `chunk[i]`, to `sink`. The chunk runs at `width` lanes
+    /// if given, else by its size alone: one 16-lane sweep above
+    /// [`SOLO_CROSSOVER`] queries, one one-lane sweep per query otherwise.
+    /// Shared by every entry point of this engine and by the all-pairs
+    /// engine's parallel workers (`&self` only touches shared immutable
+    /// state; each call takes its own pooled scratch).
     pub(crate) fn sweep_chunk(
         &self,
         chunk: &[NodeId],
         width: Option<usize>,
         mut trace: Option<&mut EngineTrace>,
-        mut emit: impl FnMut(usize, &[f64], &mut Vec<u32>),
+        mut sink: LaneSink<'_>,
     ) {
         debug_assert!(chunk.len() <= BLOCK);
         match width.unwrap_or(if chunk.len() > SOLO_CROSSOVER { BLOCK } else { 1 }) {
             1 => self.with_scratch::<1, _>(|s| {
                 for (i, q) in chunk.iter().enumerate() {
-                    self.sweep(std::slice::from_ref(q), s, trace.as_deref_mut());
-                    s.emit_lanes(1, |_, row, idx| emit(i, row, idx));
+                    let q = std::slice::from_ref(q);
+                    self.sweep(q, s, trace.as_deref_mut());
+                    s.emit(q, i, &mut sink);
                 }
             }),
             BLOCK => self.with_scratch::<BLOCK, _>(|s| {
                 self.sweep(chunk, s, trace);
-                s.emit_lanes(chunk.len(), emit);
+                s.emit(chunk, 0, &mut sink);
             }),
             w => panic!("lane width {w} is not built; use 1 or {BLOCK}"),
         }
@@ -983,7 +1013,7 @@ impl QueryEngine {
     /// gather would read every edge. A deterministic sweep densifies only on
     /// those backings, where every dense step reproduces the sorted sparse
     /// push's bits. Leaves the folded result in `s.w` (lane-major) for
-    /// [`BlockScratch::emit_lanes`]; every other scratch frontier is left
+    /// [`BlockScratch::emit`]; every other scratch frontier is left
     /// cleared. With `trace` set, every advance is individually timed and
     /// recorded — strictly between advances, so traced results stay bitwise
     /// identical to untraced ones.
@@ -1194,30 +1224,87 @@ fn advance<const W: usize>(
     next.clear();
 }
 
-/// Top-`k` of `row` excluding `q`, by partial selection: `O(n + k log k)`
-/// instead of the `O(n log n)` full sort. The comparator (descending score,
-/// ascending id) is a total order, so the result is deterministic even with
-/// tied scores and matches the sort-based reference exactly.
-pub(crate) fn partial_top_k(
-    row: &[f64],
-    q: NodeId,
+/// Ranks every lane of a folded frontier in one ascending pass over its
+/// nodes: entry `i` holds the `k` best `(node, score)` pairs of lane `i`,
+/// skipping `queries[i]` itself, by descending score and then ascending
+/// id — exactly the head of a full sort of that lane. `k` is clamped to
+/// `n − 1` before anything is allocated.
+///
+/// Each lane keeps a threshold: its `k`-th best score so far, `−∞` until it
+/// holds `k` entries, `+∞` for an unoccupied lane. A node that beats no
+/// threshold costs one `W`-wide compare. A winner enters its lane's
+/// buffer, which fills unsorted to `k` entries, is then heapified once
+/// with the lowest-ranked entry on top, and from then on swaps out its
+/// top; the survivors are sorted once at the end. The pass runs in
+/// ascending id, so a node that only ties the `k`-th score ranks below
+/// every entry held and never enters. Panics if a score is NaN.
+// `!(v <= t)` rather than `v > t`: a NaN then counts as a winner, which
+// sends it to the check below at no cost to the compare.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn rank_lanes<const W: usize>(
+    vals: &[[f64; W]],
+    queries: &[NodeId],
     k: usize,
-    idx: &mut Vec<u32>,
-) -> Vec<(NodeId, f64)> {
-    idx.clear();
-    idx.extend((0..row.len() as u32).filter(|&v| v != q));
-    let cmp = |a: &u32, b: &u32| {
-        row[*b as usize].partial_cmp(&row[*a as usize]).expect("finite scores").then(a.cmp(b))
-    };
-    let k = k.min(idx.len());
+) -> Vec<Vec<(NodeId, f64)>> {
+    debug_assert!(queries.len() <= W);
+    let k = k.min(vals.len().saturating_sub(1));
+    let mut ranked: Vec<Vec<(NodeId, f64)>> =
+        queries.iter().map(|_| Vec::with_capacity(k)).collect();
     if k == 0 {
-        return Vec::new();
+        return ranked;
     }
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
+    let mut thr = [f64::INFINITY; W];
+    thr[..queries.len()].fill(f64::NEG_INFINITY);
+    for (node, x) in (0..).zip(vals) {
+        if !x.iter().zip(&thr).fold(false, |hit, (v, t)| hit | !(v <= t)) {
+            continue;
+        }
+        for (lane, list) in ranked.iter_mut().enumerate() {
+            let v = x[lane];
+            if v <= thr[lane] || node == queries[lane] {
+                continue;
+            }
+            assert!(!v.is_nan(), "finite scores");
+            if list.len() < k {
+                list.push((node, v));
+                if list.len() < k {
+                    continue;
+                }
+                for i in (0..k / 2).rev() {
+                    sift_down(list, i);
+                }
+            } else {
+                list[0] = (node, v);
+                sift_down(list, 0);
+            }
+            thr[lane] = list[0].1;
+        }
     }
-    idx[..k].sort_unstable_by(cmp);
-    idx[..k].iter().map(|&v| (v, row[v as usize])).collect()
+    for list in &mut ranked {
+        list.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1).expect("finite scores").then(a.0.cmp(&b.0))
+        });
+    }
+    ranked
+}
+
+/// Restores the heap below `i`: every entry ranks at or above its parent,
+/// so the lowest-ranked entry (lowest score, then highest id) is on top.
+fn sift_down(heap: &mut [(NodeId, f64)], mut i: usize) {
+    let below = |a: (NodeId, f64), b: (NodeId, f64)| a.1 < b.1 || (a.1 == b.1 && a.0 > b.0);
+    loop {
+        let mut low = i;
+        for c in [2 * i + 1, 2 * i + 2] {
+            if c < heap.len() && below(heap[c], heap[low]) {
+                low = c;
+            }
+        }
+        if low == i {
+            return;
+        }
+        heap.swap(i, low);
+        i = low;
+    }
 }
 
 #[cfg(test)]
@@ -1387,6 +1474,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite scores")]
+    fn nan_lane_value_panics() {
+        // Lane 1 holds its k = 1 entry (node 0) before the NaN at node 3.
+        let mut vals = vec![[0.5; BLOCK]; 4];
+        vals[3][1] = f64::NAN;
+        rank_lanes(&vals, &[0, 1, 2], 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests pinning the query engine's execution paths
 //! (sparse-frontier, dense fallback, one-lane and 16-lane sweeps) to the
 //! dense reference sweep and — via Lemma 4 — to the corresponding row of
-//! the all-pairs geometric iteration, plus top-k against the full-row sort
-//! and deterministic lanes against the solo answer, bit for bit.
+//! the all-pairs geometric iteration, plus every form of top-k against the
+//! full sort of the swept rows and deterministic lanes against the solo
+//! answer, bit for bit.
 
 use proptest::prelude::*;
 use simrank_star::single_source::{single_source_dense, single_source_exponential_dense};
@@ -32,6 +33,39 @@ fn chunk_of(len: usize, n: usize, shift: usize) -> Vec<NodeId> {
 
 fn bits(row: &[f64]) -> Vec<u64> {
     row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A graph with exact score ties: random edges inside two components of
+/// `half` nodes each; for every entry of `twins`, a pair of leaves that
+/// copy that node's in-neighbours (the pair scores alike from every
+/// query); then `isolated` nodes (score 0 from every other query).
+fn tied_graph(half: usize, edges: &[(u32, u32, u32)], twins: &[u32], isolated: usize) -> DiGraph {
+    let h = half as u32;
+    let mut e: Vec<(u32, u32)> =
+        edges.iter().map(|&(a, b, side)| (a % h + side * h, b % h + side * h)).collect();
+    let base = build(2 * half, &e);
+    let mut n = 2 * h;
+    for &t in twins {
+        for _ in 0..2 {
+            e.extend(base.in_neighbors(t % (2 * h)).iter().map(|&s| (s, n)));
+            n += 1;
+        }
+    }
+    build(n as usize + isolated, &e)
+}
+
+/// A top-k list as `(id, score bits)`.
+fn ranked_bits(list: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    list.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+}
+
+/// Every `(node, score)` of `row` but `q`, by descending score and then
+/// ascending id: a full sort, which every top-k list must be a head of.
+fn sorted_row(row: &[f64], q: NodeId) -> Vec<(NodeId, u64)> {
+    let mut all: Vec<(NodeId, f64)> =
+        (0..).zip(row.iter().copied()).filter(|&(v, _)| v != q).collect();
+    all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    ranked_bits(&all)
 }
 
 proptest! {
@@ -147,30 +181,66 @@ proptest! {
         }
     }
 
-    /// Top-k by partial selection == full-row sort on ties-free scores.
-    /// (The shared descending-score / ascending-id comparator is a total
-    /// order, so the equality in fact holds with ties too; the filter to
-    /// ties-free rows keeps the property's claim independent of that rule.)
+    /// Every top-k form equals the head of a full sort of the rows its
+    /// lanes hold, in ids and score bits, on graphs with exact ties, for
+    /// 1–20 queries (duplicates too) and `k` from 0 past `n`, with default
+    /// and deterministic options. The rows: `query_batch` of the same
+    /// queries for `top_k_batch` (the same chunks and widths), and
+    /// `query_batch` of each query alone for one forced lane. Deterministic
+    /// lanes are width-independent, so 16 forced lanes compare with
+    /// `query_batch` too; with default options a 16-lane sweep's last bits
+    /// depend on its lanes, so there the rows are the lane's own complete
+    /// ranking (`k = usize::MAX`), checked to hold each node but the query
+    /// once.
     #[test]
-    fn top_k_matches_full_sort((n, edges, q) in arb_graph_and_query(16, 60)) {
-        let g = build(n, &edges);
+    fn top_k_matches_full_sort(
+        half in 1usize..=8,
+        edges in proptest::collection::vec((0u32..8, 0u32..8, 0u32..2), 0..=40),
+        twins in proptest::collection::vec(0u32..16, 0..=3),
+        isolated in 0usize..=3,
+        picks in proptest::collection::vec(0u32..64, 1..=20),
+    ) {
+        let g = tied_graph(half, &edges, &twins, isolated);
+        let n = g.node_count();
+        let queries: Vec<NodeId> = picks.iter().map(|&v| v % n as NodeId).collect();
         let p = SimStarParams { c: 0.7, iterations: 6 };
-        let engine = QueryEngine::new(&g, p);
-        let row = engine.query(q);
-        let mut sorted: Vec<(NodeId, f64)> = row
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| v != q as usize)
-            .map(|(v, &s)| (v as NodeId, s))
-            .collect();
-        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        for k in [1usize, 3, n / 2, n] {
-            let fast = engine.top_k(q, k);
-            let want = &sorted[..k.min(sorted.len())];
-            prop_assert_eq!(fast.len(), want.len());
-            for (got, exp) in fast.iter().zip(want) {
-                prop_assert_eq!(got.0, exp.0, "k={}", k);
-                prop_assert!((got.1 - exp.1).abs() < 1e-12);
+        for det in [false, true] {
+            let opts = QueryEngineOptions { deterministic: det, ..Default::default() };
+            let engine = QueryEngine::with_options(&g, p, opts);
+            let rows = engine.query_batch(&queries);
+            let batch: Vec<_> =
+                queries.iter().enumerate().map(|(i, &q)| sorted_row(rows.row(i), q)).collect();
+            let solo: Vec<_> =
+                queries.iter().map(|&q| sorted_row(engine.query_batch(&[q]).row(0), q)).collect();
+            let wide: Vec<_> = if det {
+                batch.clone()
+            } else {
+                let all = engine.top_k_batch_at_width(&queries, usize::MAX, 16);
+                queries.iter().zip(&all).map(|(&q, list)| {
+                    let mut ids: Vec<NodeId> = list.iter().map(|&(v, _)| v).collect();
+                    ids.sort_unstable();
+                    let want: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != q).collect();
+                    assert_eq!(ids, want, "q={q}: a complete ranking holds every other node");
+                    let mut row = vec![0.0; n];
+                    for &(v, s) in list {
+                        row[v as usize] = s;
+                    }
+                    sorted_row(&row, q)
+                }).collect()
+            };
+            for k in [0, 1, 3, n - 1, n, usize::MAX] {
+                for (form, got, want) in [
+                    ("batch", engine.top_k_batch(&queries, k), &batch),
+                    ("w1", engine.top_k_batch_at_width(&queries, k, 1), &solo),
+                    ("w16", engine.top_k_batch_at_width(&queries, k, 16), &wide),
+                ] {
+                    prop_assert_eq!(got.len(), queries.len());
+                    for (i, list) in got.iter().enumerate() {
+                        let head = &want[i][..k.min(n - 1)];
+                        prop_assert_eq!(&ranked_bits(list)[..], head,
+                            "det={} {} k={} lane {} (q={})", det, form, k, i, queries[i]);
+                    }
+                }
             }
         }
     }

@@ -40,6 +40,50 @@ pub mod trace;
 
 pub use trace::{Trace, TraceSpan, NO_PARENT, TRACE_SCHEMA_VERSION};
 
+/// CPU time the calling thread has run so far, from
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`; `None` where that clock
+/// cannot be read. The kernel brings it up to date at every read, so a
+/// short section reads its own cost, which a counter updated only at
+/// scheduler ticks does not.
+pub fn thread_cpu_time() -> Option<std::time::Duration> {
+    cpu_clock::thread()
+}
+
+#[allow(unsafe_code)]
+mod cpu_clock {
+    //! The `clock_gettime` FFI shim: the only unsafe code in the crate.
+
+    use std::time::Duration;
+
+    #[cfg(target_os = "linux")]
+    pub fn thread() -> Option<Duration> {
+        use std::ffi::{c_int, c_long};
+
+        /// `struct timespec` (`time_t` is a C `long` on Linux).
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+
+        extern "C" {
+            fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+        }
+
+        let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+        // SAFETY: `ts` is a live, writable `timespec` for the whole call.
+        let ret = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        (ret == 0).then(|| Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32))
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub fn thread() -> Option<Duration> {
+        None
+    }
+}
+
 /// Sub-bucket resolution: each power-of-two group is split into
 /// `2^SUB_BITS = 32` linear sub-buckets, bounding relative error at
 /// `2^-SUB_BITS` (~3%).
@@ -558,6 +602,22 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn thread_cpu_time_advances_under_a_spin_and_never_outruns_wall_time() {
+        use std::time::Duration;
+        let wall = Instant::now();
+        let start = thread_cpu_time().expect("the thread CPU clock reads on Linux");
+        let spent = loop {
+            let spent = thread_cpu_time().expect("clock still reads") - start;
+            if spent >= Duration::from_millis(2) || wall.elapsed() > Duration::from_secs(10) {
+                break spent;
+            }
+        };
+        assert!(spent >= Duration::from_millis(2), "a 10 s spin ran {spent:?} on this thread");
+        assert!(spent <= wall.elapsed(), "{spent:?} of CPU in {:?}", wall.elapsed());
+    }
 
     #[test]
     fn small_values_are_exact() {

@@ -260,8 +260,7 @@ impl Batcher {
         if (node as usize) >= snapshot.nodes {
             return Err(SubmitError::BadNode { nodes: snapshot.nodes });
         }
-        let key =
-            CacheKey { epoch: snapshot.epoch, node, k: k as u32, params_key: snapshot.params_key };
+        let key = CacheKey::new(snapshot.epoch, node, k, snapshot.params_key);
         let cache_shard = self.inner.cache.shard_index(&key);
         let cache_started = Instant::now();
         let hit = self.inner.cache.get(&key);
@@ -454,12 +453,7 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
         } else {
             Arc::new(full[..job.k].to_vec())
         };
-        let key = CacheKey {
-            epoch: snapshot.epoch,
-            node: job.node,
-            k: job.k as u32,
-            params_key: snapshot.params_key,
-        };
+        let key = CacheKey::new(snapshot.epoch, job.node, job.k, snapshot.params_key);
         inner.cache.insert(key, matches.clone());
         // Both stages record once per job, so their histograms count
         // requests, not flushes.

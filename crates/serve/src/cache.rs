@@ -25,13 +25,20 @@ pub struct CacheKey {
     pub epoch: u64,
     /// Query node.
     pub node: NodeId,
-    /// Requested `k`.
+    /// Requested `k`, saturated at `u32::MAX` (see [`CacheKey::new`]).
     pub k: u32,
     /// Stable params ⊕ options key ([`crate::epoch::Snapshot::params_key`]).
     pub params_key: u64,
 }
 
 impl CacheKey {
+    /// The key of a top-`k` answer. A `k` of `u32::MAX` or more keys as
+    /// `u32::MAX`: node ids are `u32`, so every such `k` asks for all of a
+    /// node's matches, and none aliases a smaller `k`.
+    pub fn new(epoch: u64, node: NodeId, k: usize, params_key: u64) -> Self {
+        CacheKey { epoch, node, k: u32::try_from(k).unwrap_or(u32::MAX), params_key }
+    }
+
     /// Stable shard/spread hash: [`simrank_star::Fnv1a`] over the key
     /// words (the same digest behind the `stable_key`s it contains).
     fn stable_hash(&self) -> u64 {

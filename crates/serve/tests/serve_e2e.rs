@@ -142,6 +142,24 @@ fn malformed_requests_get_errors_not_disconnects() {
 }
 
 #[test]
+fn huge_k_does_not_alias_a_small_k_in_the_cache() {
+    // On 300 nodes a k of 2^32 + 3 asks for all 299 matches; a later k = 3
+    // must not be answered from that entry.
+    let edges: Vec<(NodeId, NodeId)> = (0..300).map(|v| (v, (v * 7 + 1) % 300)).collect();
+    let g = DiGraph::from_edges(300, &edges).unwrap();
+    let server = Server::start(g, "127.0.0.1", 0, ServerOptions::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let huge = client.request_line(r#"{"op":"query","node":5,"k":4294967299}"#).unwrap();
+    let Response::Query(all) = huge else { panic!("huge k: {huge:?}") };
+    assert_eq!(all.matches.len(), 299);
+    let small = client.request_line(r#"{"op":"query","node":5,"k":3}"#).unwrap();
+    let Response::Query(three) = small else { panic!("k = 3: {small:?}") };
+    assert_eq!((three.matches.len(), three.cached), (3, false));
+    assert_eq!(*three.matches, all.matches[..3]);
+    server.shutdown();
+}
+
+#[test]
 fn bounded_queue_sheds_under_pressure() {
     let server = start(ServerOptions {
         batch: BatcherOptions { window_us: 100_000, max_batch: 2, queue_capacity: 2, workers: 1 },
