@@ -12,7 +12,10 @@
 //!   behind [`RightMultiplier`], and the transpose/scale/diagonal update is **fused**
 //!   into one parallel pass (the seed path ran it as three serial sweeps
 //!   plus a fresh `n×n` allocation per iteration; here two ping-pong
-//!   buffers live for the whole run).
+//!   buffers live for the whole run). The kernel is packed from the
+//!   engine's graph inside each call, an `O(m)` step next to the
+//!   `O(K·n·m)` sweep, so the engine holds no second copy of the
+//!   adjacency for workloads that never ask for the full matrix.
 //! * **Partial pairs** — [`AllPairsEngine::rows`] computes an arbitrary
 //!   row subset without paying for `n²`: each 16-row chunk of requested
 //!   rows runs the [`QueryEngine`]'s two-pass Horner sweep exactly as
@@ -96,9 +99,6 @@ impl Default for AllPairsOptions {
 /// ```
 pub struct AllPairsEngine {
     qe: QueryEngine,
-    /// The full sweep's kernel (walks raw adjacency: add-then-scale,
-    /// exactly the seed kernel). `None` on an access backing.
-    plain: Option<PlainRightMultiplier>,
     opts: AllPairsOptions,
 }
 
@@ -108,20 +108,22 @@ impl AllPairsEngine {
         Self::with_options(g, params, AllPairsOptions::default())
     }
 
-    /// Builds an engine: copies the graph's adjacency, precomputes the
-    /// `1/|I(v)|` weights, the lattice coefficient table, and the plain
-    /// kernel — all shared by every subsequent sweep.
+    /// Builds an engine: copies the graph's adjacency and precomputes the
+    /// `1/|I(v)|` weights and the lattice coefficient table, shared by
+    /// every subsequent sweep. The full sweep's kernel is packed from that
+    /// copy inside each [`Self::full`] call, so [`Self::rows`] and
+    /// [`Self::top_k`] never pay for it.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: AllPairsOptions) -> Self {
         let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_options(g, params, qe_opts);
-        AllPairsEngine { qe, plain: Some(PlainRightMultiplier::new(g)), opts }
+        AllPairsEngine { qe, opts }
     }
 
     /// Builds an engine over a random-access backing (e.g. an on-disk
     /// `.ssg` store) without materialising the CSR. Subset [`Self::rows`]
     /// and [`Self::top_k`] work as usual; the Geometric [`Self::full`]
-    /// sweep needs the in-memory kernel and panics — load the graph fully
-    /// for the full matrix.
+    /// sweep packs its kernel from an in-memory graph and panics here —
+    /// load the graph fully for the full matrix.
     pub fn with_access(
         src: std::sync::Arc<dyn ssr_graph::NeighborAccess>,
         params: SimStarParams,
@@ -129,7 +131,7 @@ impl AllPairsEngine {
     ) -> Self {
         let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_access(src, params, qe_opts);
-        AllPairsEngine { qe, plain: None, opts }
+        AllPairsEngine { qe, opts }
     }
 
     /// Number of nodes of the indexed graph.
@@ -147,34 +149,35 @@ impl AllPairsEngine {
         &self.opts
     }
 
-    /// The kernel the full sweep applies.
-    fn kernel(&self) -> &PlainRightMultiplier {
-        self.plain.as_ref().expect(
-            "the all-pairs full sweep needs an in-memory graph backing; \
-             load the graph fully (or use rows()/top_k(), which stream)",
-        )
-    }
-
-    /// Approximate resident bytes of the engine (graph backing plus the
-    /// precomputed kernel) — see [`QueryEngine::resident_bytes`].
+    /// Approximate resident bytes of the engine: its query engine's, see
+    /// [`QueryEngine::resident_bytes`]. The full sweep's kernel lives only
+    /// for the duration of a [`Self::full`] call.
     pub fn resident_bytes(&self) -> usize {
-        self.qe.resident_bytes() + self.plain.as_ref().map_or(0, |k| k.resident_bytes())
+        self.qe.resident_bytes()
     }
 
     /// The full `n × n` similarity matrix.
     ///
     /// `Geometric` runs the block-parallel fixed-point recurrence (exactly
     /// the scores of [`crate::geometric::iterate`] — bit-compatible, the
-    /// blocking only changes scheduling); `Exponential` evaluates the
-    /// Eq. (18) partial sum row-block-parallel through the Horner sweep.
+    /// blocking only changes scheduling) over a plain kernel packed from
+    /// the engine's graph for this call; it needs the in-memory backing and
+    /// panics on an access one. `Exponential` evaluates the Eq. (18)
+    /// partial sum row-block-parallel through the Horner sweep.
     pub fn full(&self) -> SimilarityMatrix {
         match self.opts.kind {
-            SeriesKind::Geometric => SimilarityMatrix::from_dense(sweep_full(
-                self.kernel(),
-                self.qe.params(),
-                self.opts.threads,
-                self.opts.block_rows,
-            )),
+            SeriesKind::Geometric => {
+                let g = self.qe.graph().expect(
+                    "the all-pairs full sweep needs an in-memory graph backing; \
+                     load the graph fully (or use rows()/top_k(), which stream)",
+                );
+                SimilarityMatrix::from_dense(sweep_full(
+                    &PlainRightMultiplier::new(g),
+                    self.qe.params(),
+                    self.opts.threads,
+                    self.opts.block_rows,
+                ))
+            }
             SeriesKind::Exponential => {
                 let all: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
                 SimilarityMatrix::from_dense(self.rows(&all))
@@ -560,6 +563,15 @@ mod tests {
             }
             assert_eq!(mem.top_k(&subset, 3).len(), acc.top_k(&subset, 3).len());
             assert!(acc.resident_bytes() > 0);
+        }
+    }
+
+    #[test]
+    fn resident_bytes_are_the_query_engines() {
+        for g in graphs() {
+            let p = SimStarParams::default();
+            let engine = AllPairsEngine::new(&g, p);
+            assert_eq!(engine.resident_bytes(), QueryEngine::new(&g, p).resident_bytes());
         }
     }
 

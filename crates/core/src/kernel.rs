@@ -192,13 +192,6 @@ pub struct PlainRightMultiplier {
 }
 
 impl PlainRightMultiplier {
-    /// Approximate heap bytes of the packed adjacency.
-    pub fn resident_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.sources.len() * 4
-            + self.inv_deg.len() * 8
-    }
-
     /// Builds from a graph (packs the in-adjacency).
     pub fn new(g: &DiGraph) -> Self {
         let n = g.node_count();

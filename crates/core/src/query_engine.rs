@@ -27,10 +27,12 @@
 //!   width `W`: every frontier stores `W` queries lane-major over their
 //!   union support, so each adjacency index is read once per `W` queries.
 //!   It runs at `W = 1` (a solo query) and `W = 16` (a full chunk).
-//!   Batches are cut into 16-query chunks grouped by weakly-connected
-//!   component so lanes overlap; a chunk of more than `SOLO_CROSSOVER` (4)
-//!   queries runs as one 16-lane sweep, a smaller one as one-lane sweeps,
-//!   so a lone query never pays for fifteen idle lanes.
+//!   Batches of more than 16 queries are cut into 16-query chunks grouped
+//!   by weakly-connected component so lanes overlap; the component labels
+//!   are computed on the first such call, so building an engine never
+//!   pays for them. A chunk of more than `SOLO_CROSSOVER` (4) queries runs
+//!   as one 16-lane sweep, a smaller one as one-lane sweeps, so a lone
+//!   query never pays for fifteen idle lanes.
 //! * **Top-k** — [`QueryEngine::top_k`] and its batch forms rank every
 //!   occupied lane at once, in one ascending pass over the folded sweep:
 //!   a node that beats no lane's current `k`-th best score costs one
@@ -54,7 +56,7 @@ use ssr_graph::components::{weakly_connected_components, weakly_connected_compon
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use ssr_linalg::Dense;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Chunks of at most this many queries run as that many one-lane sweeps;
@@ -653,8 +655,10 @@ pub struct QueryEngine {
     /// Weakly-connected component label per node: batches are chunked by
     /// component so the lanes of a chunk share frontier support (lanes
     /// outside a node's component are provably zero — packing unrelated
-    /// queries together wastes 15/16 of every lane operation).
-    component: Vec<u32>,
+    /// queries together wastes 15/16 of every lane operation). Filled by
+    /// the first call of more than [`BLOCK`] queries, the only calls whose
+    /// chunks grouping can change ([`Self::components`]).
+    component: OnceLock<Vec<u32>>,
     /// Scratch pools of one-lane and 16-lane sweeps.
     solo_scratch: Mutex<Vec<BlockScratch<1>>>,
     block_scratch: Mutex<Vec<BlockScratch<BLOCK>>>,
@@ -679,16 +683,17 @@ impl QueryEngine {
     /// in instead of copying it.
     pub fn from_graph(g: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let opts = validate_options(params, opts);
-        let component = weakly_connected_components(&g).label;
         let inv_in = inv_in_degrees(&g);
-        Self::build(Backing::Memory(g), inv_in, component, params, opts)
+        Self::build(Backing::Memory(g), inv_in, params, opts)
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
     /// in-memory [`DiGraph`] — the memory-bounded serving path: adjacency
     /// is decoded on demand (e.g. straight off a compressed `.ssg`
     /// mapping) and the engine's own resident state is `O(n)` (the
-    /// `1/|I(v)|` weights and component labels), never `O(m)`.
+    /// `1/|I(v)|` weights, plus the component labels once a call of more
+    /// than 16 queries has built them), never `O(m)`. The build reads the
+    /// in-degrees only: no out-list is decoded until a query needs it.
     ///
     /// Results match the in-memory engine to the usual `1e-10`, and in
     /// deterministic mode ([`QueryEngineOptions::deterministic`]) they are
@@ -703,39 +708,26 @@ impl QueryEngine {
         opts: QueryEngineOptions,
     ) -> Self {
         let opts = validate_options(params, opts);
-        let n = src.node_count();
         let inv_in = inv_in_degrees(&*src);
-        // Component labels from the edge stream (no DiGraph materialised;
-        // one transient out-list at a time). The union-find keeps the
-        // smaller root, so labels are edge-order-independent and equal to
-        // the in-memory engine's.
-        let component = weakly_connected_components_from_edges(
-            n,
-            (0..n as u32).flat_map(|v| {
-                src.out_neighbors_vec(v).into_iter().map(move |w| (v, w)).collect::<Vec<_>>()
-            }),
-        )
-        .label;
-        Self::build(Backing::Access(src), inv_in, component, params, opts)
+        Self::build(Backing::Access(src), inv_in, params, opts)
     }
 
     fn build(
         backing: Backing,
         inv_in: Vec<f64>,
-        component: Vec<u32>,
         params: SimStarParams,
         opts: QueryEngineOptions,
     ) -> Self {
         let (coeffs, theta_tail) = coeff_table(&params, &opts);
         QueryEngine {
-            n: component.len(),
+            n: inv_in.len(),
             backing,
             inv_in,
             coeffs,
             theta_tail,
             params,
             opts,
-            component,
+            component: OnceLock::new(),
             solo_scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
             stats: EngineStats::default(),
@@ -758,9 +750,10 @@ impl QueryEngine {
 
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (the graph copy's adjacency in both directions, or the
-    /// access source's own accounting) and the `O(n)` weight vector and
-    /// component labels. Scratch pools and coefficient tables (`O(K²)`)
-    /// are excluded — they are query-, not graph-, proportional.
+    /// access source's own accounting), the `O(n)` weight vector, and the
+    /// component labels once a call of more than 16 queries has built
+    /// them. Scratch pools and coefficient tables (`O(K²)`) are excluded —
+    /// they are query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
             Backing::Memory(g) => g.estimated_bytes(),
@@ -768,7 +761,7 @@ impl QueryEngine {
         };
         backing
             + self.inv_in.len() * std::mem::size_of::<f64>()
-            + self.component.len() * std::mem::size_of::<u32>()
+            + self.component.get().map_or(0, |c| c.len() * std::mem::size_of::<u32>())
     }
 
     /// The parameters the engine was built with.
@@ -879,11 +872,14 @@ impl QueryEngine {
     }
 
     /// Sweeps `queries` chunk by chunk and hands query `i`'s result to
-    /// `sink` as lane `i` (see [`Self::sweep_chunk`]). Chunks are cut
-    /// after grouping the queries by weakly-connected component, so the
-    /// lanes of each chunk overlap in support. Each lane's sweep is
-    /// independent, so the grouping changes execution only — never which
-    /// result belongs to which query.
+    /// `sink` as lane `i` (see [`Self::sweep_chunk`]). Lanes run in
+    /// `(node, i)` order. A call of more than [`BLOCK`] queries first
+    /// groups them by weakly-connected component, so the lanes of each
+    /// chunk overlap in support; a smaller call is one chunk either way.
+    /// Both orders agree within a component, and a frontier node only ever
+    /// holds values for lanes of its own component, so the grouping changes
+    /// execution only — never a result's bits, nor which result belongs
+    /// to which query.
     fn for_each_lane(
         &self,
         queries: &[NodeId],
@@ -894,8 +890,12 @@ impl QueryEngine {
         for &q in queries {
             assert!((q as usize) < self.n, "query node out of range");
         }
+        let component = (queries.len() > BLOCK).then(|| self.components());
         let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by_key(|&i| (self.component[queries[i] as usize], queries[i], i));
+        order.sort_by_key(|&i| {
+            let q = queries[i];
+            (component.map_or(0, |c| c[q as usize]), q, i)
+        });
         let mut chunk = Vec::with_capacity(BLOCK);
         for idxs in order.chunks(BLOCK) {
             chunk.clear();
@@ -916,6 +916,24 @@ impl QueryEngine {
                 ),
             }
         }
+    }
+
+    /// The weakly-connected component label of every node, computed on
+    /// first use. An access backing streams its out-lists one at a time;
+    /// the union-find keeps the smaller root, so labels are
+    /// edge-order-independent and equal to the in-memory engine's.
+    fn components(&self) -> &[u32] {
+        self.component.get_or_init(|| {
+            let wcc = match &self.backing {
+                Backing::Memory(g) => weakly_connected_components(g),
+                Backing::Access(src) => weakly_connected_components_from_edges(
+                    self.n,
+                    (0..self.n as u32)
+                        .flat_map(|v| src.out_neighbors_vec(v).into_iter().map(move |w| (v, w))),
+                ),
+            };
+            wcc.label
+        })
     }
 
     /// Sweeps one chunk of at most [`BLOCK`] queries and hands lane `i`'s
@@ -1716,6 +1734,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn component_labels_are_built_by_the_first_call_that_can_use_them() {
+        let g = mid_density_graph();
+        let (n, graph_bytes) = (g.node_count(), g.estimated_bytes());
+        let engine = QueryEngine::from_graph(g, SimStarParams::default(), Default::default());
+        assert_eq!(engine.resident_bytes(), graph_bytes + 8 * n, "weights only");
+        let queries: Vec<NodeId> = (0..=BLOCK as NodeId).map(|i| i * 7).collect();
+        engine.top_k_batch(&queries[..BLOCK], 3);
+        assert_eq!(engine.resident_bytes(), graph_bytes + 8 * n, "one chunk needs no labels");
+        engine.top_k_batch(&queries, 3);
+        assert_eq!(engine.resident_bytes(), graph_bytes + 12 * n, "labels, 4 bytes a node");
+    }
+
+    /// A [`DiGraph`] behind [`NeighborAccess`] that counts out-list reads.
+    struct CountingAccess {
+        g: DiGraph,
+        out_reads: AtomicU64,
+    }
+
+    impl NeighborAccess for CountingAccess {
+        fn node_count(&self) -> usize {
+            self.g.node_count()
+        }
+        fn edge_count(&self) -> usize {
+            self.g.edge_count()
+        }
+        fn out_degree(&self, v: NodeId) -> usize {
+            self.g.out_degree(v)
+        }
+        fn in_degree(&self, v: NodeId) -> usize {
+            self.g.in_degree(v)
+        }
+        fn for_each_out(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+            self.out_reads.fetch_add(1, Ordering::Relaxed);
+            NeighborAccess::for_each_out(&self.g, v, f)
+        }
+        fn for_each_in(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+            NeighborAccess::for_each_in(&self.g, v, f)
+        }
+        fn resident_bytes(&self) -> usize {
+            self.g.estimated_bytes()
+        }
+    }
+
+    #[test]
+    fn access_build_reads_no_out_list() {
+        let g = mid_density_graph();
+        let src = Arc::new(CountingAccess { g: g.clone(), out_reads: AtomicU64::new(0) });
+        let p = SimStarParams::default();
+        let engine = QueryEngine::with_access(src.clone(), p, Default::default());
+        assert_eq!(src.out_reads.load(Ordering::Relaxed), 0);
+        assert_rows_close(&engine.query(5), &QueryEngine::new(&g, p).query(5), 1e-10, "access");
+    }
+
+    #[test]
+    fn batches_past_one_chunk_still_group_by_component() {
+        // Two components interleaved by id (the even and the odd nodes),
+        // each a circulant graph, so one query's support spreads through
+        // its own component only. Cutoffs at 1.0 keep every frontier
+        // sparse, so `frontier_active` counts the union support of a chunk.
+        let n = 96u32;
+        let edges: Vec<(u32, u32)> =
+            (0..n).flat_map(|v| [2, 6, 10].map(|d| (v, (v + d) % n))).collect();
+        let g = DiGraph::from_edges(n as usize, &edges).unwrap();
+        let p = SimStarParams::default();
+        let opts = QueryEngineOptions {
+            density_cutoff: 1.0,
+            batch_density_cutoff: 1.0,
+            ..Default::default()
+        };
+        let frontier = |calls: &[&[NodeId]]| {
+            let engine = QueryEngine::with_options(&g, p, opts.clone());
+            for queries in calls {
+                engine.top_k_batch(queries, 3);
+            }
+            engine.stats().frontier_active
+        };
+        let alternating: Vec<NodeId> = (0..2 * BLOCK as NodeId).collect();
+        let (even, odd): (Vec<NodeId>, Vec<NodeId>) =
+            alternating.iter().partition(|&&q| q % 2 == 0);
+        let grouped = frontier(&[&even, &odd]);
+        assert_eq!(frontier(&[&alternating]), grouped);
+        // Without the grouping, both chunks would span both components.
+        let mixed = frontier(&[&alternating[..BLOCK], &alternating[BLOCK..]]);
+        assert!(mixed > grouped, "{mixed} vs {grouped}");
     }
 
     #[test]
