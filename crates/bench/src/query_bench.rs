@@ -11,13 +11,13 @@
 //!   state, sparse-frontier sweep, pooled scratch;
 //! * **batched** — [`simrank_star::QueryEngine::query_batch`] over
 //!   fixed-size batches from [`ssr_eval::queries::select_query_batches`],
-//!   packing query rows into the blocked 16-lane kernel;
+//!   swept as 8-lane chunks;
 //!
 //! plus **engine_topk** ([`simrank_star::QueryEngine::top_k`], the ranked
 //! result mode), and a
 //! **lane_width** axis: CPU ms per query of
 //! [`simrank_star::QueryEngine::top_k_batch`] with every chunk forced to one
-//! lane or to 16, at 1/2/4/8/16 queries per call, in both
+//! lane or to 8, at 1–6, 8 and 16 queries per call, in both
 //! non-deterministic and deterministic mode — the table behind the
 //! engine's choice of lane width. The emitted JSON schema is documented in
 //! `README.md` ("Perf trajectory"); CI's scheduled bench job runs the
@@ -50,9 +50,9 @@ const K: usize = 8;
 const TOP_K: usize = 20;
 const SEED: u64 = 0x0BE7_C0DE;
 /// Queries per call on the `lane_width` axis.
-const CALL_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
+const CALL_SIZES: [usize; 8] = [1, 2, 3, 4, 5, 6, 8, 16];
 /// The lane widths the engine builds.
-const WIDTHS: [usize; 2] = [1, 16];
+const WIDTHS: [usize; 2] = [1, 8];
 
 /// Per-mode timing: one latency sample per timed unit (query or batch),
 /// `queries_per_unit` queries amortized over each sample.
@@ -352,7 +352,7 @@ fn render_json(smoke: bool, reports: &[(DatasetReport, usize)]) -> String {
 }
 
 /// The `lane_width` object of one dataset: CPU ms per query by mode
-/// (`nondet`/`det`) and width (`w1`/`w16`), one entry per call size.
+/// (`nondet`/`det`) and width (`w1`/`w8`), one entry per call size.
 fn lane_json(lanes: &[[[f64; CALL_SIZES.len()]; WIDTHS.len()]; 2]) -> String {
     let mut s = String::new();
     s.push_str("      \"lane_width\": {\n");
@@ -401,9 +401,9 @@ mod tests {
         let doc = format!("{{\n{}}}", lane_json(&lanes).trim_end());
         let parsed = crate::check::parse_json(&doc).expect("valid JSON");
         let axis = parsed.get("lane_width").expect("lane_width object");
-        let w16 = axis.get("det").and_then(|d| d.get("w16")).and_then(|w| w.as_arr());
-        assert_eq!(w16.map(|w| w.len()), Some(CALL_SIZES.len()));
-        assert_eq!(w16.and_then(|w| w[4].as_num()), Some(1.25));
+        let w8 = axis.get("det").and_then(|d| d.get("w8")).and_then(|w| w.as_arr());
+        assert_eq!(w8.map(|w| w.len()), Some(CALL_SIZES.len()));
+        assert_eq!(w8.and_then(|w| w[4].as_num()), Some(1.25));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * **serial** — batch window disabled, cache off: every request flushes
 //!   alone through the engine. The baseline.
 //! * **batched** — the coalescing window on, cache off: concurrent
-//!   requests ride the 16-lane blocked path together. The acceptance
+//!   requests ride the 8-lane path together. The acceptance
 //!   metric is `speedup_batched_vs_serial ≥ 2×` at 16 concurrent clients
 //!   on CitHepTh.
 //! * **cached** — window on, cache on, hot node pool: adds the result

@@ -17,12 +17,14 @@
 //!   `O(K·n·m)` sweep, so the engine holds no second copy of the
 //!   adjacency for workloads that never ask for the full matrix.
 //! * **Partial pairs** — [`AllPairsEngine::rows`] computes an arbitrary
-//!   row subset without paying for `n²`: each 16-row chunk of requested
-//!   rows runs the [`QueryEngine`]'s two-pass Horner sweep exactly as
-//!   [`QueryEngine::query_batch`] would (same lane width, sparse frontiers,
-//!   dense fallback), chunks dispatched in parallel over pooled scratch.
-//! * **Streaming top-k** — [`AllPairsEngine::top_k`] ranks each 16-row
-//!   chunk as its sweep folds, all lanes in one pass over the folded
+//!   row subset without paying for `n²`: requested rows are dispatched in
+//!   parallel in 16-row blocks, and each block runs the [`QueryEngine`]'s
+//!   two-pass Horner sweep as [`QueryEngine::query_batch`] does (8-query
+//!   chunks, the same lane widths, sparse frontiers, dense fallback) over
+//!   pooled scratch. Blocks stay at 16 rows, so a call of 16 rows still
+//!   runs on its caller's thread alone.
+//! * **Streaming top-k** — [`AllPairsEngine::top_k`] ranks each chunk
+//!   as its sweep folds, all lanes in one pass over the folded
 //!   frontier (see [`QueryEngine::top_k_batch`]), so ranking workloads
 //!   never materialize the full matrix or copy out a row: peak memory is
 //!   one scratch set per worker plus the `n·k` result, not `n²`.
@@ -201,7 +203,7 @@ impl AllPairsEngine {
         dispatch_row_blocks(out.as_mut_slice(), n, BLOCK, threads, |start_row, slab| {
             let chunk = &subset[start_row..start_row + slab.len() / n];
             let mut copy = |lane: usize, row: &[f64]| slab[lane * n..][..n].copy_from_slice(row);
-            self.qe.sweep_chunk(chunk, None, None, LaneSink::Rows(&mut copy));
+            self.qe.sweep_lanes(chunk, None, None, LaneSink::Rows(&mut copy));
         });
         out
     }
@@ -225,7 +227,7 @@ impl AllPairsEngine {
         dispatch_row_blocks(&mut results, 1, BLOCK, threads, |start_row, res_chunk| {
             let chunk = &subset[start_row..start_row + res_chunk.len()];
             let mut keep = |lane: usize, list| res_chunk[lane] = list;
-            self.qe.sweep_chunk(chunk, None, None, LaneSink::TopK(k, &mut keep));
+            self.qe.sweep_lanes(chunk, None, None, LaneSink::TopK(k, &mut keep));
         });
         results
     }
@@ -318,8 +320,7 @@ pub(crate) fn sweep_full(
 /// Lane width of the full sweep's kernel blocks. The transposed input
 /// block (`n × lanes` f64) must stay L2-resident — the kernel reads it at
 /// random per edge — which rules out wider blocks at realistic `n`
-/// (measured: 64 lanes at `n = 8k` is a 2× slowdown, not a win), so the
-/// sweep keeps the query paths' width.
+/// (measured: 64 lanes at `n = 8k` is a 2× slowdown, not a win).
 const LANES: usize = BLOCK;
 
 /// Computes rows `[start_row, start_row + chunk_rows)` of `X·Qᵀ` into

@@ -22,17 +22,19 @@
 //!   support (push-style over adjacency rows) with an epsilon threshold,
 //!   falling back to a dense scatter or gather step once the frontier
 //!   saturates past a density cutoff. Scratch lives in per-width pools;
-//!   the hot path allocates nothing after warmup.
+//!   the hot path allocates nothing after warmup, and an engine built for
+//!   a new graph version can take over its predecessor's idle sets
+//!   ([`QueryEngine::adopt_scratch`]) instead of faulting in its own.
 //! * **One sweep, two lane widths** — the sweep is generic over a lane
 //!   width `W`: every frontier stores `W` queries lane-major over their
 //!   union support, so each adjacency index is read once per `W` queries.
-//!   It runs at `W = 1` (a solo query) and `W = 16` (a full chunk).
-//!   Batches of more than 16 queries are cut into 16-query chunks grouped
-//!   by weakly-connected component so lanes overlap; the component labels
-//!   are computed on the first such call, so building an engine never
-//!   pays for them. A chunk of more than `SOLO_CROSSOVER` (4) queries runs
-//!   as one 16-lane sweep, a smaller one as one-lane sweeps, so a lone
-//!   query never pays for fifteen idle lanes.
+//!   It runs at `W = 1` (a solo query) and `W = 8` (a full chunk).
+//!   Batches are cut into 8-query chunks; a batch of more than 8 queries
+//!   is first grouped by weakly-connected component so lanes overlap. The
+//!   component labels are computed on the first such call, so building an
+//!   engine never pays for them. A chunk of more than `SOLO_CROSSOVER`
+//!   queries runs as one 8-lane sweep, a smaller one as one-lane sweeps,
+//!   so a lone query never pays for seven idle lanes.
 //! * **Top-k** — [`QueryEngine::top_k`] and its batch forms rank every
 //!   occupied lane at once, in one ascending pass over the folded sweep:
 //!   a node that beats no lane's current `k`-th best score costs one
@@ -49,7 +51,6 @@
 //! whether the step is a sorted sparse push or, on the in-memory backing,
 //! a dense scatter or gather.
 
-use crate::kernel::BLOCK;
 use crate::series::{exponential_weights, geometric_weights, lattice_coeffs};
 use crate::SimStarParams;
 use ssr_graph::components::{weakly_connected_components, weakly_connected_components_from_edges};
@@ -59,15 +60,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+/// Lanes of a multi-lane sweep: the width batches are chunked at. One
+/// frontier holds `n·LANES·8` bytes, 1.06 MB at `n = 16,500`, which fits
+/// a 2 MiB per-core L2 cache that a 16-lane frontier (2.1 MB) overflows;
+/// a sweep's scratch set holds `K + 5` frontiers.
+const LANES: usize = 8;
+
 /// Chunks of at most this many queries run as that many one-lane sweeps;
-/// larger chunks run as one [`BLOCK`]-lane sweep, which touches all its
+/// larger chunks run as one [`LANES`]-lane sweep, which touches all its
 /// lanes however few are occupied. Measured on the `lane_width` axis of
-/// `BENCH_query_engine.json` (`K = 8`, thread CPU ms per query, three
-/// graphs in two modes): at 4 queries per call one lane wins five of six
-/// cases, by 1.17–2.29×, and loses CitHepTh deterministic by 4% (1.90
-/// against 1.82 ms). At 8 the 16-lane sweep wins CitHepTh and Web-Google
-/// in both modes, by 1.01–1.53×, and loses DBLP in both by 1.45–1.61×.
-const SOLO_CROSSOVER: usize = 4;
+/// `BENCH_query_engine.json` (`K = 8`, thread CPU ms per query, one lane
+/// against eight, non-deterministic / deterministic):
+///
+/// | per call | CitHepTh               | DBLP                   | Web-Google             |
+/// |----------|------------------------|------------------------|------------------------|
+/// | 2        | 2.15/2.01 vs 2.36/2.14 | 0.30/0.28 vs 0.54/0.48 | 1.92/1.79 vs 2.99/2.65 |
+/// | 3        | 2.31/2.00 vs 2.03/1.54 | 0.31/0.33 vs 0.48/0.53 | 1.81/1.73 vs 2.26/2.01 |
+/// | 4        | 2.02/2.08 vs 1.45/1.43 | 0.33/0.38 vs 0.44/0.48 | 1.73/1.65 vs 1.53/1.57 |
+/// | 5        | 2.23/1.99 vs 1.13/0.96 | 0.30/0.34 vs 0.39/0.43 | 1.78/1.68 vs 1.33/1.08 |
+/// | 6        | 2.14/1.85 vs 1.03/1.02 | 0.29/0.35 vs 0.34/0.37 | 1.76/1.37 vs 1.23/1.04 |
+///
+/// At 3 queries per call one lane wins four of six cases (DBLP and
+/// Web-Google, by 1.16–1.61×); at 4 the 8-lane sweep wins four (CitHepTh
+/// by 1.39–1.45×, Web-Google by 1.05–1.13×). DBLP keeps one lane ahead
+/// up to 6 queries per call and breaks even at 8. The
+/// one-lane column does not depend on call size, and its spread (1.85–2.32
+/// ms on CitHepTh) is the run's noise.
+const SOLO_CROSSOVER: usize = 3;
 
 /// Which SimRank\* series the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,10 +117,10 @@ pub struct QueryEngineOptions {
     /// ([`QueryEngine::with_access`]), whose deterministic sweeps stay
     /// sparse. `1.0` never densifies.
     pub density_cutoff: f64,
-    /// The 16-lane sweep's density cutoff. A dense step's cost is
-    /// amortized over `BLOCK` lanes, so the union frontier profits from
-    /// staying sparse longer — the default (0.25) is higher than the
-    /// one-lane `density_cutoff`.
+    /// The 8-lane sweep's density cutoff. A dense step's cost is
+    /// amortized over 8 lanes, so the union frontier profits from staying
+    /// sparse longer — the default (0.25) is higher than the one-lane
+    /// `density_cutoff`.
     pub batch_density_cutoff: f64,
     /// Batch-composition-independent arithmetic: every query produces the
     /// same bits whether it runs alone, in any batch, at either lane width,
@@ -245,6 +264,22 @@ impl<const W: usize> BlockFrontier<W> {
         }
     }
 
+    /// Resizes a cleared frontier to `n` nodes.
+    fn resize(&mut self, n: usize) {
+        debug_assert!(!self.dense && self.active.is_empty(), "pooled frontiers are cleared");
+        resize_exact(&mut self.vals, n, [0.0; W]);
+        if W > 1 {
+            resize_exact(&mut self.member, n, false);
+        }
+    }
+
+    /// Bytes allocated for the values, the active list and the bitmap.
+    fn bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<[f64; W]>()
+            + self.active.capacity() * std::mem::size_of::<u32>()
+            + self.member.capacity()
+    }
+
     /// Nodes the frontier holds: the active support, or `n` when dense.
     fn support(&self) -> usize {
         if self.dense {
@@ -306,6 +341,31 @@ impl<const W: usize> BlockScratch<W> {
         }
     }
 
+    /// Resizes a pooled (so cleared) set to `n` nodes and `k` iterations.
+    fn resize(&mut self, n: usize, k: usize) {
+        self.vs.truncate(k + 1);
+        for f in [&mut self.u, &mut self.u_next, &mut self.w, &mut self.w_next] {
+            f.resize(n);
+        }
+        for f in &mut self.vs {
+            f.resize(n);
+        }
+        self.vs.resize_with(k + 1, || BlockFrontier::new(n));
+        if W > 1 {
+            resize_exact(&mut self.row, n, 0.0);
+        }
+    }
+
+    /// Bytes the set holds: every frontier plus the copy-out row.
+    fn bytes(&self) -> usize {
+        [&self.u, &self.u_next, &self.w, &self.w_next]
+            .into_iter()
+            .chain(&self.vs)
+            .map(BlockFrontier::bytes)
+            .sum::<usize>()
+            + self.row.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Hands the folded result of `queries` (lane `i` holds `queries[i]`)
     /// to `sink` as lanes `first + i`, then clears `w`.
     fn emit(&mut self, queries: &[NodeId], first: usize, sink: &mut LaneSink<'_>) {
@@ -335,6 +395,13 @@ impl<const W: usize> BlockScratch<W> {
         }
         w.clear();
     }
+}
+
+/// `v.resize(n, fill)` with growth reserved exactly: a plain resize may
+/// double the allocation to add the few nodes of an edge delta.
+fn resize_exact<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    v.reserve_exact(n.saturating_sub(v.len()));
+    v.resize(n, fill);
 }
 
 /// Where a sweep hands each occupied lane's result: lane `i` is the `i`-th
@@ -503,7 +570,7 @@ pub struct EngineStats {
     /// Occupied lanes across sweeps.
     lanes_used: AtomicU64,
     /// Lane capacity across sweeps (the width `W` per sweep: 1 for a
-    /// one-lane sweep, `BLOCK` for a 16-lane one).
+    /// one-lane sweep, 8 for a multi-lane one).
     lane_slots: AtomicU64,
     /// Frontier support (active nodes, or `n` when dense) summed over
     /// advances.
@@ -617,7 +684,7 @@ impl Pooled for BlockScratch<1> {
     }
 }
 
-impl Pooled for BlockScratch<BLOCK> {
+impl Pooled for BlockScratch<LANES> {
     fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>> {
         &engine.block_scratch
     }
@@ -655,13 +722,13 @@ pub struct QueryEngine {
     /// Weakly-connected component label per node: batches are chunked by
     /// component so the lanes of a chunk share frontier support (lanes
     /// outside a node's component are provably zero — packing unrelated
-    /// queries together wastes 15/16 of every lane operation). Filled by
-    /// the first call of more than [`BLOCK`] queries, the only calls whose
+    /// queries together wastes 7/8 of every lane operation). Filled by
+    /// the first call of more than [`LANES`] queries, the only calls whose
     /// chunks grouping can change ([`Self::components`]).
     component: OnceLock<Vec<u32>>,
-    /// Scratch pools of one-lane and 16-lane sweeps.
+    /// Scratch pools of one-lane and 8-lane sweeps.
     solo_scratch: Mutex<Vec<BlockScratch<1>>>,
-    block_scratch: Mutex<Vec<BlockScratch<BLOCK>>>,
+    block_scratch: Mutex<Vec<BlockScratch<LANES>>>,
     /// Lifetime work counters (sweeps, advances, lane occupancy, frontier
     /// density); sweeps flush local tallies here.
     stats: EngineStats,
@@ -692,7 +759,7 @@ impl QueryEngine {
     /// is decoded on demand (e.g. straight off a compressed `.ssg`
     /// mapping) and the engine's own resident state is `O(n)` (the
     /// `1/|I(v)|` weights, plus the component labels once a call of more
-    /// than 16 queries has built them), never `O(m)`. The build reads the
+    /// than 8 queries has built them), never `O(m)`. The build reads the
     /// in-degrees only: no out-list is decoded until a query needs it.
     ///
     /// Results match the in-memory engine to the usual `1e-10`, and in
@@ -751,9 +818,9 @@ impl QueryEngine {
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (the graph copy's adjacency in both directions, or the
     /// access source's own accounting), the `O(n)` weight vector, and the
-    /// component labels once a call of more than 16 queries has built
-    /// them. Scratch pools and coefficient tables (`O(K²)`) are excluded —
-    /// they are query-, not graph-, proportional.
+    /// component labels once a call of more than 8 queries has built
+    /// them. Scratch pools ([`Self::scratch_bytes`]) and coefficient tables
+    /// (`O(K²)`) are excluded — they are query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
             Backing::Memory(g) => g.estimated_bytes(),
@@ -762,6 +829,45 @@ impl QueryEngine {
         backing
             + self.inv_in.len() * std::mem::size_of::<f64>()
             + self.component.get().map_or(0, |c| c.len() * std::mem::size_of::<u32>())
+    }
+
+    /// Bytes held by the idle sweep sets in this engine's scratch pools,
+    /// at their allocated capacity; a set a running sweep holds is not
+    /// counted. A `W`-lane set is `K + 5` frontiers of `n·W·8` bytes plus
+    /// their active lists: at `n = 16,500` and `K = 5`, about 11 MB for an
+    /// 8-lane set and 1.5 MB for a one-lane one.
+    pub fn scratch_bytes(&self) -> usize {
+        fn idle<const W: usize>(e: &QueryEngine) -> usize
+        where
+            BlockScratch<W>: Pooled,
+        {
+            let pool = BlockScratch::<W>::pool(e).lock().expect("scratch pool poisoned");
+            pool.iter().map(BlockScratch::bytes).sum()
+        }
+        idle::<1>(self) + idle::<LANES>(self)
+    }
+
+    /// Moves `from`'s idle pooled sweep sets into this engine's pools,
+    /// resized to this engine's node count and iteration count, so an
+    /// engine built for the next graph version starts with warm scratch
+    /// instead of faulting in fresh sets, and dropping `from` frees none.
+    /// A set `from` is sweeping with stays there. Pooled frontiers are
+    /// always left cleared, so an adopted set gives the same bits as a
+    /// fresh one.
+    pub fn adopt_scratch(&self, from: &QueryEngine) {
+        fn adopt<const W: usize>(to: &QueryEngine, from: &QueryEngine)
+        where
+            BlockScratch<W>: Pooled,
+        {
+            let pool = BlockScratch::<W>::pool(from);
+            let mut sets = std::mem::take(&mut *pool.lock().expect("scratch pool poisoned"));
+            for s in &mut sets {
+                s.resize(to.n, to.params.iterations);
+            }
+            BlockScratch::<W>::pool(to).lock().expect("scratch pool poisoned").append(&mut sets);
+        }
+        adopt::<1>(self, from);
+        adopt::<LANES>(self, from);
     }
 
     /// The parameters the engine was built with.
@@ -803,7 +909,7 @@ impl QueryEngine {
     }
 
     /// Batched single-source scores: row `i` of the result is
-    /// `ŝ(queries[i], ·)`. Queries run in chunks of up to 16 (see the
+    /// `ŝ(queries[i], ·)`. Queries run in chunks of up to 8 (see the
     /// module docs for how a chunk's lane width is picked), so a full
     /// chunk reads each adjacency index once for all its queries — sparse
     /// pushes and dense gathers alike.
@@ -845,7 +951,7 @@ impl QueryEngine {
     }
 
     /// [`Self::top_k_batch`] with every chunk swept at `width` lanes
-    /// (`1` or `BLOCK`) whatever its size — the hook behind the
+    /// (`1` or `8`) whatever its size — the hook behind the
     /// `lane_width` axis of the query-engine benchmark, which measures
     /// where the widths cross over.
     #[doc(hidden)]
@@ -871,50 +977,44 @@ impl QueryEngine {
         ranked
     }
 
-    /// Sweeps `queries` chunk by chunk and hands query `i`'s result to
-    /// `sink` as lane `i` (see [`Self::sweep_chunk`]). Lanes run in
-    /// `(node, i)` order. A call of more than [`BLOCK`] queries first
-    /// groups them by weakly-connected component, so the lanes of each
-    /// chunk overlap in support; a smaller call is one chunk either way.
-    /// Both orders agree within a component, and a frontier node only ever
-    /// holds values for lanes of its own component, so the grouping changes
-    /// execution only — never a result's bits, nor which result belongs
-    /// to which query.
+    /// Sweeps `queries` and hands query `i`'s result to `sink` as lane `i`
+    /// (see [`Self::sweep_lanes`]). Lanes run in `(node, i)` order. A call
+    /// of more than [`LANES`] queries first groups them by
+    /// weakly-connected component, so the lanes of each chunk overlap in
+    /// support; a smaller call is one chunk either way. Both orders agree
+    /// within a component, and a frontier node only ever holds values for
+    /// lanes of its own component, so the grouping changes execution only —
+    /// never a result's bits, nor which result belongs to which query.
     fn for_each_lane(
         &self,
         queries: &[NodeId],
         width: Option<usize>,
-        mut trace: Option<&mut EngineTrace>,
+        trace: Option<&mut EngineTrace>,
         mut sink: LaneSink<'_>,
     ) {
         for &q in queries {
             assert!((q as usize) < self.n, "query node out of range");
         }
-        let component = (queries.len() > BLOCK).then(|| self.components());
+        let component = (queries.len() > LANES).then(|| self.components());
         let mut order: Vec<usize> = (0..queries.len()).collect();
         order.sort_by_key(|&i| {
             let q = queries[i];
             (component.map_or(0, |c| c[q as usize]), q, i)
         });
-        let mut chunk = Vec::with_capacity(BLOCK);
-        for idxs in order.chunks(BLOCK) {
-            chunk.clear();
-            chunk.extend(idxs.iter().map(|&i| queries[i]));
-            let trace = trace.as_deref_mut();
-            match &mut sink {
-                LaneSink::Rows(f) => self.sweep_chunk(
-                    &chunk,
-                    width,
-                    trace,
-                    LaneSink::Rows(&mut |lane, row| f(idxs[lane], row)),
-                ),
-                LaneSink::TopK(k, f) => self.sweep_chunk(
-                    &chunk,
-                    width,
-                    trace,
-                    LaneSink::TopK(*k, &mut |lane, list| f(idxs[lane], list)),
-                ),
-            }
+        let lanes: Vec<NodeId> = order.iter().map(|&i| queries[i]).collect();
+        match &mut sink {
+            LaneSink::Rows(f) => self.sweep_lanes(
+                &lanes,
+                width,
+                trace,
+                LaneSink::Rows(&mut |lane, row| f(order[lane], row)),
+            ),
+            LaneSink::TopK(k, f) => self.sweep_lanes(
+                &lanes,
+                width,
+                trace,
+                LaneSink::TopK(*k, &mut |lane, list| f(order[lane], list)),
+            ),
         }
     }
 
@@ -936,34 +1036,35 @@ impl QueryEngine {
         })
     }
 
-    /// Sweeps one chunk of at most [`BLOCK`] queries and hands lane `i`'s
-    /// result, for `chunk[i]`, to `sink`. The chunk runs at `width` lanes
-    /// if given, else by its size alone: one 16-lane sweep above
-    /// [`SOLO_CROSSOVER`] queries, one one-lane sweep per query otherwise.
-    /// Shared by every entry point of this engine and by the all-pairs
-    /// engine's parallel workers (`&self` only touches shared immutable
-    /// state; each call takes its own pooled scratch).
-    pub(crate) fn sweep_chunk(
+    /// Sweeps `queries` and hands lane `i`'s result, for `queries[i]`, to
+    /// `sink`. The queries are cut in order into chunks of [`LANES`]; a
+    /// chunk runs at `width` lanes if given, else by its size alone: one
+    /// 8-lane sweep above [`SOLO_CROSSOVER`] queries, one one-lane sweep
+    /// per query otherwise. Shared by every entry point of this engine and
+    /// by the all-pairs engine's parallel workers (`&self` only touches
+    /// shared immutable state; each chunk takes its own pooled scratch).
+    pub(crate) fn sweep_lanes(
         &self,
-        chunk: &[NodeId],
+        queries: &[NodeId],
         width: Option<usize>,
         mut trace: Option<&mut EngineTrace>,
         mut sink: LaneSink<'_>,
     ) {
-        debug_assert!(chunk.len() <= BLOCK);
-        match width.unwrap_or(if chunk.len() > SOLO_CROSSOVER { BLOCK } else { 1 }) {
-            1 => self.with_scratch::<1, _>(|s| {
-                for (i, q) in chunk.iter().enumerate() {
-                    let q = std::slice::from_ref(q);
-                    self.sweep(q, s, trace.as_deref_mut());
-                    s.emit(q, i, &mut sink);
-                }
-            }),
-            BLOCK => self.with_scratch::<BLOCK, _>(|s| {
-                self.sweep(chunk, s, trace);
-                s.emit(chunk, 0, &mut sink);
-            }),
-            w => panic!("lane width {w} is not built; use 1 or {BLOCK}"),
+        for (first, chunk) in (0..).step_by(LANES).zip(queries.chunks(LANES)) {
+            match width.unwrap_or(if chunk.len() > SOLO_CROSSOVER { LANES } else { 1 }) {
+                1 => self.with_scratch::<1, _>(|s| {
+                    for (i, q) in chunk.iter().enumerate() {
+                        let q = std::slice::from_ref(q);
+                        self.sweep(q, s, trace.as_deref_mut());
+                        s.emit(q, first + i, &mut sink);
+                    }
+                }),
+                LANES => self.with_scratch::<LANES, _>(|s| {
+                    self.sweep(chunk, s, trace.as_deref_mut());
+                    s.emit(chunk, first, &mut sink);
+                }),
+                w => panic!("lane width {w} is not built; use 1 or {LANES}"),
+            }
         }
     }
 
@@ -1024,7 +1125,7 @@ impl QueryEngine {
     /// `q_rows` pushes `Q` rows (u-advance) and `qt_rows` pushes `Qᵀ` rows
     /// (Horner advance). Once dense, the u-advance pushes the `Q` row of
     /// every nonzero node, and the Horner advance gathers `Q` rows — the
-    /// arithmetic the 16-lane sweep always had, lane for lane. Where that
+    /// arithmetic the multi-lane sweep always has, lane for lane. Where that
     /// gather gives the push's bits ([`PushRows::GATHER_MATCHES_PUSH`]), a
     /// one-lane Horner advance pushes the `Qᵀ` row of every nonzero node
     /// instead: a frontier just past the cutoff is still mostly zero, and a
@@ -1328,6 +1429,7 @@ fn sift_down(heap: &mut [(NodeId, f64)], mut i: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::BLOCK;
     use crate::single_source::{single_source_dense, single_source_exponential_dense};
     use crate::{geometric, series};
 
@@ -1361,24 +1463,24 @@ mod tests {
         assert!(after_one.iterations > 0, "a sweep advances the frontier");
         assert!(after_one.frontier_active <= after_one.frontier_slots);
         assert_eq!((after_one.lanes_used, after_one.lane_slots), (1, 1), "one one-lane sweep");
-        // A 3-query batch is below the crossover: three one-lane sweeps.
+        // A 3-query batch is at the crossover: three one-lane sweeps.
         engine.top_k_batch(&[0, 1, 2], 2);
         let after_small = engine.stats();
         assert_eq!(after_small.sweeps, 4);
         assert_eq!((after_small.lanes_used, after_small.lane_slots), (4, 4));
         assert!(after_small.iterations > after_one.iterations);
-        // 17 queries: one full 16-lane chunk plus a one-lane remainder.
-        let queries: Vec<NodeId> = (0..17).map(|i| i % 4).collect();
+        // 9 queries: one full 8-lane chunk plus a one-lane remainder.
+        let queries: Vec<NodeId> = (0..=LANES as NodeId).map(|i| i % 4).collect();
         engine.top_k_batch(&queries, 2);
         let after_wide = engine.stats();
-        assert_eq!(after_wide.sweeps, 21);
-        assert_eq!(after_wide.lanes_used, 4 + 17);
-        assert_eq!(after_wide.lane_slots, 4 + BLOCK as u64 + 1);
-        // One query past the crossover runs as one 16-lane chunk.
+        assert_eq!(after_wide.sweeps, 4 + 9);
+        assert_eq!(after_wide.lanes_used, 4 + 9);
+        assert_eq!(after_wide.lane_slots, 4 + LANES as u64 + 1);
+        // One query past the crossover runs as one 8-lane chunk.
         engine.top_k_batch(&queries[..SOLO_CROSSOVER + 1], 2);
         let after_cross = engine.stats();
         assert_eq!(after_cross.lanes_used - after_wide.lanes_used, SOLO_CROSSOVER as u64 + 1);
-        assert_eq!(after_cross.lane_slots - after_wide.lane_slots, BLOCK as u64);
+        assert_eq!(after_cross.lane_slots - after_wide.lane_slots, LANES as u64);
     }
 
     #[test]
@@ -1456,7 +1558,7 @@ mod tests {
 
     #[test]
     fn batch_wider_than_block_is_consistent() {
-        // More rows than one 16-lane block, with repeated query ids.
+        // More rows than two chunks, with repeated query ids.
         let g = &graphs()[0];
         let p = SimStarParams::default();
         let engine = QueryEngine::new(g, p);
@@ -1528,12 +1630,51 @@ mod tests {
             assert_eq!(engine.query(0), first);
         }
         // One sequential caller ⇒ exactly one pooled one-lane scratch, and
-        // no 16-lane scratch until a chunk crosses over.
+        // no 8-lane scratch until a chunk crosses over.
         assert_eq!(engine.solo_scratch.lock().unwrap().len(), 1);
         assert_eq!(engine.block_scratch.lock().unwrap().len(), 0);
         engine.top_k_batch(&[0; BLOCK], 2);
         engine.top_k_batch(&[1; BLOCK], 2);
         assert_eq!(engine.block_scratch.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn adopted_scratch_is_resized_and_gives_fresh_engine_bits() {
+        let g = mid_density_graph();
+        let p = SimStarParams { c: 0.6, iterations: 5 };
+        // An edge delta that grows the node range from 300 to 302.
+        let (grown, _, _) = g.with_delta(&[(300, 7), (301, 300), (12, 301)], &[]).unwrap();
+        let queries: Vec<NodeId> = vec![300, 301, 7, 12, 40, 99, 150, 299];
+        let det = QueryEngineOptions { deterministic: true, ..Default::default() };
+        for opts in [QueryEngineOptions::default(), det] {
+            let old = QueryEngine::with_options(&g, p, opts.clone());
+            old.top_k_batch_at_width(&queries[2..], 5, LANES);
+            old.query(3);
+            let held = old.scratch_bytes();
+            let sets = |e: &QueryEngine| {
+                (e.solo_scratch.lock().unwrap().len(), e.block_scratch.lock().unwrap().len())
+            };
+            assert_eq!(sets(&old), (1, 1));
+            let new = QueryEngine::with_options(&grown, p, opts.clone());
+            new.adopt_scratch(&old);
+            assert_eq!((sets(&old), old.scratch_bytes()), ((0, 0), 0), "old pools emptied");
+            assert_eq!(sets(&new), (1, 1), "new engine holds the old engine's sets");
+            // Two more nodes grow the sets by under 1%, not by a doubling.
+            let grown_bytes = new.scratch_bytes();
+            assert!((held..held * 101 / 100).contains(&grown_bytes), "{grown_bytes} vs {held}");
+            for s in new.block_scratch.lock().unwrap().iter() {
+                assert!(s.vs.iter().chain([&s.u, &s.w]).all(|f| f.vals.len() == 302));
+                assert!(s.vs.iter().all(|f| f.member.len() == 302) && s.row.len() == 302);
+            }
+            // The adopted sets reach the new nodes and give a fresh engine's
+            // bits, at both widths.
+            let fresh = QueryEngine::with_options(&grown, p, opts);
+            let rows = |e: &QueryEngine| bits(e.query_batch(&queries).as_slice());
+            assert_eq!(rows(&new), rows(&fresh));
+            assert_eq!(new.top_k_batch(&queries, 5), fresh.top_k_batch(&queries, 5));
+            assert_eq!(bits(&new.query(301)), bits(&fresh.query(301)));
+            assert_eq!(sets(&new), (1, 1), "no set was allocated after adoption");
+        }
     }
 
     #[test]
@@ -1725,7 +1866,7 @@ mod tests {
                 for q in 0..n as NodeId {
                     assert_rows_close(&mem.query(q), &acc.query(q), 1e-10, "access row");
                 }
-                // A full chunk, so the 16-lane dense steps run too.
+                // Two full chunks, so the 8-lane dense steps run too.
                 let wide: Vec<NodeId> = (0..BLOCK).map(|i| (i % n) as NodeId).collect();
                 let (bm, ba) = (mem.query_batch(&wide), acc.query_batch(&wide));
                 for (i, &q) in wide.iter().enumerate() {
@@ -1742,8 +1883,8 @@ mod tests {
         let (n, graph_bytes) = (g.node_count(), g.estimated_bytes());
         let engine = QueryEngine::from_graph(g, SimStarParams::default(), Default::default());
         assert_eq!(engine.resident_bytes(), graph_bytes + 8 * n, "weights only");
-        let queries: Vec<NodeId> = (0..=BLOCK as NodeId).map(|i| i * 7).collect();
-        engine.top_k_batch(&queries[..BLOCK], 3);
+        let queries: Vec<NodeId> = (0..=LANES as NodeId).map(|i| i * 7).collect();
+        engine.top_k_batch(&queries[..LANES], 3);
         assert_eq!(engine.resident_bytes(), graph_bytes + 8 * n, "one chunk needs no labels");
         engine.top_k_batch(&queries, 3);
         assert_eq!(engine.resident_bytes(), graph_bytes + 12 * n, "labels, 4 bytes a node");
@@ -1813,13 +1954,13 @@ mod tests {
             }
             engine.stats().frontier_active
         };
-        let alternating: Vec<NodeId> = (0..2 * BLOCK as NodeId).collect();
+        let alternating: Vec<NodeId> = (0..2 * LANES as NodeId).collect();
         let (even, odd): (Vec<NodeId>, Vec<NodeId>) =
             alternating.iter().partition(|&&q| q % 2 == 0);
         let grouped = frontier(&[&even, &odd]);
         assert_eq!(frontier(&[&alternating]), grouped);
         // Without the grouping, both chunks would span both components.
-        let mixed = frontier(&[&alternating[..BLOCK], &alternating[BLOCK..]]);
+        let mixed = frontier(&[&alternating[..LANES], &alternating[LANES..]]);
         assert!(mixed > grouped, "{mixed} vs {grouped}");
     }
 

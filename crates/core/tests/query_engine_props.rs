@@ -1,5 +1,5 @@
 //! Property tests pinning the query engine's execution paths
-//! (sparse-frontier, dense fallback, one-lane and 16-lane sweeps) to the
+//! (sparse-frontier, dense fallback, one-lane and 8-lane sweeps) to the
 //! dense reference sweep and — via Lemma 4 — to the corresponding row of
 //! the all-pairs geometric iteration, plus every form of top-k against the
 //! full sort of the swept rows and deterministic lanes against the solo
@@ -100,7 +100,7 @@ proptest! {
         }
     }
 
-    /// Batched rows (one-lane and 16-lane chunks) == dense sweep ==
+    /// Batched rows (one-lane and 8-lane chunks) == dense sweep ==
     /// all-pairs rows.
     #[test]
     fn batched_matches_dense_and_matrix(
@@ -187,8 +187,8 @@ proptest! {
     /// and deterministic options. The rows: `query_batch` of the same
     /// queries for `top_k_batch` (the same chunks and widths), and
     /// `query_batch` of each query alone for one forced lane. Deterministic
-    /// lanes are width-independent, so 16 forced lanes compare with
-    /// `query_batch` too; with default options a 16-lane sweep's last bits
+    /// lanes are width-independent, so 8 forced lanes compare with
+    /// `query_batch` too; with default options an 8-lane sweep's last bits
     /// depend on its lanes, so there the rows are the lane's own complete
     /// ranking (`k = usize::MAX`), checked to hold each node but the query
     /// once.
@@ -215,7 +215,7 @@ proptest! {
             let wide: Vec<_> = if det {
                 batch.clone()
             } else {
-                let all = engine.top_k_batch_at_width(&queries, usize::MAX, 16);
+                let all = engine.top_k_batch_at_width(&queries, usize::MAX, 8);
                 queries.iter().zip(&all).map(|(&q, list)| {
                     let mut ids: Vec<NodeId> = list.iter().map(|&(v, _)| v).collect();
                     ids.sort_unstable();
@@ -232,7 +232,7 @@ proptest! {
                 for (form, got, want) in [
                     ("batch", engine.top_k_batch(&queries, k), &batch),
                     ("w1", engine.top_k_batch_at_width(&queries, k, 1), &solo),
-                    ("w16", engine.top_k_batch_at_width(&queries, k, 16), &wide),
+                    ("w8", engine.top_k_batch_at_width(&queries, k, 8), &wide),
                 ] {
                     prop_assert_eq!(got.len(), queries.len());
                     for (i, list) in got.iter().enumerate() {

@@ -7,9 +7,9 @@
 //! (`window_us`) collecting whatever concurrent requests arrive, then
 //! flushes the whole batch through one
 //! [`simrank_star::QueryEngine::top_k_batch`] call. The engine cuts the
-//! flush into 16-query chunks: a full chunk runs as one 16-lane sweep, so
+//! flush into 8-query chunks: a full chunk runs as one 8-lane sweep, so
 //! adjacency indices are read once per chunk instead of once per request,
-//! and a remainder of at most 4 queries (a solo request, say) runs as
+//! and a remainder of at most 3 queries (a solo request, say) runs as
 //! one-lane sweeps that pay for no idle lanes. Duplicate nodes in a flush
 //! collapse into a single lane. With `window_us = 0` coalescing is off and
 //! each job flushes alone through the identical code path: the serial

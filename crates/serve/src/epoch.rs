@@ -7,10 +7,13 @@
 //! read-optimized serving path) that lets graph swaps happen with zero
 //! read downtime. A `reload` hands its graph to the new engine; an
 //! `edge-delta` patches the rows it touches in the current engine's graph
-//! ([`DiGraph::with_delta`]) instead of rebuilding every edge. The epoch
-//! counter is part of every result-cache key and every query response, so
-//! answers are always attributable to the exact graph version that
-//! produced them.
+//! ([`DiGraph::with_delta`]) instead of rebuilding every edge. Either way
+//! the new engine takes over the current one's idle sweep scratch
+//! ([`QueryEngine::adopt_scratch`]), so a swap neither faults in fresh
+//! scratch on the next flush nor frees the old sets on the admin thread.
+//! The epoch counter is part of every result-cache key and every query
+//! response, so answers are always attributable to the exact graph
+//! version that produced them.
 
 use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_graph::{DiGraph, NodeId};
@@ -96,11 +99,7 @@ impl EpochStore {
     /// one as soon as this returns.
     pub fn publish(&self, graph: DiGraph) -> Arc<Snapshot> {
         let _admin = self.admin.lock().expect("admin lock poisoned");
-        let next_epoch = self.current().epoch + 1;
-        let snapshot = Arc::new(build_snapshot(next_epoch, graph, self.params, &self.opts));
-        *self.current.write().expect("epoch cell poisoned") = snapshot.clone();
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        snapshot
+        self.succeed(&self.current(), graph)
     }
 
     /// Applies an edge delta to the current snapshot's graph and publishes
@@ -123,10 +122,17 @@ impl EpochStore {
         let base = self.current();
         let (graph, added, removed) =
             base.graph().with_delta(add, remove).map_err(|e| format!("bad delta: {e}"))?;
+        Ok((self.succeed(&base, graph), added, removed))
+    }
+
+    /// Builds the epoch after `base` from `graph`, hands it `base`'s idle
+    /// scratch, and publishes it. The caller holds the admin lock.
+    fn succeed(&self, base: &Snapshot, graph: DiGraph) -> Arc<Snapshot> {
         let snapshot = Arc::new(build_snapshot(base.epoch + 1, graph, self.params, &self.opts));
+        snapshot.engine.adopt_scratch(&base.engine);
         *self.current.write().expect("epoch cell poisoned") = snapshot.clone();
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        Ok((snapshot, added, removed))
+        snapshot
     }
 }
 
@@ -215,6 +221,34 @@ mod tests {
         assert_eq!((s.current().epoch, s.swap_count()), (0, 0));
         let (snap, added, _) = s.apply_delta(&[(7, 0), (1, 2)], &[]).unwrap();
         assert_eq!((snap.nodes, added), (8, 2));
+    }
+
+    #[test]
+    fn swaps_hand_the_idle_scratch_to_the_new_engine() {
+        let s = store();
+        // Warm both widths' pools: a one-lane sweep and an 8-lane one.
+        let warm = |engine: &QueryEngine| {
+            engine.top_k(1, 2);
+            engine.top_k_batch_at_width(&[0, 1, 2, 3], 2, 8);
+            engine.scratch_bytes()
+        };
+        let old = s.current();
+        let held = warm(old.engine());
+        assert!(held > 0);
+        let next = s.publish(DiGraph::from_edges(4, &[(1, 0), (2, 1), (3, 2)]).unwrap());
+        assert_eq!(old.engine().scratch_bytes(), 0, "publish empties the old pools");
+        assert_eq!(next.engine().scratch_bytes(), held, "same n, same sets");
+        // A delta that grows the node range resizes the sets it hands over.
+        let (grown, _, _) = s.apply_delta(&[(5, 0)], &[]).unwrap();
+        assert_eq!(next.engine().scratch_bytes(), 0, "apply_delta empties the old pools");
+        assert!(grown.engine().scratch_bytes() > held);
+        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
+        let fresh = QueryEngine::with_options(grown.graph(), s.params(), opts);
+        let nodes = [0, 1, 4, 5];
+        assert_eq!(
+            grown.engine().top_k_batch_at_width(&nodes, 3, 8),
+            fresh.top_k_batch_at_width(&nodes, 3, 8)
+        );
     }
 
     #[test]

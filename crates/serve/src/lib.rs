@@ -18,10 +18,10 @@
 //!   bounded queue (the admission-control point — overflow sheds instead
 //!   of queueing unboundedly) and flush workers park briefly to coalesce
 //!   concurrent requests into one [`QueryEngine::top_k_batch`] call. The
-//!   engine sweeps each full 16-query chunk of a flush at 16 lanes and a
+//!   engine sweeps each full 8-query chunk of a flush at 8 lanes and a
 //!   small remainder (a solo request, say) at one lane, so server
 //!   throughput inherits the batched path's speedup while a lone request
-//!   pays for one lane, not sixteen. Snapshots force the engine's
+//!   pays for one lane, not eight. Snapshots force the engine's
 //!   deterministic mode, making results bit-identical however requests
 //!   get coalesced — the invariant that lets cached, solo, and batched
 //!   answers interchange.

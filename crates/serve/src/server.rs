@@ -204,6 +204,7 @@ impl Inner {
             ("frontier_active", stats.frontier_active),
             ("frontier_slots", stats.frontier_slots),
             ("resident_bytes", engine.resident_bytes() as u64),
+            ("scratch_bytes", engine.scratch_bytes() as u64),
         ] {
             pulled_gauges.push((format!("ssr_engine_{name}"), value));
         }

@@ -699,6 +699,7 @@ fn metrics_op_is_equivalent_across_codecs_with_one_sample_per_request() {
     // One engine per snapshot: its gauges carry no shard label.
     let gauge = |name: &str| a.snapshot.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
     assert!(gauge("ssr_engine_resident_bytes").is_some_and(|v| v > 0));
+    assert!(gauge("ssr_engine_scratch_bytes").is_some_and(|v| v > 0), "the flush's idle set");
     assert!(gauge("ssr_engine_sweeps").is_some_and(|v| v > 0));
 
     // Per-codec counters: each wire counted its own traffic (8 queries +

@@ -70,7 +70,7 @@ fn deterministic_top_k_digest_is_pinned() {
     let queries = queries(&g);
     for (backing, engine) in engines(&g) {
         // One query per call sweeps one lane at a time; 16 per call fills
-        // one 16-lane sweep per call.
+        // two 8-lane sweeps per call.
         for per_call in [1, 16] {
             let lists: Vec<_> =
                 queries.chunks(per_call).flat_map(|c| engine.top_k_batch(c, 10)).collect();
@@ -91,6 +91,6 @@ fn deterministic_row_digest_is_pinned() {
         assert_eq!(got, ROW_DIGEST, "{backing}, one lane: got {got:#018x}");
         let batch = engine.query_batch(&sample);
         let got = digest_rows((0..sample.len()).map(|i| batch.row(i)));
-        assert_eq!(got, ROW_DIGEST, "{backing}, 16 lanes: got {got:#018x}");
+        assert_eq!(got, ROW_DIGEST, "{backing}, 8 lanes: got {got:#018x}");
     }
 }
