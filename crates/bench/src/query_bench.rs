@@ -18,7 +18,8 @@
 //! **lane_width** axis: CPU ms per query of
 //! [`simrank_star::QueryEngine::top_k_batch`] with every chunk forced to one
 //! lane or to 8, at 1–6, 8 and 16 queries per call, in both
-//! non-deterministic and deterministic mode — the table behind the
+//! non-deterministic and deterministic mode, each cell the median of seven
+//! windows measured round-robin across all cells — the table behind the
 //! engine's choice of lane width. The emitted JSON schema is documented in
 //! `README.md` ("Perf trajectory"); CI's scheduled bench job runs the
 //! `--smoke` variant and uploads the file as an artifact so the trajectory
@@ -153,37 +154,44 @@ fn lane_timed(f: impl FnOnce()) -> Duration {
 /// averages many calls.
 const LANE_WINDOW: Duration = Duration::from_millis(100);
 
+/// Windows per `lane_width` cell; the cell reports their median.
+const LANE_WINDOWS: usize = 7;
+
 /// The `lane_width` axis for one engine: for each width and call size,
-/// the fastest of `reps` windows, each running whole passes over `queries`
-/// (cut into calls of that size) for at least [`LANE_WINDOW`], in ms per
-/// query. The widths' windows alternate within each call size, so a drift
-/// in machine speed shifts both sides of a comparison alike.
-fn lane_axis(
-    engine: &QueryEngine,
-    queries: &[NodeId],
-    reps: usize,
-) -> [[f64; CALL_SIZES.len()]; WIDTHS.len()] {
-    let mut best = [[f64::INFINITY; CALL_SIZES.len()]; WIDTHS.len()];
-    for (s, &size) in CALL_SIZES.iter().enumerate() {
-        let pass = |width| {
-            for call in queries.chunks(size) {
-                std::hint::black_box(engine.top_k_batch_at_width(call, TOP_K, width));
-            }
-        };
-        // A warm-up pass per width sizes its windows.
-        let passes = WIDTHS.map(|width| {
-            let once = timed(|| pass(width)).1.as_secs_f64().max(1e-9);
+/// the median of [`LANE_WINDOWS`] windows, each running whole passes over
+/// `queries` (cut into calls of that size) for at least [`LANE_WINDOW`],
+/// in ms per query. Each round measures one window of every cell, in an
+/// order rotated by one cell per round, so a drift in machine speed lands
+/// on every cell alike instead of on the call sizes measured during it.
+fn lane_axis(engine: &QueryEngine, queries: &[NodeId]) -> [[f64; CALL_SIZES.len()]; WIDTHS.len()] {
+    let cells: Vec<(usize, usize)> =
+        (0..WIDTHS.len()).flat_map(|w| (0..CALL_SIZES.len()).map(move |s| (w, s))).collect();
+    let pass = |(w, s): (usize, usize)| {
+        for call in queries.chunks(CALL_SIZES[s]) {
+            std::hint::black_box(engine.top_k_batch_at_width(call, TOP_K, WIDTHS[w]));
+        }
+    };
+    // A warm-up pass per cell sizes its windows.
+    let passes: Vec<usize> = cells
+        .iter()
+        .map(|&cell| {
+            let once = timed(|| pass(cell)).1.as_secs_f64().max(1e-9);
             (LANE_WINDOW.as_secs_f64() / once).ceil().max(1.0) as usize
-        });
-        for _ in 0..reps.max(1) {
-            for (w, &width) in WIDTHS.iter().enumerate() {
-                let t = lane_timed(|| (0..passes[w]).for_each(|_| pass(width)));
-                let ms = t.as_secs_f64() * 1e3 / (passes[w] * queries.len()) as f64;
-                best[w][s] = best[w][s].min(ms);
-            }
+        })
+        .collect();
+    let mut windows = vec![Vec::with_capacity(LANE_WINDOWS); cells.len()];
+    for round in 0..LANE_WINDOWS {
+        for i in (0..cells.len()).map(|i| (i + round) % cells.len()) {
+            let t = lane_timed(|| (0..passes[i]).for_each(|_| pass(cells[i])));
+            windows[i].push(t.as_secs_f64() * 1e3 / (passes[i] * queries.len()) as f64);
         }
     }
-    best
+    let mut axis = [[0.0; CALL_SIZES.len()]; WIDTHS.len()];
+    for (&(w, s), mut ms) in cells.iter().zip(windows) {
+        ms.sort_by(f64::total_cmp);
+        axis[w][s] = ms[ms.len() / 2];
+    }
+    axis
 }
 
 /// Runs the benchmark, prints a summary table, and writes the JSON report.
@@ -269,7 +277,7 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             params,
             QueryEngineOptions { deterministic: true, ..Default::default() },
         );
-        let lanes = [&engine, &det_engine].map(|e| lane_axis(e, &queries, reps));
+        let lanes = [&engine, &det_engine].map(|e| lane_axis(e, &queries));
 
         let report = DatasetReport {
             name: id.name(),

@@ -69,23 +69,24 @@ const LANES: usize = 8;
 /// Chunks of at most this many queries run as that many one-lane sweeps;
 /// larger chunks run as one [`LANES`]-lane sweep, which touches all its
 /// lanes however few are occupied. Measured on the `lane_width` axis of
-/// `BENCH_query_engine.json` (`K = 8`, thread CPU ms per query, one lane
-/// against eight, non-deterministic / deterministic):
+/// `BENCH_query_engine.json` (`K = 8`, thread CPU ms per query, each cell
+/// the median of seven windows measured round-robin, one lane against
+/// eight, non-deterministic / deterministic):
 ///
 /// | per call | CitHepTh               | DBLP                   | Web-Google             |
 /// |----------|------------------------|------------------------|------------------------|
-/// | 2        | 2.15/2.01 vs 2.36/2.14 | 0.30/0.28 vs 0.54/0.48 | 1.92/1.79 vs 2.99/2.65 |
-/// | 3        | 2.31/2.00 vs 2.03/1.54 | 0.31/0.33 vs 0.48/0.53 | 1.81/1.73 vs 2.26/2.01 |
-/// | 4        | 2.02/2.08 vs 1.45/1.43 | 0.33/0.38 vs 0.44/0.48 | 1.73/1.65 vs 1.53/1.57 |
-/// | 5        | 2.23/1.99 vs 1.13/0.96 | 0.30/0.34 vs 0.39/0.43 | 1.78/1.68 vs 1.33/1.08 |
-/// | 6        | 2.14/1.85 vs 1.03/1.02 | 0.29/0.35 vs 0.34/0.37 | 1.76/1.37 vs 1.23/1.04 |
+/// | 2        | 2.23/2.30 vs 2.52/2.58 | 0.37/0.36 vs 0.62/0.58 | 1.80/2.00 vs 2.79/2.91 |
+/// | 3        | 2.24/2.23 vs 1.88/1.90 | 0.36/0.37 vs 0.55/0.45 | 1.79/1.98 vs 2.22/2.25 |
+/// | 4        | 2.21/2.21 vs 1.48/1.46 | 0.36/0.37 vs 0.49/0.38 | 1.86/1.95 vs 1.78/1.81 |
+/// | 5        | 2.27/2.27 vs 1.20/1.22 | 0.35/0.36 vs 0.44/0.39 | 1.79/1.97 vs 1.40/1.47 |
+/// | 6        | 2.22/2.30 vs 1.09/1.04 | 0.36/0.37 vs 0.40/0.36 | 1.94/1.90 vs 1.29/1.31 |
 ///
-/// At 3 queries per call one lane wins four of six cases (DBLP and
-/// Web-Google, by 1.16–1.61×); at 4 the 8-lane sweep wins four (CitHepTh
-/// by 1.39–1.45×, Web-Google by 1.05–1.13×). DBLP keeps one lane ahead
-/// up to 6 queries per call and breaks even at 8. The
-/// one-lane column does not depend on call size, and its spread (1.85–2.32
-/// ms on CitHepTh) is the run's noise.
+/// At 3 queries per call one lane wins four of six cases (DBLP by
+/// 1.20–1.51×, Web-Google by 1.14–1.23×) and CitHepTh's 8-lane sweep the
+/// other two (by 1.17–1.19×); at 4 the 8-lane sweep wins four (CitHepTh by
+/// 1.50–1.52×, Web-Google by 1.05–1.08×). DBLP keeps one lane ahead up to
+/// 5 queries per call and breaks even at 6. The one-lane column does not
+/// depend on call size; its spread (±1.8–3.9%) is the run's noise.
 const SOLO_CROSSOVER: usize = 3;
 
 /// Which SimRank\* series the engine evaluates.
@@ -542,15 +543,16 @@ impl PushRows for QtRows<'_, dyn NeighborAccess> {
 
 /// `inv_in[v] = 1/|I(v)|`, or `0` for a node without in-neighbors: the
 /// weight of every entry in `Q`'s row `v`, computed exactly as
-/// [`ssr_linalg::Csr::backward_transition`] computes it. Shared by both
-/// backings, so both push the same bits.
-fn inv_in_degrees(src: &dyn NeighborAccess) -> Vec<f64> {
-    (0..src.node_count() as u32)
-        .map(|v| match src.in_degree(v) {
-            0 => 0.0,
-            d => 1.0 / d as f64,
-        })
-        .collect()
+/// [`ssr_linalg::Csr::backward_transition`] computes it, written over
+/// `into`. Shared by both backings, so both push the same bits.
+fn inv_in_degrees(src: &dyn NeighborAccess, mut into: Vec<f64>) -> Vec<f64> {
+    into.clear();
+    into.reserve_exact(src.node_count());
+    into.extend((0..src.node_count() as u32).map(|v| match src.in_degree(v) {
+        0 => 0.0,
+        d => 1.0 / d as f64,
+    }));
+    into
 }
 
 /// Lifetime work counters an engine accumulates across every sweep it
@@ -749,9 +751,35 @@ impl QueryEngine {
     /// Builds an engine like [`QueryEngine::with_options`], but moves `g`
     /// in instead of copying it.
     pub fn from_graph(g: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
+        Self::from_graph_into(g, params, opts, Vec::new())
+    }
+
+    /// [`QueryEngine::from_graph`], with the `1/|I(v)|` weights written
+    /// over `spare_weights` (whatever it holds), which grows only if its
+    /// capacity is below the node count. Handed the weights of a retired
+    /// engine ([`QueryEngine::into_graph_parts`]) and a graph built in its
+    /// arrays, the build of an engine over a same-sized graph allocates
+    /// nothing `O(n)`.
+    pub fn from_graph_into(
+        g: DiGraph,
+        params: SimStarParams,
+        opts: QueryEngineOptions,
+        spare_weights: Vec<f64>,
+    ) -> Self {
         let opts = validate_options(params, opts);
-        let inv_in = inv_in_degrees(&g);
+        let inv_in = inv_in_degrees(&g, spare_weights);
         Self::build(Backing::Memory(g), inv_in, params, opts)
+    }
+
+    /// Takes an in-memory engine apart into its graph and its `1/|I(v)|`
+    /// weights, for a later build to reuse; `None` on an access backing.
+    /// The rest (pooled scratch included) is dropped, so move idle
+    /// scratch out first ([`QueryEngine::adopt_scratch`]).
+    pub fn into_graph_parts(self) -> Option<(DiGraph, Vec<f64>)> {
+        match self.backing {
+            Backing::Memory(g) => Some((g, self.inv_in)),
+            Backing::Access(_) => None,
+        }
     }
 
     /// Builds an engine over a [`NeighborAccess`] backing instead of an
@@ -775,7 +803,7 @@ impl QueryEngine {
         opts: QueryEngineOptions,
     ) -> Self {
         let opts = validate_options(params, opts);
-        let inv_in = inv_in_degrees(&*src);
+        let inv_in = inv_in_degrees(&*src, Vec::new());
         Self::build(Backing::Access(src), inv_in, params, opts)
     }
 
@@ -914,20 +942,9 @@ impl QueryEngine {
     /// chunk reads each adjacency index once for all its queries — sparse
     /// pushes and dense gathers alike.
     pub fn query_batch(&self, queries: &[NodeId]) -> Dense {
-        self.query_batch_inner(queries, None)
-    }
-
-    /// [`Self::query_batch`] with per-advance introspection appended to
-    /// `trace`. Results are bitwise identical to the untraced call — the
-    /// only difference is timing capture around each frontier advance.
-    pub fn query_batch_traced(&self, queries: &[NodeId], trace: &mut EngineTrace) -> Dense {
-        self.query_batch_inner(queries, Some(trace))
-    }
-
-    fn query_batch_inner(&self, queries: &[NodeId], trace: Option<&mut EngineTrace>) -> Dense {
         let mut out = Dense::zeros(queries.len(), self.n);
         let mut copy = |i: usize, row: &[f64]| out.row_mut(i).copy_from_slice(row);
-        self.for_each_lane(queries, None, trace, LaneSink::Rows(&mut copy));
+        self.for_each_lane(queries, None, None, LaneSink::Rows(&mut copy));
         out
     }
 

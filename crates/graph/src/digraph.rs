@@ -24,6 +24,35 @@ pub struct DiGraph {
     in_sources: Vec<NodeId>,
 }
 
+/// Spare CSR arrays for a graph build to write into: the four vectors of a
+/// [`DiGraph`], kept for their capacity only, so their contents mean
+/// nothing. [`DiGraph::into_buffers`] turns a retired graph into spares;
+/// [`DiGraph::with_delta_into`] and `ssr-store`'s `load_full_into` build
+/// the next graph in them, so a run of graph versions of one size
+/// allocates its arrays once. A build that uses the spares takes all four
+/// vectors, growing any that is too small, and leaves empty ones behind.
+#[derive(Debug, Default)]
+pub struct CsrBuffers {
+    /// Spare out-direction row offsets.
+    pub out_offsets: Vec<usize>,
+    /// Spare out-direction adjacency.
+    pub out_targets: Vec<NodeId>,
+    /// Spare in-direction row offsets.
+    pub in_offsets: Vec<usize>,
+    /// Spare in-direction adjacency.
+    pub in_sources: Vec<NodeId>,
+}
+
+impl CsrBuffers {
+    /// Bytes the four vectors hold allocated, at their capacity: `0`
+    /// once a build has taken them.
+    pub fn capacity_bytes(&self) -> usize {
+        (self.out_offsets.capacity() + self.in_offsets.capacity()) * std::mem::size_of::<usize>()
+            + (self.out_targets.capacity() + self.in_sources.capacity())
+                * std::mem::size_of::<NodeId>()
+    }
+}
+
 impl DiGraph {
     /// Builds a graph with `n` nodes from an edge list in any order.
     /// Duplicate edges are collapsed; self-loops are kept (callers that
@@ -101,7 +130,8 @@ impl DiGraph {
     ///
     /// Only the rows the edit names are merged; the spans of adjacency
     /// between them are copied whole, in both directions. The result
-    /// equals [`DiGraph::from_edges`] on the edited edge list.
+    /// equals [`DiGraph::from_edges`] on the edited edge list, and every
+    /// vector is sized exactly.
     ///
     /// # Errors
     /// [`GraphError::NodeGrowth`] if an added id lies past that bound.
@@ -110,6 +140,23 @@ impl DiGraph {
         &self,
         add: &[(NodeId, NodeId)],
         remove: &[(NodeId, NodeId)],
+    ) -> Result<(DiGraph, usize, usize), GraphError> {
+        self.with_delta_into(add, remove, &mut CsrBuffers::default())
+    }
+
+    /// [`DiGraph::with_delta`], built in `spare`'s arrays instead of fresh
+    /// ones. The result and the counts are the same whatever `spare`
+    /// holds. An accepted delta takes all four of `spare`'s vectors (see
+    /// [`CsrBuffers`]), and allocates only where one is smaller than the
+    /// new graph needs. A refused delta leaves `spare` untouched.
+    ///
+    /// # Errors
+    /// [`GraphError::NodeGrowth`], as [`DiGraph::with_delta`].
+    pub fn with_delta_into(
+        &self,
+        add: &[(NodeId, NodeId)],
+        remove: &[(NodeId, NodeId)],
+        spare: &mut CsrBuffers,
     ) -> Result<(DiGraph, usize, usize), GraphError> {
         let mut add = sorted_unique(add.iter().copied());
         let top = add.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
@@ -126,13 +173,31 @@ impl DiGraph {
         remove.retain(|e| add.binary_search(e).is_err());
         add.retain(|e| !present(e));
         let added = add.len() + removed - remove.len();
-        let (out_offsets, out_targets) =
-            patch_rows(n, &self.out_offsets, &self.out_targets, &add, &remove);
+        let spare = std::mem::take(spare);
+        let (out_offsets, out_targets) = patch_rows(
+            n,
+            (&self.out_offsets, &self.out_targets),
+            &add,
+            &remove,
+            (spare.out_offsets, spare.out_targets),
+        );
         let reversed =
             |edges: &[(NodeId, NodeId)]| sorted_unique(edges.iter().map(|&(u, v)| (v, u)));
-        let (in_offsets, in_sources) =
-            patch_rows(n, &self.in_offsets, &self.in_sources, &reversed(&add), &reversed(&remove));
+        let (in_offsets, in_sources) = patch_rows(
+            n,
+            (&self.in_offsets, &self.in_sources),
+            &reversed(&add),
+            &reversed(&remove),
+            (spare.in_offsets, spare.in_sources),
+        );
         Ok((DiGraph { n, out_offsets, out_targets, in_offsets, in_sources }, added, removed))
+    }
+
+    /// Gives up the graph's four CSR arrays as spares for a later build
+    /// (see [`CsrBuffers`]).
+    pub fn into_buffers(self) -> CsrBuffers {
+        let DiGraph { out_offsets, out_targets, in_offsets, in_sources, .. } = self;
+        CsrBuffers { out_offsets, out_targets, in_offsets, in_sources }
     }
 
     /// Rebuilds a graph directly from its four CSR arrays — the zero-parse
@@ -354,22 +419,26 @@ fn sorted_unique(pairs: impl Iterator<Item = (NodeId, NodeId)>) -> Vec<(NodeId, 
     pairs
 }
 
-/// One CSR direction with `add` merged in and `remove` taken out, grown
-/// to `n` rows. Both are sorted `(row, entry)` pairs; every `add` entry is
-/// absent from its row and every `remove` entry present. Only the rows
-/// they name are merged: the adjacency between them is copied as whole
-/// spans, whose offsets shift by the net change before them.
+/// One CSR direction `(offsets, adj)` with `add` merged in and `remove`
+/// taken out, grown to `n` rows, written over the two vectors it is
+/// handed last. Both edit lists are sorted `(row, entry)` pairs; every
+/// `add` entry is absent from its row and every `remove` entry present.
+/// Only the rows they name are merged: the adjacency between them is
+/// copied as whole spans, whose offsets shift by the net change before
+/// them.
 fn patch_rows(
     n: usize,
-    offsets: &[usize],
-    adj: &[NodeId],
+    (offsets, adj): (&[usize], &[NodeId]),
     mut add: &[(NodeId, NodeId)],
     mut remove: &[(NodeId, NodeId)],
+    (mut new_offsets, mut new_adj): (Vec<usize>, Vec<NodeId>),
 ) -> (Vec<usize>, Vec<NodeId>) {
     // Rows past the old node range are empty.
     let old_start = |row: usize| offsets[row.min(offsets.len() - 1)];
-    let mut new_offsets = Vec::with_capacity(n + 1);
-    let mut new_adj = Vec::with_capacity(adj.len() + add.len() - remove.len());
+    new_offsets.clear();
+    new_offsets.reserve_exact(n + 1);
+    new_adj.clear();
+    new_adj.reserve_exact(adj.len() + add.len() - remove.len());
     new_offsets.push(0);
     let mut row = 0;
     while row < n {

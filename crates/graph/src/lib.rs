@@ -39,7 +39,7 @@ pub mod stats;
 
 pub use access::NeighborAccess;
 pub use builder::GraphBuilder;
-pub use digraph::{edge_digest, DiGraph};
+pub use digraph::{edge_digest, CsrBuffers, DiGraph};
 pub use error::GraphError;
 pub use perm::Permutation;
 

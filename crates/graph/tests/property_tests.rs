@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ssr_graph::components::{strongly_connected_components, weakly_connected_components};
-use ssr_graph::{io, paths, DiGraph, GraphBuilder, GraphError};
+use ssr_graph::{io, paths, CsrBuffers, DiGraph, GraphBuilder, GraphError};
 use std::collections::BTreeSet;
 
 type Edge = (u32, u32);
@@ -55,6 +55,21 @@ fn arb_delta() -> impl Strategy<Value = (usize, Vec<Edge>, Vec<Edge>, Vec<Edge>)
     })
 }
 
+/// Spare CSR arrays as a retired graph of another size leaves them:
+/// any lengths, any contents, and room to spare in some.
+fn arb_spare() -> impl Strategy<Value = CsrBuffers> {
+    let offsets = || vec(0usize..1 << 20, 0..40);
+    let ids = || vec(0u32..1 << 20, 0..120);
+    ((offsets(), ids(), offsets(), ids()), 0usize..100).prop_map(
+        |((out_offsets, out_targets, in_offsets, in_sources), room)| {
+            let mut spare = CsrBuffers { out_offsets, out_targets, in_offsets, in_sources };
+            spare.out_targets.reserve_exact(room);
+            spare.in_offsets.reserve_exact(room / 2);
+            spare
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -100,6 +115,35 @@ proptest! {
                 prop_assert_eq!(&patched, &rebuilt);
                 prop_assert_eq!(removed, before.intersection(&removes).count());
                 prop_assert_eq!(added, adds.difference(&kept).count());
+            }
+        }
+    }
+
+    /// A delta built into spare arrays, whatever they held, equals the
+    /// fresh build, counts and node growth included, and takes all four
+    /// arrays; a refused delta leaves the spares exactly as they were.
+    #[test]
+    fn with_delta_into_spares_matches_fresh(
+        (n, edges, add, remove) in arb_delta(),
+        spare in arb_spare(),
+    ) {
+        let g = DiGraph::from_edges(n, &edges).unwrap();
+        let mut spare = spare;
+        let held = format!("{spare:?}");
+        let held_bytes = spare.capacity_bytes();
+        match (g.with_delta(&add, &remove), g.with_delta_into(&add, &remove, &mut spare)) {
+            (Ok(fresh), Ok(reused)) => {
+                prop_assert_eq!(reused.0.node_count(), fresh.0.node_count());
+                prop_assert_eq!(reused, fresh);
+                prop_assert_eq!(spare.capacity_bytes(), 0);
+            }
+            (Err(fresh), Err(reused)) => {
+                prop_assert_eq!(reused, fresh);
+                prop_assert_eq!(format!("{spare:?}"), held);
+                prop_assert_eq!(spare.capacity_bytes(), held_bytes);
+            }
+            (fresh, reused) => {
+                prop_assert!(false, "fresh {:?} but into spares {:?}", fresh, reused);
             }
         }
     }

@@ -181,6 +181,7 @@ impl Inner {
             ("ssr_cache_hits_total".to_string(), cache.hits),
             ("ssr_cache_inserts_total".to_string(), cache.inserts),
             ("ssr_cache_misses_total".to_string(), cache.misses),
+            ("ssr_epoch_recycled_swaps_total".to_string(), self.store.recycled_swaps()),
             ("ssr_epoch_swaps_total".to_string(), self.store.swap_count()),
         ];
         let mut pulled_gauges = vec![
@@ -346,17 +347,13 @@ fn admin_loop(
             // Content-sniffing loader: a reload path may point at a text
             // edge list or a binary `.ssg` store — large-graph deployments
             // publish epochs from the store so swaps skip parsing.
-            AdminOp::Reload { path } => match ssr_store::load_graph_auto(&path) {
-                Err(e) => Response::Error { message: format!("reading `{path}`: {e}") },
-                Ok(graph) => {
-                    let (nodes, edges) = (graph.node_count(), graph.edge_count());
-                    let snap = store.publish(graph);
-                    Response::Reloaded {
-                        epoch: snap.epoch,
-                        nodes: nodes as u64,
-                        edges: edges as u64,
-                    }
-                }
+            AdminOp::Reload { path } => match store.reload(&path) {
+                Err(message) => Response::Error { message },
+                Ok(snap) => Response::Reloaded {
+                    epoch: snap.epoch,
+                    nodes: snap.nodes as u64,
+                    edges: snap.graph().edge_count() as u64,
+                },
             },
             AdminOp::EdgeDelta { add, remove } => match store.apply_delta(&add, &remove) {
                 Err(e) => Response::Error { message: e },

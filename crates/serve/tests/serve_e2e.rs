@@ -628,6 +628,10 @@ fn lifetime_counters_survive_epoch_swaps() {
         );
     }
     assert_eq!(get(&m_after, "ssr_epoch_swaps_total"), 2);
+    // A text reload never builds into spares; the delta may, if no flush
+    // still held the replaced snapshot at the reload's swap.
+    assert!(m_after.snapshot.counters.iter().any(|(n, _)| n == "ssr_epoch_recycled_swaps_total"));
+    assert!(get(&m_after, "ssr_epoch_recycled_swaps_total") <= 1);
     std::fs::remove_file(&path).ok();
     server.shutdown();
 }

@@ -20,6 +20,9 @@
 //! * [`load_graph_auto`] — the magic-byte sniffing entry point the CLI
 //!   and the serve reload path use: `.ssg` containers and text edge lists
 //!   are accepted interchangeably everywhere a graph path is expected.
+//!   Its `_into` form, like [`StoreReader::load_full_into`], decodes into
+//!   spare arrays a retired graph gave up, so a server's steady-state
+//!   reloads allocate nothing large.
 //!
 //! Corruption never panics: truncation, bit flips, bad magic, and version
 //! skew all surface as typed [`StoreError`] variants (property- and
@@ -52,7 +55,7 @@ pub use random::{RandomAccessOptions, RandomAccessStore};
 pub use reader::{OutAdjacency, StoreReader, VerifyReport};
 pub use writer::StoreWriter;
 
-use ssr_graph::DiGraph;
+use ssr_graph::{CsrBuffers, DiGraph};
 use std::io::Read;
 use std::path::Path;
 
@@ -94,8 +97,19 @@ pub fn is_store_file<P: AsRef<Path>>(path: P) -> Result<bool, StoreError> {
 /// edge-list parser. This is what `simstar --input` and the serve admin
 /// `reload` op call, so stores are accepted transparently everywhere.
 pub fn load_graph_auto<P: AsRef<Path>>(path: P) -> Result<DiGraph, StoreError> {
+    load_graph_auto_into(path, &mut CsrBuffers::default(), &mut Vec::new())
+}
+
+/// [`load_graph_auto`], with a store decoded through
+/// [`StoreReader::load_full_into`] into `spare` and `section`. A text edge
+/// list is parsed into fresh arrays and leaves both untouched.
+pub fn load_graph_auto_into<P: AsRef<Path>>(
+    path: P,
+    spare: &mut CsrBuffers,
+    section: &mut Vec<u8>,
+) -> Result<DiGraph, StoreError> {
     if is_store_file(&path)? {
-        StoreReader::open(&path)?.load_full()
+        StoreReader::open(&path)?.load_full_into(spare, section)
     } else {
         Ok(ssr_graph::io::read_edge_list_file(&path)?)
     }

@@ -8,7 +8,7 @@ use crate::format::{
 };
 use crate::varint::read_varint;
 use crate::StoreError;
-use ssr_graph::{DiGraph, NodeId, Permutation};
+use ssr_graph::{CsrBuffers, DiGraph, NodeId, Permutation};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
@@ -265,19 +265,32 @@ impl StoreReader {
 
     /// Reads one section payload and verifies its checksum.
     fn read_section(&mut self, info: SectionInfo) -> Result<Vec<u8>, StoreError> {
+        let mut payload = Vec::new();
+        self.read_section_into(info, &mut payload)?;
+        Ok(payload)
+    }
+
+    /// [`Self::read_section`] into `payload`, which is overwritten and
+    /// grows only when the section is longer than its capacity.
+    fn read_section_into(
+        &mut self,
+        info: SectionInfo,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
         self.file.seek(SeekFrom::Start(info.offset))?;
-        let mut payload = vec![0u8; info.len as usize];
-        self.file.read_exact(&mut payload).map_err(|e| {
+        payload.clear();
+        payload.resize(info.len as usize, 0);
+        self.file.read_exact(payload).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 StoreError::Truncated { context: "section payload" }
             } else {
                 StoreError::Io(e.to_string())
             }
         })?;
-        if checksum64(&payload) != info.checksum {
+        if checksum64(payload) != info.checksum {
             return Err(StoreError::ChecksumMismatch { section: info.id });
         }
-        Ok(payload)
+        Ok(())
     }
 
     fn required(&self, id: u32) -> Result<SectionInfo, StoreError> {
@@ -354,15 +367,27 @@ impl StoreReader {
             .map_err(|e| StoreError::Corrupt { message: format!("permutation section: {e}") })
     }
 
-    /// Decodes one adjacency direction (stored id space).
-    fn decode_direction(&mut self, id: u32) -> Result<Decoded, StoreError> {
+    /// Decodes one adjacency direction (stored id space) over `offsets`
+    /// and `adjacency`, reading the section through `payload`, and returns
+    /// the direction's edge digest. All three vectors are overwritten.
+    fn decode_direction(
+        &mut self,
+        id: u32,
+        payload: &mut Vec<u8>,
+        offsets: &mut Vec<usize>,
+        adjacency: &mut Vec<NodeId>,
+    ) -> Result<u64, StoreError> {
         let n = self.node_count();
         let m = self.edge_count();
         let info = self.required(id)?;
         let direction = if id == SECTION_OUT { Direction::Out } else { Direction::In };
-        let payload = self.read_section(info)?;
+        self.read_section_into(info, payload)?;
+        offsets.clear();
+        offsets.reserve_exact(n + 1);
+        adjacency.clear();
+        adjacency.reserve_exact(m);
         if self.header.version == FORMAT_VERSION_V1 {
-            decode_adjacency_v1(&payload, n, m, direction)
+            decode_adjacency_v1(payload, n, m, direction, offsets, adjacency)
         } else {
             // v2 blocks carry no degree varint; the offset index (validated
             // at open) delimits them.
@@ -371,28 +396,8 @@ impl StoreReader {
                 Direction::In => self.in_index.as_ref(),
             };
             let index = index.expect("v2 open validated the offset indexes");
-            decode_adjacency_v2(&payload, n, m, direction, index)
+            decode_adjacency_v2(payload, n, m, direction, index, offsets, adjacency)
         }
-    }
-
-    /// Cross-checks the directions and assembles the final graph,
-    /// remapping a permuted layout back to the original id space.
-    fn assemble(&self, out: Decoded, inc: Decoded) -> Result<DiGraph, StoreError> {
-        if out.digest != inc.digest {
-            return Err(StoreError::Corrupt {
-                message: "out- and in-adjacency sections describe different edge sets".into(),
-            });
-        }
-        let n = self.node_count();
-        let (out_offsets, out_targets, in_offsets, in_sources) = match &self.perm {
-            None => (out.offsets, out.adjacency, inc.offsets, inc.adjacency),
-            Some(perm) => {
-                let (oo, ot) = remap_to_original(n, &out.offsets, &out.adjacency, perm);
-                let (io, is) = remap_to_original(n, &inc.offsets, &inc.adjacency, perm);
-                (oo, ot, io, is)
-            }
-        };
-        Ok(DiGraph::from_csr_trusted(n, out_offsets, out_targets, in_offsets, in_sources))
     }
 
     /// Decodes the full graph: both CSR directions gap-decoded straight
@@ -406,20 +411,65 @@ impl StoreReader {
     /// without a third validation pass over the arrays. Permuted stores
     /// are remapped (and rows re-sorted) into the original id space.
     pub fn load_full(&mut self) -> Result<DiGraph, StoreError> {
-        let out = self.decode_direction(SECTION_OUT)?;
-        let inc = self.decode_direction(SECTION_IN)?;
-        self.assemble(out, inc)
+        self.load_full_into(&mut CsrBuffers::default(), &mut Vec::new())
+    }
+
+    /// [`Self::load_full`], decoded into `spare`'s arrays, with each
+    /// adjacency section read through `section`; both may hold anything.
+    /// A load that succeeds on an unpermuted store takes all four of
+    /// `spare`'s vectors as the graph's (see [`CsrBuffers`]), so a run of
+    /// loads of one size, each handed the arrays the last graph gave up,
+    /// allocates nothing large. A permuted store decodes in `spare` and
+    /// remaps into fresh arrays, leaving `spare` its vectors. A failed
+    /// load leaves `spare` and `section` their vectors, with contents
+    /// undefined. Every check of [`Self::load_full`] runs, and fails with
+    /// the same error.
+    pub fn load_full_into(
+        &mut self,
+        spare: &mut CsrBuffers,
+        section: &mut Vec<u8>,
+    ) -> Result<DiGraph, StoreError> {
+        let out = self.decode_direction(
+            SECTION_OUT,
+            section,
+            &mut spare.out_offsets,
+            &mut spare.out_targets,
+        )?;
+        let inc = self.decode_direction(
+            SECTION_IN,
+            section,
+            &mut spare.in_offsets,
+            &mut spare.in_sources,
+        )?;
+        if out != inc {
+            return Err(StoreError::Corrupt {
+                message: "out- and in-adjacency sections describe different edge sets".into(),
+            });
+        }
+        let n = self.node_count();
+        Ok(match &self.perm {
+            None => {
+                let CsrBuffers { out_offsets, out_targets, in_offsets, in_sources } =
+                    std::mem::take(spare);
+                DiGraph::from_csr_trusted(n, out_offsets, out_targets, in_offsets, in_sources)
+            }
+            Some(perm) => {
+                let (oo, ot) = remap_to_original(n, &spare.out_offsets, &spare.out_targets, perm);
+                let (io, is) = remap_to_original(n, &spare.in_offsets, &spare.in_sources, perm);
+                DiGraph::from_csr_trusted(n, oo, ot, io, is)
+            }
+        })
     }
 
     /// Decodes only the out-direction, skipping the in-adjacency section
     /// entirely (one seek via the section table).
     pub fn load_out_only(&mut self) -> Result<OutAdjacency, StoreError> {
         let n = self.node_count();
-        let out = self.decode_direction(SECTION_OUT)?;
-        let (offsets, targets) = match &self.perm {
-            None => (out.offsets, out.adjacency),
-            Some(perm) => remap_to_original(n, &out.offsets, &out.adjacency, perm),
-        };
+        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+        self.decode_direction(SECTION_OUT, &mut Vec::new(), &mut offsets, &mut targets)?;
+        if let Some(perm) = &self.perm {
+            (offsets, targets) = remap_to_original(n, &offsets, &targets, perm);
+        }
         Ok(OutAdjacency { n, offsets, targets })
     }
 
@@ -441,11 +491,10 @@ impl StoreReader {
                 self.read_section(info)?;
             }
         }
-        // Structural pass: a decode catches what checksums cannot (a
-        // checksum only proves the bytes are the ones written).
-        let out = self.decode_direction(SECTION_OUT)?;
-        let inc = self.decode_direction(SECTION_IN)?;
-        let g = self.assemble(out, inc)?;
+        // Structural pass: a decode of both directions catches what
+        // checksums cannot (a checksum only proves the bytes are the ones
+        // written).
+        let g = self.load_full()?;
         if g.node_count() != self.node_count() || g.edge_count() != self.edge_count() {
             return Err(StoreError::Corrupt {
                 message: format!(
@@ -520,28 +569,21 @@ pub(crate) struct ReaderParts {
     pub(crate) perm: Option<Permutation>,
 }
 
-/// One decoded adjacency direction, still in the stored id space.
-struct Decoded {
-    offsets: Vec<usize>,
-    adjacency: Vec<NodeId>,
-    /// Order-independent digest of the direction's edge set.
-    digest: u64,
-}
-
-/// Decodes one v1 gap-coded CSR direction, validating everything a
-/// hostile payload could get wrong *during* the decode: truncation,
-/// ordering violations (zero gaps), id range, overflow, and the exact
-/// count the header promises.
+/// Decodes one v1 gap-coded CSR direction onto the empty `offsets` and
+/// `adjacency`, validating everything a hostile payload could get wrong
+/// *during* the decode: truncation, ordering violations (zero gaps), id
+/// range, overflow, and the exact count the header promises. Returns the
+/// order-independent digest of the direction's edge set.
 fn decode_adjacency_v1(
     payload: &[u8],
     n: usize,
     m: usize,
     direction: Direction,
-) -> Result<Decoded, StoreError> {
+    offsets: &mut Vec<usize>,
+    adjacency: &mut Vec<NodeId>,
+) -> Result<u64, StoreError> {
     let side = direction.name();
     let corrupt = |message: String| StoreError::Corrupt { message };
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut adjacency: Vec<NodeId> = Vec::with_capacity(m);
     let mut digest = 0u64;
     offsets.push(0);
     let mut pos = 0usize;
@@ -599,10 +641,11 @@ fn decode_adjacency_v1(
             adjacency.len()
         )));
     }
-    Ok(Decoded { offsets, adjacency, digest })
+    Ok(digest)
 }
 
-/// Decodes one v2 CSR direction. Blocks carry no degree varint — the
+/// Decodes one v2 CSR direction onto the empty `offsets` and `adjacency`,
+/// returning its edge digest. Blocks carry no degree varint — the
 /// offset index delimits each node's byte range and the varints inside
 /// self-delimit — so the index is load-bearing here: every claimed range
 /// must decode exactly (no truncated varint, no trailing bytes), each id
@@ -616,11 +659,11 @@ fn decode_adjacency_v2(
     m: usize,
     direction: Direction,
     index: &EliasFano,
-) -> Result<Decoded, StoreError> {
+    offsets: &mut Vec<usize>,
+    adjacency: &mut Vec<NodeId>,
+) -> Result<u64, StoreError> {
     let side = direction.name();
     let corrupt = |message: String| StoreError::Corrupt { message };
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut adjacency: Vec<NodeId> = Vec::with_capacity(m);
     let mut digest = 0u64;
     offsets.push(0);
     // Walk the index sequentially — `get` would pay a select per node.
@@ -689,7 +732,7 @@ fn decode_adjacency_v2(
             adjacency.len()
         )));
     }
-    Ok(Decoded { offsets, adjacency, digest })
+    Ok(digest)
 }
 
 /// Inverse of the writer's zigzag map.

@@ -2,7 +2,7 @@
 //! surface as a typed [`StoreError`] — never a panic, never a silently
 //! wrong graph.
 
-use ssr_graph::DiGraph;
+use ssr_graph::{CsrBuffers, DiGraph};
 use ssr_store::{StoreError, StoreReader, StoreWriter};
 use std::path::PathBuf;
 
@@ -24,10 +24,22 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 /// Writes `bytes` and returns whatever opening + fully loading produces.
+/// A load of the same file into spare arrays and a section buffer full of
+/// junk must produce the same graph, or the same error.
 fn open_and_load(name: &str, bytes: &[u8]) -> Result<DiGraph, StoreError> {
     let path = scratch(name);
     std::fs::write(&path, bytes).unwrap();
     let result = StoreReader::open(&path).and_then(|mut r| r.load_full());
+    let mut spare = CsrBuffers {
+        out_offsets: vec![usize::MAX; 3],
+        out_targets: vec![7; 500],
+        in_offsets: vec![1; 90],
+        in_sources: Vec::with_capacity(40),
+    };
+    let mut section = vec![0xa5; 700];
+    let into =
+        StoreReader::open(&path).and_then(|mut r| r.load_full_into(&mut spare, &mut section));
+    assert_eq!(into, result, "{name}: a load into spares disagrees with load_full");
     std::fs::remove_file(&path).ok();
     result
 }
@@ -294,6 +306,32 @@ fn lying_offset_index_is_caught_with_valid_checksums() {
     assert!(matches!(r.verify(), Err(StoreError::Corrupt { .. })));
     assert!(matches!(ssr_store::RandomAccessStore::open(&path), Err(StoreError::Corrupt { .. })));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn direct_loads_reject_the_same_through_spares() {
+    // The two inputs above whose tests call `load_full` themselves, run
+    // through `open_and_load` so the spare path is held to the same error.
+    let mut sectionless = Vec::new();
+    sectionless.extend_from_slice(&ssr_store::MAGIC);
+    sectionless.extend_from_slice(&ssr_store::FORMAT_VERSION.to_le_bytes());
+    sectionless.extend_from_slice(&0u32.to_le_bytes()); // flags
+    sectionless.extend_from_slice(&0u64.to_le_bytes()); // n
+    sectionless.extend_from_slice(&(1u64 << 63).to_le_bytes()); // m
+    sectionless.extend_from_slice(&0u32.to_le_bytes()); // section count
+    assert_eq!(
+        open_and_load("sectionless_spares.ssg", &sectionless).unwrap_err(),
+        StoreError::MissingSection { section: ssr_store::format::SECTION_OUT }
+    );
+    let g = DiGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+    let mut buf = Vec::new();
+    StoreWriter::new(&g).write_to(&mut buf).unwrap();
+    let lie = ssr_store::EliasFano::from_monotone(&[0, 1, 2, 2, 2]);
+    let lying = replace_section(&buf, ssr_store::format::SECTION_OUT_OFFSETS, &lie.encode());
+    assert!(matches!(
+        open_and_load("offset_lie_spares.ssg", &lying),
+        Err(StoreError::Corrupt { .. })
+    ));
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Property-based round-trip tests: arbitrary graph → `.ssg` →
 //! `load_full` is bit-identical, down to the engine results computed on
-//! top of the reloaded graph.
+//! top of the reloaded graph, and a load into spare arrays of any content
+//! equals `load_full`.
 
 use proptest::prelude::*;
 use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
 use ssr_graph::perm::{bfs_order, degree_order};
-use ssr_graph::{DiGraph, GraphBuilder, NeighborAccess, NodeId};
+use ssr_graph::{CsrBuffers, DiGraph, GraphBuilder, NeighborAccess, NodeId};
 use ssr_store::{RandomAccessStore, StoreReader, StoreWriter};
 use std::sync::Arc;
 
@@ -58,6 +59,42 @@ proptest! {
         }
         // `PartialEq` covers the same ground; keep it as the summary.
         prop_assert_eq!(loaded, g);
+    }
+
+    /// A load into spare arrays and a section buffer full of junk equals
+    /// `load_full`, for v2, v1 and permuted stores. An unpermuted load
+    /// takes all four spare arrays; a permuted one remaps into fresh
+    /// arrays and leaves them.
+    #[test]
+    fn load_into_garbage_spares_matches_load_full(
+        g in arb_graph(32, 120),
+        junk in proptest::collection::vec(0u32..1 << 20, 0..200),
+    ) {
+        let dir = std::env::temp_dir().join("ssr_store_props");
+        std::fs::create_dir_all(&dir).unwrap();
+        let writers = [
+            ("v2", StoreWriter::new(&g)),
+            ("v1", StoreWriter::new(&g).version(1)),
+            ("bfs", StoreWriter::new(&g).permutation(bfs_order(&g), "bfs")),
+        ];
+        for (name, writer) in writers {
+            let path =
+                dir.join(format!("{}_spare_{name}_{:016x}.ssg", std::process::id(), fingerprint(&g)));
+            writer.write_file(&path).unwrap();
+            let expected = StoreReader::open(&path).unwrap().load_full().unwrap();
+            let mut spare = CsrBuffers {
+                out_offsets: junk.iter().map(|&x| x as usize).collect(),
+                out_targets: junk.clone(),
+                in_offsets: junk[junk.len() / 2..].iter().map(|&x| x as usize).collect(),
+                in_sources: junk[..junk.len() / 3].to_vec(),
+            };
+            let mut section: Vec<u8> = junk.iter().map(|&x| x as u8).collect();
+            let mut r = StoreReader::open(&path).unwrap();
+            let loaded = r.load_full_into(&mut spare, &mut section).unwrap();
+            std::fs::remove_file(&path).ok();
+            prop_assert_eq!(&loaded, &expected, "{} store", name);
+            prop_assert_eq!(spare.capacity_bytes() == 0, !r.is_permuted(), "{} store", name);
+        }
     }
 
     /// The out-only load agrees with the full graph's out-direction.
