@@ -17,9 +17,9 @@
 //! result mode), and a
 //! **lane_width** axis: CPU ms per query of
 //! [`simrank_star::QueryEngine::top_k_batch`] with every chunk forced to one
-//! lane or to 8, at 1–6, 8 and 16 queries per call, in both
-//! non-deterministic and deterministic mode, each cell the median of seven
-//! windows measured round-robin across all cells — the table behind the
+//! lane or to 8, at 1–6, 8 and 16 queries per call, each cell the median
+//! of seven windows measured round-robin across all cells — the table
+//! behind the
 //! engine's choice of lane width. The emitted JSON schema is documented in
 //! `README.md` ("Perf trajectory"); CI's scheduled bench job runs the
 //! `--smoke` variant and uploads the file as an artifact so the trajectory
@@ -27,7 +27,7 @@
 
 use crate::timed;
 use simrank_star::single_source::single_source_dense;
-use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
+use simrank_star::{QueryEngine, SimStarParams};
 use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::{select_queries, select_query_batches};
 use ssr_graph::NodeId;
@@ -109,9 +109,9 @@ struct DatasetReport {
     engine: ModeStats,
     topk: ModeStats,
     batched: ModeStats,
-    /// `lanes[det][width][size]`: CPU ms per query on the `lane_width`
-    /// axis, indexed like [`WIDTHS`] and [`CALL_SIZES`].
-    lanes: [[[f64; CALL_SIZES.len()]; WIDTHS.len()]; 2],
+    /// `lanes[width][size]`: CPU ms per query on the `lane_width` axis,
+    /// indexed like [`WIDTHS`] and [`CALL_SIZES`].
+    lanes: [[f64; CALL_SIZES.len()]; WIDTHS.len()],
 }
 
 impl DatasetReport {
@@ -270,14 +270,8 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             batches.iter().map(|b| (timed(|| engine.query_batch(b)).1, b.len())).collect()
         });
 
-        // lane_width: the same queries, every chunk forced to each width,
-        // in both modes.
-        let det_engine = QueryEngine::with_options(
-            g,
-            params,
-            QueryEngineOptions { deterministic: true, ..Default::default() },
-        );
-        let lanes = [&engine, &det_engine].map(|e| lane_axis(e, &queries));
+        // lane_width: the same queries, every chunk forced to each width.
+        let lanes = lane_axis(&engine, &queries);
 
         let report = DatasetReport {
             name: id.name(),
@@ -303,15 +297,12 @@ pub fn run_query_bench(opts: &QueryBenchOptions) {
             report.speedup_engine_vs_naive(),
             report.speedup_batched_vs_engine(),
         );
-        for (det, table) in report.lanes.iter().enumerate() {
-            for (width, row) in WIDTHS.iter().zip(table) {
-                let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
-                println!(
-                    "  lane_width {width:>2} deterministic={:<5} ms/query at {CALL_SIZES:?} queries/call: {}",
-                    det == 1,
-                    cells.join(" ")
-                );
-            }
+        for (width, row) in WIDTHS.iter().zip(&report.lanes) {
+            let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
+            println!(
+                "  lane_width {width:>2} ms/query at {CALL_SIZES:?} queries/call: {}",
+                cells.join(" ")
+            );
         }
         reports.push((report, batch_size));
     }
@@ -359,26 +350,22 @@ fn render_json(smoke: bool, reports: &[(DatasetReport, usize)]) -> String {
     s
 }
 
-/// The `lane_width` object of one dataset: CPU ms per query by mode
-/// (`nondet`/`det`) and width (`w1`/`w8`), one entry per call size.
-fn lane_json(lanes: &[[[f64; CALL_SIZES.len()]; WIDTHS.len()]; 2]) -> String {
+/// The `lane_width` object of one dataset: CPU ms per query by width
+/// (`w1`/`w8`), one entry per call size.
+fn lane_json(lanes: &[[f64; CALL_SIZES.len()]; WIDTHS.len()]) -> String {
     let mut s = String::new();
     s.push_str("      \"lane_width\": {\n");
     let _ = writeln!(s, "        \"unit\": \"ms_per_query\", \"clock\": \"{}\",", lane_clock());
     let _ = writeln!(s, "        \"queries_per_call\": {CALL_SIZES:?},");
-    for (det, table) in lanes.iter().enumerate() {
-        let rows: Vec<String> = WIDTHS
-            .iter()
-            .zip(table)
-            .map(|(w, row)| {
-                let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
-                format!("\"w{w}\": [{}]", cells.join(", "))
-            })
-            .collect();
-        let mode = if det == 1 { "det" } else { "nondet" };
-        let comma = if det == 0 { "," } else { "" };
-        let _ = writeln!(s, "        \"{mode}\": {{{}}}{comma}", rows.join(", "));
-    }
+    let rows: Vec<String> = WIDTHS
+        .iter()
+        .zip(lanes)
+        .map(|(w, row)| {
+            let cells: Vec<String> = row.iter().map(|ms| format!("{ms:.3}")).collect();
+            format!("\"w{w}\": [{}]", cells.join(", "))
+        })
+        .collect();
+    let _ = writeln!(s, "        {}", rows.join(",\n        "));
     s.push_str("      }\n");
     s
 }
@@ -404,12 +391,12 @@ mod tests {
 
     #[test]
     fn lane_json_is_valid_json() {
-        let mut lanes = [[[0.0; CALL_SIZES.len()]; WIDTHS.len()]; 2];
-        lanes[1][1][4] = 1.25;
+        let mut lanes = [[0.0; CALL_SIZES.len()]; WIDTHS.len()];
+        lanes[1][4] = 1.25;
         let doc = format!("{{\n{}}}", lane_json(&lanes).trim_end());
         let parsed = crate::check::parse_json(&doc).expect("valid JSON");
         let axis = parsed.get("lane_width").expect("lane_width object");
-        let w8 = axis.get("det").and_then(|d| d.get("w8")).and_then(|w| w.as_arr());
+        let w8 = axis.get("w8").and_then(|w| w.as_arr());
         assert_eq!(w8.map(|w| w.len()), Some(CALL_SIZES.len()));
         assert_eq!(w8.and_then(|w| w[4].as_num()), Some(1.25));
     }

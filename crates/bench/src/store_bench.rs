@@ -29,7 +29,7 @@
 //! other trajectories' speedups).
 
 use crate::timed;
-use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
+use simrank_star::{QueryEngine, SimStarParams};
 use ssr_datasets::{load, DatasetId};
 use ssr_graph::DiGraph;
 use ssr_store::{RandomAccessStore, StoreReader, StoreWriter};
@@ -201,34 +201,37 @@ pub fn run_store_bench(opts: &StoreBenchOptions) {
         assert_eq!(&load_text(&text_path), g, "text round-trip must be exact");
         assert_eq!(&load_store(&perm_path), g, "permuted store must map ids back");
 
-        // Deterministic single-source queries: full-CSR engine vs the
-        // mmap-backed engine over the permuted store. Top-k must agree bit
-        // for bit; the access backing must hold well under half the CSR.
+        // Single-source queries: full-CSR engine vs the mmap-backed engine
+        // over the permuted store. Top-k must agree bit for bit; the access
+        // backing must hold well under half the CSR.
         let queries = ssr_eval::queries::select_queries(g, 4, 1, 7);
-        let det = QueryEngineOptions { deterministic: true, ..QueryEngineOptions::default() };
         let query_csr = passes(reps, || {
-            let qe = QueryEngine::with_options(g, SimStarParams::default(), det.clone());
+            let qe = QueryEngine::new(g, SimStarParams::default());
             for &q in &queries {
                 std::hint::black_box(qe.top_k(q, 10));
             }
         });
         let query_mmap = passes(reps, || {
             let store = RandomAccessStore::open(&perm_path).expect("open random-access");
-            let qe =
-                QueryEngine::with_access(Arc::new(store), SimStarParams::default(), det.clone());
+            let qe = QueryEngine::with_access(
+                Arc::new(store),
+                SimStarParams::default(),
+                Default::default(),
+            );
             for &q in &queries {
                 std::hint::black_box(qe.top_k(q, 10));
             }
         });
         let store = Arc::new(RandomAccessStore::open(&perm_path).expect("open random-access"));
         let store_resident_bytes = store.resident_bytes();
-        let mem_engine = QueryEngine::with_options(g, SimStarParams::default(), det.clone());
-        let acc_engine = QueryEngine::with_access(store, SimStarParams::default(), det.clone());
+        let mem_engine = QueryEngine::new(g, SimStarParams::default());
+        let acc_engine =
+            QueryEngine::with_access(store, SimStarParams::default(), Default::default());
         for &q in &queries {
             assert_eq!(
                 mem_engine.top_k(q, 10),
                 acc_engine.top_k(q, 10),
-                "deterministic top-k must be bit-identical across backings (query {q})"
+                "top-k must be bit-identical across backings (query {q})"
             );
         }
 

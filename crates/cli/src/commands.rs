@@ -2,8 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use simrank_star::{
-    exponential, geometric, AllPairsEngine, AllPairsOptions, QueryEngine, QueryEngineOptions,
-    SimStarParams,
+    exponential, geometric, AllPairsEngine, AllPairsOptions, QueryEngine, SimStarParams,
 };
 use ssr_baselines::{prank, rwr, simrank};
 use ssr_compress::{compress, CompressOptions};
@@ -41,15 +40,14 @@ COMMANDS:
             --input FILE (--node ID | --nodes ID,ID,... | --batch N)
             [--top-k 10] [--c 0.6] [--k 5] [--seed 0]
             [--format text|json] [--load-full false] [--memory false]
-            [--deterministic false]
             --nodes/--batch run the batched lane kernel; --batch samples N
             in-degree-stratified queries (the paper's test-query protocol);
             a v2 .ssg input streams adjacency off the mmap-backed store
             (no full CSR in memory) unless --load-full true; --memory
-            prints a resident-bytes accounting line; --deterministic makes
-            results batch-composition-independent bit for bit;
-            --format json emits the serve protocol's machine-readable
-            result shape
+            prints a resident-bytes accounting line; results are bit for
+            bit the same however the queries are batched, on either
+            backing, and as `serve` answers them; --format json emits the
+            serve protocol's machine-readable result shape
   serve     concurrent query server (newline-JSON and binary ssb/1 over
             TCP; see the README's Serving layer section for both wire
             formats)
@@ -72,7 +70,7 @@ COMMANDS:
             scaling phase holding --idle-conns open sockets, then writes
             the ssr-bench/serve/v1 JSON; --announce waits for a serve
             --announce file instead of a fixed address
-  serve-probe  dump a server's deterministic top-k answers for diffing
+  serve-probe  dump a server's top-k answers for diffing
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--top-k 10] [--count n] [--metrics false] [--healthz false]
             one query\\tnode\\tscore line per match with shortest-round-
@@ -203,10 +201,12 @@ impl GraphSource {
         }
     }
 
-    fn query_engine(&self, params: SimStarParams, opts: QueryEngineOptions) -> QueryEngine {
+    fn query_engine(&self, params: SimStarParams) -> QueryEngine {
         match self {
-            GraphSource::Memory(g) => QueryEngine::with_options(g, params, opts),
-            GraphSource::Access(s) => QueryEngine::with_access(s.clone(), params, opts),
+            GraphSource::Memory(g) => QueryEngine::new(g, params),
+            GraphSource::Access(s) => {
+                QueryEngine::with_access(s.clone(), params, Default::default())
+            }
         }
     }
 
@@ -541,7 +541,6 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
             "json",
             "load-full",
             "memory",
-            "deterministic",
         ],
     )?;
     let format = output_format(&args)?;
@@ -595,22 +594,13 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
             )));
         }
     }
-    let opts = QueryEngineOptions {
-        deterministic: args.get("deterministic", false)?,
-        ..Default::default()
-    };
-    let engine = source.query_engine(params, opts);
+    let engine = source.query_engine(params);
     let memory = if args.get("memory", false)? {
         memory_line(engine.resident_bytes(), &source)
     } else {
         String::new()
     };
-    // `--node` keeps the scalar sweep; list modes run the batched lanes.
-    let ranked: Vec<Vec<(u32, f64)>> = if args.has("node") {
-        vec![engine.top_k(queries[0], top)]
-    } else {
-        engine.top_k_batch(&queries, top)
-    };
+    let ranked = engine.top_k_batch(&queries, top);
     if format == OutputFormat::Json {
         return Ok(query_results_json("simstar/query/v1", &params, top, &queries, &ranked));
     }
@@ -1262,9 +1252,8 @@ mod tests {
     }
 
     /// `serve-probe` against a live `serve --announce` process: its lines
-    /// are, bit for bit, the `q\tv\tscore` lines of an in-process
-    /// deterministic engine on the same graph, and `--healthz` reports the
-    /// served epoch.
+    /// are, bit for bit, the `q\tv\tscore` lines of an in-process engine
+    /// on the same graph, and `--healthz` reports the served epoch.
     #[test]
     fn serve_probe_matches_engine_bits_and_healthz_reports_epoch() {
         let p = tmp_graph();
@@ -1281,13 +1270,9 @@ mod tests {
         )
         .unwrap();
         let served: Vec<&str> = probe.lines().filter(|l| !l.starts_with('#')).collect();
-        // `serve`'s defaults: c = 0.6, K = 5, and a deterministic engine.
+        // `serve`'s defaults: c = 0.6, K = 5.
         let g = ssr_store::load_graph_auto(&p).unwrap();
-        let engine = QueryEngine::with_options(
-            &g,
-            SimStarParams { c: 0.6, iterations: 5 },
-            QueryEngineOptions { deterministic: true, ..Default::default() },
-        );
+        let engine = QueryEngine::new(&g, SimStarParams { c: 0.6, iterations: 5 });
         let expected: Vec<String> = (0..g.node_count() as u32)
             .flat_map(|q| {
                 engine.top_k(q, 4).into_iter().map(move |(v, s)| format!("{q}\t{v}\t{s}"))
@@ -1454,7 +1439,7 @@ mod tests {
         let perm = dir.join(format!("{}_det_perm.ssg", std::process::id()));
         let perm = perm.to_string_lossy().into_owned();
         run("store", &toks(&format!("perm --input {ssg} --output {perm} --order bfs"))).unwrap();
-        let args = "--nodes 2,5,8 --top-k 4 --deterministic true --format json";
+        let args = "--nodes 2,5,8 --top-k 4 --format json";
         let from_text = run("query", &toks(&format!("--input {text} {args}"))).unwrap();
         let from_store = run("query", &toks(&format!("--input {ssg} {args}"))).unwrap();
         let from_perm = run("query", &toks(&format!("--input {perm} {args}"))).unwrap();

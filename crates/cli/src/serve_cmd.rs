@@ -289,7 +289,7 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
 /// `simstar serve-probe`: print a running server's top-k answer for every
 /// probed query node, one `query\tnode\tscore` line per match, scores in
 /// shortest-round-trip decimal. Diffing two probes (or a probe against
-/// lines rendered from an in-process deterministic engine) therefore
+/// lines rendered from an in-process engine) therefore
 /// proves or refutes bit identity of the served answers.
 ///
 /// With `--metrics true` it instead fetches the server's observability

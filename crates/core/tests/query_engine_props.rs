@@ -2,8 +2,8 @@
 //! (sparse-frontier, dense fallback, one-lane and 8-lane sweeps) to the
 //! dense reference sweep and — via Lemma 4 — to the corresponding row of
 //! the all-pairs geometric iteration, plus every form of top-k against the
-//! full sort of the swept rows and deterministic lanes against the solo
-//! answer, bit for bit.
+//! full sort of the swept rows and every lane against its solo answer,
+//! bit for bit.
 
 use proptest::prelude::*;
 use simrank_star::single_source::{single_source_dense, single_source_exponential_dense};
@@ -126,11 +126,10 @@ proptest! {
         }
     }
 
-    /// Deterministic mode: at every chunk size 1..=17 (so at both lane
-    /// widths, alone and next to other lanes), on both backings, and
-    /// whether the in-memory sweep densifies or not, every lane's row and
-    /// top-k are bit-identical to the solo one-lane answer of a sweep that
-    /// never densifies.
+    /// At every chunk size 1..=17 (so at both lane widths, alone and next
+    /// to other lanes), on both backings, and whether the in-memory sweep
+    /// densifies or not, every lane's row and top-k are bit-identical to
+    /// the solo one-lane answer of a sweep that never densifies.
     #[test]
     fn deterministic_lanes_match_solo_at_every_chunk_size(
         (n, edges, _q) in arb_graph_and_query(14, 50),
@@ -138,16 +137,15 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.7, iterations: 6 };
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let mem = QueryEngine::with_options(&g, p, opts.clone());
+        let mem = QueryEngine::new(&g, p);
         let never = QueryEngineOptions {
             density_cutoff: 1.0,
             batch_density_cutoff: 1.0,
-            ..opts.clone()
+            ..Default::default()
         };
         let sparse = QueryEngine::with_options(&g, p, never);
         let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
-        let acc = QueryEngine::with_access(src, p, opts);
+        let acc = QueryEngine::with_access(src, p, Default::default());
         let solo: Vec<Vec<u64>> = (0..n as NodeId).map(|q| bits(&sparse.query(q))).collect();
         for (backing, engine) in [("memory", &mem), ("access", &acc), ("sparse", &sparse)] {
             for len in 1..=17 {
@@ -183,15 +181,11 @@ proptest! {
 
     /// Every top-k form equals the head of a full sort of the rows its
     /// lanes hold, in ids and score bits, on graphs with exact ties, for
-    /// 1–20 queries (duplicates too) and `k` from 0 past `n`, with default
-    /// and deterministic options. The rows: `query_batch` of the same
-    /// queries for `top_k_batch` (the same chunks and widths), and
-    /// `query_batch` of each query alone for one forced lane. Deterministic
-    /// lanes are width-independent, so 8 forced lanes compare with
-    /// `query_batch` too; with default options an 8-lane sweep's last bits
-    /// depend on its lanes, so there the rows are the lane's own complete
-    /// ranking (`k = usize::MAX`), checked to hold each node but the query
-    /// once.
+    /// 1–20 queries (duplicates too) and `k` from 0 past `n`. The rows:
+    /// `query_batch` of the same queries for `top_k_batch` (the same
+    /// chunks and widths) and, since lanes are width-independent, for 8
+    /// forced lanes too; `query_batch` of each query alone for one forced
+    /// lane.
     #[test]
     fn top_k_matches_full_sort(
         half in 1usize..=8,
@@ -204,42 +198,23 @@ proptest! {
         let n = g.node_count();
         let queries: Vec<NodeId> = picks.iter().map(|&v| v % n as NodeId).collect();
         let p = SimStarParams { c: 0.7, iterations: 6 };
-        for det in [false, true] {
-            let opts = QueryEngineOptions { deterministic: det, ..Default::default() };
-            let engine = QueryEngine::with_options(&g, p, opts);
-            let rows = engine.query_batch(&queries);
-            let batch: Vec<_> =
-                queries.iter().enumerate().map(|(i, &q)| sorted_row(rows.row(i), q)).collect();
-            let solo: Vec<_> =
-                queries.iter().map(|&q| sorted_row(engine.query_batch(&[q]).row(0), q)).collect();
-            let wide: Vec<_> = if det {
-                batch.clone()
-            } else {
-                let all = engine.top_k_batch_at_width(&queries, usize::MAX, 8);
-                queries.iter().zip(&all).map(|(&q, list)| {
-                    let mut ids: Vec<NodeId> = list.iter().map(|&(v, _)| v).collect();
-                    ids.sort_unstable();
-                    let want: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != q).collect();
-                    assert_eq!(ids, want, "q={q}: a complete ranking holds every other node");
-                    let mut row = vec![0.0; n];
-                    for &(v, s) in list {
-                        row[v as usize] = s;
-                    }
-                    sorted_row(&row, q)
-                }).collect()
-            };
-            for k in [0, 1, 3, n - 1, n, usize::MAX] {
-                for (form, got, want) in [
-                    ("batch", engine.top_k_batch(&queries, k), &batch),
-                    ("w1", engine.top_k_batch_at_width(&queries, k, 1), &solo),
-                    ("w8", engine.top_k_batch_at_width(&queries, k, 8), &wide),
-                ] {
-                    prop_assert_eq!(got.len(), queries.len());
-                    for (i, list) in got.iter().enumerate() {
-                        let head = &want[i][..k.min(n - 1)];
-                        prop_assert_eq!(&ranked_bits(list)[..], head,
-                            "det={} {} k={} lane {} (q={})", det, form, k, i, queries[i]);
-                    }
+        let engine = QueryEngine::new(&g, p);
+        let rows = engine.query_batch(&queries);
+        let batch: Vec<_> =
+            queries.iter().enumerate().map(|(i, &q)| sorted_row(rows.row(i), q)).collect();
+        let solo: Vec<_> =
+            queries.iter().map(|&q| sorted_row(engine.query_batch(&[q]).row(0), q)).collect();
+        for k in [0, 1, 3, n - 1, n, usize::MAX] {
+            for (form, got, want) in [
+                ("batch", engine.top_k_batch(&queries, k), &batch),
+                ("w1", engine.top_k_batch_at_width(&queries, k, 1), &solo),
+                ("w8", engine.top_k_batch_at_width(&queries, k, 8), &batch),
+            ] {
+                prop_assert_eq!(got.len(), queries.len());
+                for (i, list) in got.iter().enumerate() {
+                    let head = &want[i][..k.min(n - 1)];
+                    prop_assert_eq!(&ranked_bits(list)[..], head,
+                        "{} k={} lane {} (q={})", form, k, i, queries[i]);
                 }
             }
         }

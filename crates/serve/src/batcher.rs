@@ -21,10 +21,10 @@
 //! sweep owns at most `O(16·n)` scratch, so `workers`, not the connection
 //! count, caps peak memory.
 //!
-//! Results are bit-identical however requests get coalesced because
-//! snapshots force [`simrank_star::QueryEngineOptions::deterministic`]
-//! (batch-composition-independent lanes) — which is what lets the cache
-//! serve a batched result for a solo request and vice versa.
+//! Results are bit-identical however requests get coalesced because every
+//! engine lane's bits are independent of the other lanes and of the lane
+//! width (see [`simrank_star::query_engine`]) — which is what lets the
+//! cache serve a batched result for a solo request and vice versa.
 
 use crate::cache::{CacheKey, CachedMatches, ShardedCache};
 use crate::epoch::EpochStore;

@@ -47,8 +47,8 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct Snapshot {
     /// Monotonically increasing version number, starting at 0.
     pub epoch: u64,
-    /// The prepared deterministic engine (cheap to share: queries only
-    /// touch immutable state plus internal scratch pools).
+    /// The prepared engine (cheap to share: queries only touch immutable
+    /// state plus internal scratch pools).
     engine: Arc<QueryEngine>,
     /// Node count of the snapshot's graph.
     pub nodes: usize,
@@ -97,11 +97,10 @@ struct Spares {
 }
 
 impl EpochStore {
-    /// Builds epoch 0 from `graph`. `opts.deterministic` is forced on:
-    /// the serving layer's cache coherence depends on batch-composition
-    /// independence (see [`QueryEngineOptions::deterministic`]).
-    pub fn new(graph: DiGraph, params: SimStarParams, mut opts: QueryEngineOptions) -> Self {
-        opts.deterministic = true;
+    /// Builds epoch 0 from `graph`. Every snapshot's engine is built with
+    /// `params` and `opts`; its answers do not depend on how requests are
+    /// batched, which the result cache's coherence relies on.
+    pub fn new(graph: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         let snapshot = build_snapshot(0, graph, params, &opts, Vec::new());
         EpochStore {
             current: RwLock::new(Arc::new(snapshot)),
@@ -330,8 +329,7 @@ mod tests {
         let (grown, _, _) = s.apply_delta(&[(5, 0)], &[]).unwrap();
         assert_eq!(next.engine().scratch_bytes(), 0, "apply_delta empties the old pools");
         assert!(grown.engine().scratch_bytes() > held);
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let fresh = QueryEngine::with_options(grown.graph(), s.params(), opts);
+        let fresh = QueryEngine::new(grown.graph(), s.params());
         let nodes = [0, 1, 4, 5];
         assert_eq!(
             grown.engine().top_k_batch_at_width(&nodes, 3, 8),
@@ -376,8 +374,7 @@ mod tests {
         assert_eq!(out_array(&third), first_arrays);
         assert_eq!((third.epoch, s.swap_count(), s.recycled_swaps()), (3, 3, 2));
         assert_eq!(*third.graph(), reloaded);
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let fresh = QueryEngine::with_options(&reloaded, s.params(), opts);
+        let fresh = QueryEngine::new(&reloaded, s.params());
         assert_eq!(answer_bits(third.engine()), answer_bits(&fresh));
     }
 
@@ -422,13 +419,6 @@ mod tests {
         let next = s.apply_delta(&[(0, 3)], &[]).unwrap().0;
         assert_eq!(out_array(&next), epoch0_arrays);
         assert_eq!((next.epoch, s.recycled_swaps()), (2, 1));
-    }
-
-    #[test]
-    fn snapshots_use_deterministic_engines() {
-        let s = store();
-        assert!(s.current().engine().options().deterministic);
-        assert_eq!(s.current().engine().options().frontier_epsilon, 0.0);
     }
 
     #[test]

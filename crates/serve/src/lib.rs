@@ -21,10 +21,9 @@
 //!   engine sweeps each full 8-query chunk of a flush at 8 lanes and a
 //!   small remainder (a solo request, say) at one lane, so server
 //!   throughput inherits the batched path's speedup while a lone request
-//!   pays for one lane, not eight. Snapshots force the engine's
-//!   deterministic mode, making results bit-identical however requests
-//!   get coalesced — the invariant that lets cached, solo, and batched
-//!   answers interchange.
+//!   pays for one lane, not eight. Every engine sweep is deterministic,
+//!   so results are bit-identical however requests get coalesced — the
+//!   invariant that lets cached, solo, and batched answers interchange.
 //! * [`protocol`] / [`codec`] — the **typed protocol** ([`Request`] /
 //!   [`Response`], plain data with no serialization attached) and its two
 //!   interchangeable wire encodings behind one [`codec::Codec`] API:

@@ -36,8 +36,7 @@ use std::time::Instant;
 pub struct ServerOptions {
     /// SimRank\* parameters every snapshot is built with.
     pub params: SimStarParams,
-    /// Engine options (deterministic mode is forced on by the epoch
-    /// store regardless of what this says — see
+    /// Engine options every snapshot is built with (see
     /// [`EpochStore::new`]).
     pub engine: QueryEngineOptions,
     /// Total result-cache entries (0 disables the cache).

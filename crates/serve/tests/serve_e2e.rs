@@ -4,7 +4,7 @@
 //! stale-epoch answers, and bit-identical JSON/ssb answers solo and
 //! pipelined across a mid-stream reload.
 
-use simrank_star::{QueryEngine, QueryEngineOptions, SimStarParams};
+use simrank_star::{QueryEngine, SimStarParams};
 use ssr_graph::{io as gio, DiGraph, NodeId};
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::client::{Client, ClientError, Reply};
@@ -24,14 +24,6 @@ fn graph_v1() -> DiGraph {
         .unwrap()
 }
 
-fn det_engine(g: &DiGraph, params: SimStarParams) -> QueryEngine {
-    QueryEngine::with_options(
-        g,
-        params,
-        QueryEngineOptions { deterministic: true, ..Default::default() },
-    )
-}
-
 fn start(opts: ServerOptions) -> Server {
     Server::start(graph_v0(), "127.0.0.1", 0, opts).expect("bind ephemeral port")
 }
@@ -40,7 +32,7 @@ fn start(opts: ServerOptions) -> Server {
 fn query_round_trip_matches_engine_bits_and_caches() {
     let params = SimStarParams::default();
     let server = start(ServerOptions { params, ..Default::default() });
-    let engine = det_engine(&graph_v0(), params);
+    let engine = QueryEngine::new(&graph_v0(), params);
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
         let mut client = Client::builder().protocol(format).connect(server.addr()).unwrap();
         let mut admin = Client::connect(server.addr()).unwrap();
@@ -371,7 +363,7 @@ fn json_and_ssb_answers_are_bit_identical_solo_and_pipelined_across_reload() {
     let truth: Vec<Vec<Vec<(NodeId, f64)>>> = [&v0, &v1]
         .iter()
         .map(|g| {
-            let engine = det_engine(g, params);
+            let engine = QueryEngine::new(g, params);
             (0..8).map(|q| engine.top_k(q, k)).collect()
         })
         .collect();
@@ -449,8 +441,7 @@ fn epoch_swap_under_concurrent_load_has_no_stale_answers() {
     let addr = server.addr();
     let k = 5;
 
-    // Ground truth per epoch, computed with independent deterministic
-    // engines: epoch 0 = v0, epoch 1 = v1 (reload), epoch 2 = v1 + delta.
+    // Ground truth per epoch, computed with independent engines: epoch 0 = v0, epoch 1 = v1 (reload), epoch 2 = v1 + delta.
     let v0 = graph_v0();
     let v1 = graph_v1();
     let delta_add = [(3u32, 5u32), (5, 3)];
@@ -462,7 +453,7 @@ fn epoch_swap_under_concurrent_load_has_no_stale_answers() {
     let truth: Vec<Vec<Vec<(NodeId, f64)>>> = [&v0, &v1, &v2]
         .iter()
         .map(|g| {
-            let engine = det_engine(g, params);
+            let engine = QueryEngine::new(g, params);
             (0..8).map(|q| engine.top_k(q, k)).collect()
         })
         .collect();

@@ -57,19 +57,15 @@ proptest! {
 
     /// Solo (window 0) vs cached vs micro-batched (concurrent submits
     /// under a wide window) responses are bit-identical, and match an
-    /// independently built deterministic engine.
+    /// independently built engine.
     #[test]
     fn cached_uncached_and_batched_bits_agree((n, edges) in arb_graph(12, 40)) {
         let g = DiGraph::from_edges(n, &edges).unwrap();
         let params = SimStarParams { c: 0.7, iterations: 6 };
         let k = 5;
 
-        // Reference: a fresh deterministic engine, scalar path.
-        let reference = QueryEngine::with_options(
-            &g,
-            params,
-            QueryEngineOptions { deterministic: true, ..Default::default() },
-        );
+        // Reference: a fresh engine, one query per sweep.
+        let reference = QueryEngine::new(&g, params);
 
         // Serial pipeline: every flush is a batch of one.
         let (_, _, serial) = pipeline(&g, params, BatcherOptions {

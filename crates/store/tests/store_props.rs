@@ -120,9 +120,8 @@ proptest! {
     fn engine_results_survive_the_round_trip(g in arb_graph(24, 80)) {
         let (loaded, _) = round_trip(&g, fingerprint(&g) ^ 1);
         let params = SimStarParams { c: 0.6, iterations: 4 };
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let a = QueryEngine::with_options(&g, params, opts.clone());
-        let b = QueryEngine::with_options(&loaded, params, opts);
+        let a = QueryEngine::new(&g, params);
+        let b = QueryEngine::new(&loaded, params);
         for q in 0..g.node_count().min(8) as NodeId {
             let ra = a.query(q);
             let rb = b.query(q);
@@ -206,8 +205,8 @@ proptest! {
         StoreWriter::new(&g).write_file(&plain).unwrap();
         StoreWriter::new(&g).permutation(bfs_order(&g), "bfs").write_file(&perm).unwrap();
         let params = SimStarParams { c: 0.6, iterations: 4 };
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let mem = QueryEngine::with_options(&g, params, opts.clone());
+        let opts = QueryEngineOptions::default();
+        let mem = QueryEngine::new(&g, params);
         let ra = QueryEngine::with_access(
             Arc::new(RandomAccessStore::open(&plain).unwrap()),
             params,

@@ -1,8 +1,8 @@
 //! Deterministic answers pinned across commits. The property tests check
-//! that deterministic bits agree across lane widths, batches, backings
+//! that the engine's bits agree across lane widths, batches, backings
 //! and codecs within one commit; these committed FNV-1a digests of
-//! the query engine's deterministic answers on a seeded citation graph
-//! catch a change to the bits themselves. A change that alters them on
+//! the query engine's answers on a seeded citation graph catch a change
+//! to the bits themselves. A change that alters them on
 //! purpose must say why and commit the new values, which the failure
 //! messages print.
 
@@ -31,10 +31,10 @@ fn queries(g: &DiGraph) -> Vec<NodeId> {
     q
 }
 
-/// The deterministic engine on the in-memory and the access backing.
+/// The default engine on the in-memory and the access backing.
 fn engines(g: &DiGraph) -> [(&'static str, QueryEngine); 2] {
     let p = SimStarParams { c: 0.6, iterations: 5 };
-    let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
+    let opts = QueryEngineOptions::default();
     let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
     [
         ("memory", QueryEngine::with_options(g, p, opts.clone())),
