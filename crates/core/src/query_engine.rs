@@ -17,15 +17,17 @@
 //!   with `V_λ = Σ_θ c[θ][λ]·u_θ`: a forward pass advances
 //!   `u_θ = e_qᵀQ^θ` and accumulates the `V_λ`, a Horner pass folds
 //!   `r ← r·Qᵀ + V_λ`. At most `2K` advances per query instead of the
-//!   lattice's `O(K²)`.
+//!   lattice's `O(K²)`. Both passes advance in the same two frontiers,
+//!   and `V_K = c[0][K]·e_q` is seeded rather than stored, so a sweep's
+//!   scratch set is `K + 2` frontiers.
 //! * **Sparse frontiers** — every advance propagates only the active
 //!   support (push-style over adjacency rows, nothing pruned), falling
 //!   back on the in-memory backing to a dense scatter or gather step once
-//!   the frontier saturates past a density cutoff. Scratch lives in
-//!   per-width pools; the hot path allocates nothing after warmup, and an
-//!   engine built for a new graph version can take over its predecessor's
-//!   idle sets ([`QueryEngine::adopt_scratch`]) instead of faulting in its
-//!   own.
+//!   the frontier saturates past a density cutoff. Scratch lives in a
+//!   pool of sets per width; the hot path allocates nothing after warmup,
+//!   and an engine built for a new graph version can share its
+//!   predecessor's pool ([`QueryEngine::sharing_scratch_with`]) instead of
+//!   faulting in sets of its own.
 //! * **One sweep, two lane widths** — the sweep is generic over a lane
 //!   width `W`: every frontier stores `W` queries lane-major over their
 //!   union support, so each adjacency index is read once per `W` queries.
@@ -64,7 +66,7 @@ use std::time::Instant;
 /// Lanes of a multi-lane sweep: the width batches are chunked at. One
 /// frontier holds `n·LANES·8` bytes, 1.06 MB at `n = 16,500`, which fits
 /// a 2 MiB per-core L2 cache that a 16-lane frontier (2.1 MB) overflows;
-/// a sweep's scratch set holds `K + 5` frontiers.
+/// a sweep's scratch set holds `K + 2` frontiers.
 const LANES: usize = 8;
 
 /// Chunks of at most this many queries run as that many one-lane sweeps;
@@ -76,20 +78,21 @@ const LANES: usize = 8;
 ///
 /// | per call | CitHepTh     | DBLP         | Web-Google   |
 /// |----------|--------------|--------------|--------------|
-/// | 2        | 2.82 vs 3.60 | 0.38 vs 0.65 | 1.73 vs 2.94 |
-/// | 3        | 2.82 vs 2.54 | 0.39 vs 0.58 | 1.78 vs 2.41 |
-/// | 4        | 2.80 vs 2.13 | 0.34 vs 0.47 | 1.82 vs 1.88 |
-/// | 5        | 2.80 vs 1.69 | 0.38 vs 0.45 | 1.79 vs 1.40 |
-/// | 6        | 2.86 vs 1.55 | 0.36 vs 0.44 | 1.76 vs 1.19 |
+/// | 2        | 2.49 vs 3.05 | 0.32 vs 0.60 | 1.63 vs 2.63 |
+/// | 3        | 2.16 vs 2.27 | 0.36 vs 0.45 | 1.62 vs 2.18 |
+/// | 4        | 2.26 vs 1.79 | 0.33 vs 0.37 | 1.56 vs 1.72 |
+/// | 5        | 2.02 vs 1.49 | 0.34 vs 0.35 | 1.82 vs 1.41 |
+/// | 6        | 2.04 vs 1.28 | 0.36 vs 0.36 | 1.81 vs 1.16 |
 ///
-/// At 3 queries per call one lane wins on DBLP (by 1.48×) and Web-Google
-/// (by 1.36×), the 8-lane sweep on CitHepTh (by 1.11×). At 4 the 8-lane
-/// sweep wins on CitHepTh (by 1.32×), Web-Google breaks even (one lane
-/// ahead by 1.03×), and at 5 it wins there too (by 1.28×). DBLP keeps one
-/// lane ahead at every call size measured, 16 included (by 1.09×). So
-/// CitHepTh alone would choose 2, Web-Google 4, and 3 sits between them.
-/// The one-lane column does not depend on call size; its spread (±4.5% on
-/// CitHepTh and Web-Google, ±9.6% on DBLP) is the run's noise.
+/// At 3 queries per call one lane wins on all three graphs (by 1.05× on
+/// CitHepTh, 1.23× on DBLP, 1.35× on Web-Google). At 4 the 8-lane sweep
+/// wins on CitHepTh (by 1.26×) while one lane stays ahead on Web-Google
+/// (by 1.10×), and at 5 the 8-lane sweep wins there too (by 1.29×). DBLP
+/// keeps one lane ahead through 5 (by 1.04×), breaks even at 6 and 8, and
+/// the 8-lane sweep wins at 16 (by 1.26×). So CitHepTh alone would choose
+/// 3, Web-Google 4 and DBLP 5. The one-lane column does not depend on call
+/// size; its spread (±10% on CitHepTh, ±9% on DBLP, ±8% on Web-Google) is
+/// the run's noise.
 const SOLO_CROSSOVER: usize = 3;
 
 /// Which SimRank\* series the engine evaluates.
@@ -179,11 +182,14 @@ impl<const W: usize> BlockFrontier<W> {
         }
     }
 
-    /// Sets lane `lane` of `node` to `1` — a query's seed.
-    fn seed(&mut self, node: u32, lane: usize) {
-        let mut unit = [0.0; W];
-        unit[lane] = 1.0;
-        self.add_scaled(node, 1.0, &unit);
+    /// Adds `c` to lane `lane` of `node` — a query's seed at weight `c`,
+    /// skipped at `c = 0` as [`Self::axpy_from`] skips it.
+    fn seed(&mut self, node: u32, lane: usize, c: f64) {
+        if c != 0.0 {
+            let mut unit = [0.0; W];
+            unit[lane] = 1.0;
+            self.add_scaled(node, c, &unit);
+        }
     }
 
     /// `node += f·src` lane-wise, activating `node` if needed. The
@@ -292,20 +298,19 @@ impl<const W: usize> BlockFrontier<W> {
     }
 }
 
-/// Reusable state of one `W`-lane sweep (four frontiers plus the `K + 1`
-/// accumulators, ≈ `(K+5)·8·W·n` bytes) and the row its lanes are copied
-/// out through. Pooled per width by the engine: no allocation on the hot
-/// path after warmup.
+/// Reusable state of one `W`-lane sweep, `K + 2` frontiers (≈
+/// `(K+2)·8·W·n` bytes), and the row its lanes are copied out through.
+/// Pooled per width: no allocation on the hot path after warmup.
 struct BlockScratch<const W: usize> {
-    u: BlockFrontier<W>,
-    u_next: BlockFrontier<W>,
-    /// `r` of the Horner pass; holds the folded result until
-    /// [`Self::emit`] hands it out and clears it.
+    /// The forward pass's iterate `u_θ`, then `r` of the Horner pass; holds
+    /// the folded result until [`Self::emit`] hands it out and clears it.
     w: BlockFrontier<W>,
+    /// What each advance of `w` writes, swapped into `w` after it.
     w_next: BlockFrontier<W>,
-    /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` during the forward
-    /// pass; cleared (cost proportional to support) by the Horner pass
-    /// that consumes them.
+    /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` for `λ < K` during the
+    /// forward pass; cleared (cost proportional to support) by the Horner
+    /// pass that consumes them. `V_K = c[0][K]·e_q` is seeded into `w`
+    /// instead.
     vs: Vec<BlockFrontier<W>>,
     /// All-zero `n`-row that a `W > 1` result's lanes are copied through
     /// one at a time (unused at `W = 1`, where `w.vals` is the row).
@@ -315,25 +320,21 @@ struct BlockScratch<const W: usize> {
 impl<const W: usize> BlockScratch<W> {
     fn new(n: usize, k: usize) -> Self {
         BlockScratch {
-            u: BlockFrontier::new(n),
-            u_next: BlockFrontier::new(n),
             w: BlockFrontier::new(n),
             w_next: BlockFrontier::new(n),
-            vs: (0..=k).map(|_| BlockFrontier::new(n)).collect(),
+            vs: (0..k).map(|_| BlockFrontier::new(n)).collect(),
             row: if W == 1 { Vec::new() } else { vec![0.0; n] },
         }
     }
 
-    /// Resizes a pooled (so cleared) set to `n` nodes and `k` iterations.
+    /// Fits a pooled (so cleared) set to `n` nodes and `k` iterations: a
+    /// no-op for a set that already fits.
     fn resize(&mut self, n: usize, k: usize) {
-        self.vs.truncate(k + 1);
-        for f in [&mut self.u, &mut self.u_next, &mut self.w, &mut self.w_next] {
+        self.vs.truncate(k);
+        for f in [&mut self.w, &mut self.w_next].into_iter().chain(&mut self.vs) {
             f.resize(n);
         }
-        for f in &mut self.vs {
-            f.resize(n);
-        }
-        self.vs.resize_with(k + 1, || BlockFrontier::new(n));
+        self.vs.resize_with(k, || BlockFrontier::new(n));
         if W > 1 {
             resize_exact(&mut self.row, n, 0.0);
         }
@@ -341,11 +342,7 @@ impl<const W: usize> BlockScratch<W> {
 
     /// Bytes the set holds: every frontier plus the copy-out row.
     fn bytes(&self) -> usize {
-        [&self.u, &self.u_next, &self.w, &self.w_next]
-            .into_iter()
-            .chain(&self.vs)
-            .map(BlockFrontier::bytes)
-            .sum::<usize>()
+        [&self.w, &self.w_next].into_iter().chain(&self.vs).map(BlockFrontier::bytes).sum::<usize>()
             + self.row.capacity() * std::mem::size_of::<f64>()
     }
 
@@ -615,20 +612,30 @@ impl EngineTrace {
     }
 }
 
-/// The engine's scratch pool for one lane width.
+/// Idle sweep sets of one-lane and 8-lane sweeps, shared by every engine
+/// built with [`QueryEngine::sharing_scratch_with`]. A set fits the engine
+/// that last checked it out; the next checkout resizes it if its node or
+/// iteration count differs.
+#[derive(Default)]
+struct ScratchPool {
+    solo: Mutex<Vec<BlockScratch<1>>>,
+    block: Mutex<Vec<BlockScratch<LANES>>>,
+}
+
+/// The [`ScratchPool`]'s sets of one lane width.
 trait Pooled: Sized {
-    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>>;
+    fn sets(pool: &ScratchPool) -> &Mutex<Vec<Self>>;
 }
 
 impl Pooled for BlockScratch<1> {
-    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>> {
-        &engine.solo_scratch
+    fn sets(pool: &ScratchPool) -> &Mutex<Vec<Self>> {
+        &pool.solo
     }
 }
 
 impl Pooled for BlockScratch<LANES> {
-    fn pool(engine: &QueryEngine) -> &Mutex<Vec<Self>> {
-        &engine.block_scratch
+    fn sets(pool: &ScratchPool) -> &Mutex<Vec<Self>> {
+        &pool.block
     }
 }
 
@@ -664,9 +671,9 @@ pub struct QueryEngine {
     /// the first call of more than [`LANES`] queries, the only calls whose
     /// chunks grouping can change ([`Self::components`]).
     component: OnceLock<Vec<u32>>,
-    /// Scratch pools of one-lane and 8-lane sweeps.
-    solo_scratch: Mutex<Vec<BlockScratch<1>>>,
-    block_scratch: Mutex<Vec<BlockScratch<LANES>>>,
+    /// Scratch sets of one-lane and 8-lane sweeps, possibly shared with
+    /// the engines of other graph versions.
+    scratch: Arc<ScratchPool>,
     /// Lifetime work counters (sweeps, advances, lane occupancy, frontier
     /// density); sweeps flush local tallies here.
     stats: EngineStats,
@@ -706,10 +713,22 @@ impl QueryEngine {
         Self::build(Backing::Memory(g), inv_in, params, opts)
     }
 
+    /// This engine, drawing its sweep scratch from `other`'s pool instead
+    /// of its own, so neither faults in a set the other left idle: a set
+    /// `other` returns from a sweep still running lands where this engine
+    /// looks, and dropping `other` frees no scratch this engine can use. A
+    /// checkout resizes a set made for a different node or iteration
+    /// count. Pooled frontiers are always left cleared, so a shared set
+    /// gives the same bits as a fresh one.
+    pub fn sharing_scratch_with(mut self, other: &QueryEngine) -> Self {
+        self.scratch = Arc::clone(&other.scratch);
+        self
+    }
+
     /// Takes an in-memory engine apart into its graph and its `1/|I(v)|`
     /// weights, for a later build to reuse; `None` on an access backing.
-    /// The rest (pooled scratch included) is dropped, so move idle
-    /// scratch out first ([`QueryEngine::adopt_scratch`]).
+    /// The rest is dropped, scratch included unless another engine shares
+    /// the pool ([`QueryEngine::sharing_scratch_with`]).
     pub fn into_graph_parts(self) -> Option<(DiGraph, Vec<f64>)> {
         match self.backing {
             Backing::Memory(g) => Some((g, self.inv_in)),
@@ -758,8 +777,7 @@ impl QueryEngine {
             params,
             opts,
             component: OnceLock::new(),
-            solo_scratch: Mutex::new(Vec::new()),
-            block_scratch: Mutex::new(Vec::new()),
+            scratch: Arc::default(),
             stats: EngineStats::default(),
         }
     }
@@ -794,43 +812,21 @@ impl QueryEngine {
             + self.component.get().map_or(0, |c| c.len() * std::mem::size_of::<u32>())
     }
 
-    /// Bytes held by the idle sweep sets in this engine's scratch pools,
-    /// at their allocated capacity; a set a running sweep holds is not
-    /// counted. A `W`-lane set is `K + 5` frontiers of `n·W·8` bytes plus
-    /// their active lists: at `n = 16,500` and `K = 5`, about 11 MB for an
-    /// 8-lane set and 1.5 MB for a one-lane one.
+    /// Bytes held by the idle sweep sets in this engine's scratch pool
+    /// (shared with [`Self::sharing_scratch_with`]), at their allocated
+    /// capacity; a set a running sweep holds is not counted. A `W`-lane
+    /// set is `K + 2` frontiers of `n·W·8` bytes plus their active lists:
+    /// at `n = 16,500` and `K = 5`, about 7.8 MB for an 8-lane set and
+    /// 1.1 MB for a one-lane one.
     pub fn scratch_bytes(&self) -> usize {
-        fn idle<const W: usize>(e: &QueryEngine) -> usize
+        fn idle<const W: usize>(pool: &ScratchPool) -> usize
         where
             BlockScratch<W>: Pooled,
         {
-            let pool = BlockScratch::<W>::pool(e).lock().expect("scratch pool poisoned");
-            pool.iter().map(BlockScratch::bytes).sum()
+            let sets = BlockScratch::<W>::sets(pool).lock().expect("scratch pool poisoned");
+            sets.iter().map(BlockScratch::bytes).sum()
         }
-        idle::<1>(self) + idle::<LANES>(self)
-    }
-
-    /// Moves `from`'s idle pooled sweep sets into this engine's pools,
-    /// resized to this engine's node count and iteration count, so an
-    /// engine built for the next graph version starts with warm scratch
-    /// instead of faulting in fresh sets, and dropping `from` frees none.
-    /// A set `from` is sweeping with stays there. Pooled frontiers are
-    /// always left cleared, so an adopted set gives the same bits as a
-    /// fresh one.
-    pub fn adopt_scratch(&self, from: &QueryEngine) {
-        fn adopt<const W: usize>(to: &QueryEngine, from: &QueryEngine)
-        where
-            BlockScratch<W>: Pooled,
-        {
-            let pool = BlockScratch::<W>::pool(from);
-            let mut sets = std::mem::take(&mut *pool.lock().expect("scratch pool poisoned"));
-            for s in &mut sets {
-                s.resize(to.n, to.params.iterations);
-            }
-            BlockScratch::<W>::pool(to).lock().expect("scratch pool poisoned").append(&mut sets);
-        }
-        adopt::<1>(self, from);
-        adopt::<LANES>(self, from);
+        idle::<1>(&self.scratch) + idle::<LANES>(&self.scratch)
     }
 
     /// The parameters the engine was built with.
@@ -1015,19 +1011,19 @@ impl QueryEngine {
         }
     }
 
-    /// Runs `f` on a scratch from the width's pool, returning it after.
+    /// Runs `f` on a scratch set from the width's pool, fitted to this
+    /// engine (see [`ScratchPool`]), returning it after.
     fn with_scratch<const W: usize, R>(&self, f: impl FnOnce(&mut BlockScratch<W>) -> R) -> R
     where
         BlockScratch<W>: Pooled,
     {
-        let pool = BlockScratch::<W>::pool(self);
-        let mut s = pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| BlockScratch::new(self.n, self.params.iterations));
+        let (n, k) = (self.n, self.params.iterations);
+        let sets = BlockScratch::<W>::sets(&self.scratch);
+        let idle = sets.lock().expect("scratch pool poisoned").pop();
+        let mut s = idle.unwrap_or_else(|| BlockScratch::new(n, k));
+        s.resize(n, k);
         let out = f(&mut s);
-        pool.lock().expect("scratch pool poisoned").push(s);
+        sets.lock().expect("scratch pool poisoned").push(s);
         out
     }
 
@@ -1075,7 +1071,9 @@ impl QueryEngine {
     /// with automatic dense fallback — and a pure re-association of the
     /// same non-negative terms, so results match the dense lattice
     /// reference ([`crate::single_source::single_source_dense`]) to a few
-    /// ulps per entry.
+    /// ulps per entry. Both passes advance in `s.w` and `s.w_next`, and
+    /// the Horner pass starts from `V_K = c[0][K]·e_q` seeded into `s.w`,
+    /// so only `V_0 … V_{K−1}` are stored.
     ///
     /// `q_rows` pushes `Q` rows (u-advance) and `qt_rows` pushes `Qᵀ` rows
     /// (Horner advance). A frontier past `cutoff` active nodes turns dense.
@@ -1119,13 +1117,14 @@ impl QueryEngine {
                     });
                 }
             };
-        // Forward pass: u_θ = e_qᵀQ^θ; V_λ += c[θ][λ]·u_θ for λ ≤ K−θ.
+        // Forward pass, u_θ = e_qᵀQ^θ living in the w scratch:
+        // V_λ += c[θ][λ]·u_θ for λ ≤ K−θ, except V_K = c[0][K]·u_0.
         for (lane, &q) in queries.iter().enumerate() {
-            s.u.seed(q, lane);
+            s.w.seed(q, lane, 1.0);
         }
         for theta in 0..=k {
-            for (lambda, vl) in s.vs[..=(k - theta)].iter_mut().enumerate() {
-                vl.axpy_from(&s.u, self.coeffs[theta][lambda]);
+            for (lambda, vl) in s.vs.iter_mut().take(k + 1 - theta).enumerate() {
+                vl.axpy_from(&s.w, self.coeffs[theta][lambda]);
             }
             if theta == k {
                 break;
@@ -1133,18 +1132,20 @@ impl QueryEngine {
             // u ← u·Q: push over the active Q rows, or over every nonzero
             // node's Q row once dense.
             let started = timed.then(Instant::now);
-            advance(q_rows, &mut s.u, &mut s.u_next, cutoff, |x, y| scatter::<W>(q_rows, x, y));
-            record(&s.u, 0, theta, started);
-            if s.u.is_zero() {
+            advance(q_rows, &mut s.w, &mut s.w_next, cutoff, |x, y| scatter::<W>(q_rows, x, y));
+            record(&s.w, 0, theta, started);
+            if s.w.is_zero() {
                 break;
             }
         }
-        s.u.clear();
-        // Horner pass (λ descending): r ← r·Qᵀ + V_λ, with r living in the
-        // w scratch. Skipping the advance while r is still zero makes the
-        // top-of-range V's (empty when the forward pass stopped early)
-        // free.
-        for lambda in (0..=k).rev() {
+        s.w.clear();
+        // Horner pass (λ descending): r ← r·Qᵀ + V_λ in the w scratch,
+        // from r = V_K seeded at each lane's query node (0 + c·1, the bits
+        // a stored V_K would add). An all-zero r skips its advance.
+        for (lane, &q) in queries.iter().enumerate() {
+            s.w.seed(q, lane, self.coeffs[0][k]);
+        }
+        for lambda in (0..k).rev() {
             if !s.w.is_zero() {
                 // r ← r·Qᵀ: push over Qᵀ rows, or gather over Q rows.
                 let started = timed.then(Instant::now);
@@ -1523,11 +1524,35 @@ mod tests {
         }
         // One sequential caller ⇒ exactly one pooled one-lane scratch, and
         // no 8-lane scratch until a chunk crosses over.
-        assert_eq!(engine.solo_scratch.lock().unwrap().len(), 1);
-        assert_eq!(engine.block_scratch.lock().unwrap().len(), 0);
+        assert_eq!(pooled(&engine), (1, 0));
         engine.top_k_batch(&[0; BLOCK], 2);
         engine.top_k_batch(&[1; BLOCK], 2);
-        assert_eq!(engine.block_scratch.lock().unwrap().len(), 1);
+        assert_eq!(pooled(&engine), (1, 1));
+    }
+
+    /// Idle one-lane and 8-lane sets in an engine's pool.
+    fn pooled(e: &QueryEngine) -> (usize, usize) {
+        (e.scratch.solo.lock().unwrap().len(), e.scratch.block.lock().unwrap().len())
+    }
+
+    #[test]
+    fn scratch_sets_hold_k_plus_two_frontiers() {
+        // A 1,000-node cycle: every iterate's support is one node, so the
+        // frontiers' values are nearly all of a set's bytes.
+        let n = 1000;
+        let edges: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, (v + 1) % n as u32)).collect();
+        let g = DiGraph::from_edges(n, &edges).unwrap();
+        let k = 5;
+        let engine = QueryEngine::new(&g, SimStarParams { c: 0.6, iterations: k });
+        engine.query(3);
+        engine.top_k_batch_at_width(&[0, 100, 200, 300, 400, 500, 600, 700], 3, LANES);
+        assert_eq!(pooled(&engine), (1, 1));
+        // `w`, `w_next` and the stored `V_0 … V_{K−1}`.
+        assert_eq!(engine.scratch.solo.lock().unwrap()[0].vs.len(), k);
+        assert_eq!(engine.scratch.block.lock().unwrap()[0].vs.len(), k);
+        let frontiers = |count: usize| count * n * 8 * (1 + LANES);
+        let bytes = engine.scratch_bytes();
+        assert!((frontiers(k + 2)..frontiers(k + 3)).contains(&bytes), "{bytes}");
     }
 
     #[test]
@@ -1541,29 +1566,103 @@ mod tests {
         old.top_k_batch_at_width(&queries[2..], 5, LANES);
         old.query(3);
         let held = old.scratch_bytes();
-        let sets = |e: &QueryEngine| {
-            (e.solo_scratch.lock().unwrap().len(), e.block_scratch.lock().unwrap().len())
-        };
-        assert_eq!(sets(&old), (1, 1));
-        let new = QueryEngine::new(&grown, p);
-        new.adopt_scratch(&old);
-        assert_eq!((sets(&old), old.scratch_bytes()), ((0, 0), 0), "old pools emptied");
-        assert_eq!(sets(&new), (1, 1), "new engine holds the old engine's sets");
+        assert_eq!(pooled(&old), (1, 1));
+        let new = QueryEngine::new(&grown, p).sharing_scratch_with(&old);
+        assert_eq!((pooled(&new), new.scratch_bytes()), ((1, 1), held), "one pool");
+        // Each width's first checkout on the new engine resizes the set.
+        new.with_scratch::<1, _>(|s| assert_eq!(s.w.vals.len(), 302));
+        new.with_scratch::<LANES, _>(|s| {
+            let mut frontiers = s.vs.iter().chain([&s.w, &s.w_next]);
+            assert!(frontiers.all(|f| f.vals.len() == 302 && f.member.len() == 302));
+            assert_eq!(s.row.len(), 302);
+        });
         // Two more nodes grow the sets by under 1%, not by a doubling.
         let grown_bytes = new.scratch_bytes();
-        assert!((held..held * 101 / 100).contains(&grown_bytes), "{grown_bytes} vs {held}");
-        for s in new.block_scratch.lock().unwrap().iter() {
-            assert!(s.vs.iter().chain([&s.u, &s.w]).all(|f| f.vals.len() == 302));
-            assert!(s.vs.iter().all(|f| f.member.len() == 302) && s.row.len() == 302);
-        }
-        // The adopted sets reach the new nodes and give a fresh engine's
+        assert!((held + 1..held * 101 / 100).contains(&grown_bytes), "{grown_bytes} vs {held}");
+        // The resized sets reach the new nodes and give a fresh engine's
         // bits, at both widths.
         let fresh = QueryEngine::new(&grown, p);
         let rows = |e: &QueryEngine| bits(e.query_batch(&queries).as_slice());
         assert_eq!(rows(&new), rows(&fresh));
         assert_eq!(new.top_k_batch(&queries, 5), fresh.top_k_batch(&queries, 5));
         assert_eq!(bits(&new.query(301)), bits(&fresh.query(301)));
-        assert_eq!(sets(&new), (1, 1), "no set was allocated after adoption");
+        assert_eq!(pooled(&new), (1, 1), "no set was allocated after the swap");
+        // The old engine fits a set back to its own graph, with its bits.
+        assert_eq!(bits(&old.query(3)), bits(&QueryEngine::new(&g, p).query(3)));
+        assert_eq!(pooled(&old), (1, 1));
+    }
+
+    #[test]
+    fn a_set_checked_out_across_a_successors_build_lands_in_its_pool() {
+        let g = mid_density_graph();
+        let p = SimStarParams { c: 0.6, iterations: 5 };
+        let (grown, _, _) = g.with_delta(&[(300, 7), (301, 300)], &[]).unwrap();
+        let queries: Vec<NodeId> = (0..LANES as NodeId).map(|i| i * 37).collect();
+        let a = QueryEngine::new(&g, p);
+        // A's 8-lane sweep still holds its set, ranking, when B is built.
+        let mut b = None;
+        let mut build = |lane: usize, _: Vec<(NodeId, f64)>| {
+            if lane == 0 {
+                b = Some(QueryEngine::new(&grown, p).sharing_scratch_with(&a));
+            }
+        };
+        a.sweep_lanes(&queries, Some(LANES), None, LaneSink::TopK(5, &mut build));
+        let b = b.expect("the sink ran");
+        assert_eq!(pooled(&b), (0, 1), "A's set went back to the shared pool");
+        let fresh = QueryEngine::new(&grown, p);
+        let ranked = |e: &QueryEngine| e.top_k_batch_at_width(&queries, 5, LANES);
+        assert_eq!(ranked(&b), ranked(&fresh));
+        assert_eq!(pooled(&b), (0, 1), "B's call reused A's set");
+        let held = b.scratch_bytes();
+        drop(a);
+        assert_eq!(b.scratch_bytes(), held, "dropping A freed none of B's scratch");
+    }
+
+    /// Every node's row, swept at `width` lanes.
+    fn rows_at_width(e: &QueryEngine, width: usize) -> Vec<Vec<u64>> {
+        let queries: Vec<NodeId> = (0..e.node_count() as NodeId).collect();
+        let mut rows = vec![Vec::new(); queries.len()];
+        let mut keep = |i: usize, row: &[f64]| rows[i] = bits(row);
+        e.sweep_lanes(&queries, Some(width), None, LaneSink::Rows(&mut keep));
+        rows
+    }
+
+    #[test]
+    fn small_k_and_dying_frontiers_match_the_dense_reference() {
+        // On a path, and on graphs()[1], the forward frontier of every
+        // query dies within five steps, before K = 6.
+        let path = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let dying = [path, graphs().remove(1)];
+        let cases = graphs()
+            .into_iter()
+            .flat_map(|g| [0, 1, 2].map(|k| (g.clone(), k)))
+            .chain(dying.into_iter().flat_map(|g| [0, 1, 2, 6].map(|k| (g.clone(), k))));
+        for (g, k) in cases {
+            for kind in [SeriesKind::Geometric, SeriesKind::Exponential] {
+                let p = SimStarParams { c: 0.6, iterations: k };
+                let opts = QueryEngineOptions { kind, ..Default::default() };
+                let mem = QueryEngine::with_options(&g, p, opts.clone());
+                let acc = QueryEngine::with_access(access_of(&g), p, opts);
+                let want = rows_at_width(&mem, 1);
+                for (q, row) in (0..).zip(&want) {
+                    let dense = match kind {
+                        SeriesKind::Geometric => single_source_dense(&g, q, &p),
+                        SeriesKind::Exponential => single_source_exponential_dense(&g, q, &p),
+                    };
+                    let row: Vec<f64> = row.iter().map(|&b| f64::from_bits(b)).collect();
+                    assert_rows_close(&row, &dense, 1e-10, &format!("{kind:?} K={k} q={q}"));
+                    if k == 0 {
+                        // The whole answer is the seeded V_K = c[0][0]·e_q.
+                        let mut seed = vec![0.0; g.node_count()];
+                        seed[q as usize] = mem.coeffs[0][0];
+                        assert_eq!(bits(&row), bits(&seed), "{kind:?} q={q}");
+                    }
+                }
+                for (e, width) in [(&mem, LANES), (&acc, 1), (&acc, LANES)] {
+                    assert_eq!(rows_at_width(e, width), want, "{kind:?} K={k} width {width}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! Routing *everything* through the pipeline (instead of executing on
 //! connection threads) also bounds engine concurrency: each in-flight
-//! sweep owns at most `O(16·n)` scratch, so `workers`, not the connection
-//! count, caps peak memory.
+//! sweep owns one scratch set, `K + 2` frontiers of at most `8·n` values,
+//! so `workers`, not the connection count, caps peak memory.
 //!
 //! Results are bit-identical however requests get coalesced because every
 //! engine lane's bits are independent of the other lanes and of the lane

@@ -8,17 +8,20 @@
 //! read downtime. A `reload` decodes its file into the new engine's graph
 //! ([`EpochStore::reload`]); an `edge-delta` patches the rows it touches
 //! in the current engine's graph ([`DiGraph::with_delta_into`]) instead of
-//! rebuilding every edge. Either way the new engine takes over the current
-//! one's idle sweep scratch ([`QueryEngine::adopt_scratch`]), so a swap
-//! neither faults in fresh scratch on the next flush nor frees the old
-//! sets on the admin thread.
+//! rebuilding every edge. Either way the new engine shares the current
+//! one's sweep scratch pool ([`QueryEngine::sharing_scratch_with`]), as
+//! every engine the store builds shares its predecessor's: a flush that
+//! straddles a swap returns its set to the pool the successor draws from,
+//! and a checkout resizes a set when a delta grew the node range. So a
+//! swap neither faults in fresh scratch on the next flush nor frees sets
+//! with the retired engine.
 //!
 //! Writes also reuse the replaced epoch's graph memory. At a swap where no
 //! reader still holds the replaced snapshot (`Arc::into_inner` succeeds on
 //! it and on its engine), the store keeps that graph's four CSR arrays and
 //! its engine's `1/|I(v)|` vector as spares ([`CsrBuffers`],
-//! [`QueryEngine::into_graph_parts`]); the engine itself, whose scratch
-//! has already moved on, is dropped. The next write builds into the
+//! [`QueryEngine::into_graph_parts`]); the engine itself is dropped, its
+//! scratch pool living on in its successor. The next write builds into the
 //! spares: a delta patches the current graph's rows into them, a `.ssg`
 //! reload decodes both directions into them through one section buffer
 //! the store keeps, and the new engine fills the spare weight vector. So
@@ -101,7 +104,8 @@ impl EpochStore {
     /// `params` and `opts`; its answers do not depend on how requests are
     /// batched, which the result cache's coherence relies on.
     pub fn new(graph: DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
-        let snapshot = build_snapshot(0, graph, params, &opts, Vec::new());
+        let engine = QueryEngine::from_graph(graph, params, opts.clone());
+        let snapshot = build_snapshot(0, engine, &opts);
         EpochStore {
             current: RwLock::new(Arc::new(snapshot)),
             admin: Mutex::new(Spares::default()),
@@ -190,16 +194,16 @@ impl EpochStore {
     }
 
     /// Builds the epoch after the current one from `graph` over the spare
-    /// weights, hands it the current engine's idle scratch, and publishes
+    /// weights, sharing the current engine's scratch pool, and publishes
     /// it. If no reader holds the replaced snapshot any more, its graph
     /// arrays and weights become the spares. The caller holds the admin
     /// lock, and says whether `graph` was built into the spares.
     fn succeed(&self, spares: &mut Spares, graph: DiGraph, recycled: bool) -> Arc<Snapshot> {
         let base = self.current();
         let weights = std::mem::take(&mut spares.weights);
-        let snapshot =
-            Arc::new(build_snapshot(base.epoch + 1, graph, self.params, &self.opts, weights));
-        snapshot.engine.adopt_scratch(&base.engine);
+        let engine = QueryEngine::from_graph_into(graph, self.params, self.opts.clone(), weights)
+            .sharing_scratch_with(&base.engine);
+        let snapshot = Arc::new(build_snapshot(base.epoch + 1, engine, &self.opts));
         let replaced = std::mem::replace(
             &mut *self.current.write().expect("epoch cell poisoned"),
             snapshot.clone(),
@@ -222,17 +226,9 @@ impl EpochStore {
     }
 }
 
-fn build_snapshot(
-    epoch: u64,
-    graph: DiGraph,
-    params: SimStarParams,
-    opts: &QueryEngineOptions,
-    spare_weights: Vec<f64>,
-) -> Snapshot {
-    let params_key = combine_keys(params.stable_key(), opts.stable_key());
-    let nodes = graph.node_count();
-    let engine = Arc::new(QueryEngine::from_graph_into(graph, params, opts.clone(), spare_weights));
-    Snapshot { epoch, engine, nodes, params_key }
+fn build_snapshot(epoch: u64, engine: QueryEngine, opts: &QueryEngineOptions) -> Snapshot {
+    let params_key = combine_keys(engine.params().stable_key(), opts.stable_key());
+    Snapshot { epoch, nodes: engine.node_count(), engine: Arc::new(engine), params_key }
 }
 
 /// Mixes the two stable keys into one (boost-style combine; both halves
@@ -313,28 +309,28 @@ mod tests {
     #[test]
     fn swaps_hand_the_idle_scratch_to_the_new_engine() {
         let s = store();
-        // Warm both widths' pools: a one-lane sweep and an 8-lane one.
-        let warm = |engine: &QueryEngine| {
-            engine.top_k(1, 2);
-            engine.top_k_batch_at_width(&[0, 1, 2, 3], 2, 8);
-            engine.scratch_bytes()
-        };
         let old = s.current();
-        let held = warm(old.engine());
-        assert!(held > 0);
         let next = s.publish(DiGraph::from_edges(4, &[(1, 0), (2, 1), (3, 2)]).unwrap());
-        assert_eq!(old.engine().scratch_bytes(), 0, "publish empties the old pools");
+        // Sweeps on the replaced engine that finish after the swap, as a
+        // flush straddling it would, return their sets to the pool the new
+        // engine draws from: a one-lane set and an 8-lane one.
+        let sweep = |engine: &QueryEngine, nodes: &[NodeId]| {
+            (engine.top_k(nodes[0], 2), engine.top_k_batch_at_width(nodes, 2, 8))
+        };
+        sweep(old.engine(), &[1, 0, 2, 3]);
+        let held = next.engine().scratch_bytes();
+        assert!(held > 0 && held == old.engine().scratch_bytes(), "one pool");
+        sweep(next.engine(), &[1, 0, 2, 3]);
         assert_eq!(next.engine().scratch_bytes(), held, "same n, same sets");
-        // A delta that grows the node range resizes the sets it hands over.
+        drop(old);
+        assert_eq!(next.engine().scratch_bytes(), held, "retiring an engine frees no scratch");
+        // A delta that grows the node range resizes each set on its first
+        // checkout, which gives a fresh engine's bits.
         let (grown, _, _) = s.apply_delta(&[(5, 0)], &[]).unwrap();
-        assert_eq!(next.engine().scratch_bytes(), 0, "apply_delta empties the old pools");
-        assert!(grown.engine().scratch_bytes() > held);
+        assert_eq!(grown.engine().scratch_bytes(), held, "nothing resized before a checkout");
         let fresh = QueryEngine::new(grown.graph(), s.params());
-        let nodes = [0, 1, 4, 5];
-        assert_eq!(
-            grown.engine().top_k_batch_at_width(&nodes, 3, 8),
-            fresh.top_k_batch_at_width(&nodes, 3, 8)
-        );
+        assert_eq!(sweep(grown.engine(), &[5, 0, 1, 4]), sweep(&fresh, &[5, 0, 1, 4]));
+        assert!(grown.engine().scratch_bytes() > held);
     }
 
     /// A `.ssg` file of `g` in the temp dir, for reloads.
