@@ -42,7 +42,8 @@ use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::select_queries;
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::loadgen::{
-    run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan, ServeBenchMeta,
+    render_phase_table, run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan,
+    ServeBenchMeta,
 };
 use ssr_serve::server::{Server, ServerOptions};
 
@@ -129,30 +130,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) {
         run_connections_phase(addr, &conns_plan, hot.clone(), WINDOW_US, PIPELINE, idle_conns)
             .expect("connection-scaling run"),
     );
-    println!(
-        "{:<14} {:>7} {:>4} {:>9} {:>10} {:>10} {:>9} {:>6} {:>6}",
-        "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"
-    );
-    for p in &phases {
-        println!(
-            "{:<14} {:>7} {:>4} {:>9.1} {:>10.1} {:>10.1} {:>8.1}% {:>6} {:>6}",
-            p.name,
-            p.protocol,
-            p.pipeline,
-            p.report.qps(),
-            p.report.percentile_us(0.50),
-            p.report.percentile_us(0.99),
-            100.0 * p.hit_rate(),
-            p.shed,
-            p.connections,
-        );
-    }
-    let qps = |name: &str| phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
-    println!("speedup batched vs serial: {:.2}x", qps("batched") / qps("serial").max(1e-12));
-    println!(
-        "speedup ssb pipelined vs json serial: {:.2}x",
-        qps("ssb_pipelined") / qps("json_serial").max(1e-12)
-    );
+    print!("{}", render_phase_table(&phases));
 
     let meta = ServeBenchMeta {
         smoke: opts.smoke,

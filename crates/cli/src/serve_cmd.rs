@@ -6,7 +6,8 @@ use simrank_star::{QueryEngineOptions, SimStarParams};
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::client::{Client, Reply};
 use ssr_serve::loadgen::{
-    run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan, ServeBenchMeta,
+    render_phase_table, run_connections_phase, run_protocol_phases, run_standard_phases, LoadPlan,
+    ServeBenchMeta,
 };
 use ssr_serve::server::{Server, ServerOptions};
 use std::fmt::Write as _;
@@ -211,37 +212,7 @@ pub fn cmd_bench_serve(rest: &[String]) -> Result<String, ArgError> {
         "# bench-serve: {addr} n={nodes} m={edges} clients={clients} \
          requests/client={requests} top-k={top_k} window={window_us}us pipeline={pipeline}\n"
     );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>7} {:>4} {:>9} {:>10} {:>10} {:>8} {:>6} {:>6}",
-        "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"
-    );
-    for p in &phases {
-        let _ = writeln!(
-            out,
-            "{:<14} {:>7} {:>4} {:>9.1} {:>10.1} {:>10.1} {:>7.1}% {:>6} {:>6}",
-            p.name,
-            p.protocol,
-            p.pipeline,
-            p.report.qps(),
-            p.report.percentile_us(0.50),
-            p.report.percentile_us(0.99),
-            100.0 * p.hit_rate(),
-            p.shed,
-            p.connections,
-        );
-    }
-    let qps = |n: &str| phases.iter().find(|p| p.name == n).map_or(0.0, |p| p.report.qps());
-    if qps("serial") > 0.0 {
-        let _ = writeln!(out, "speedup batched vs serial: {:.2}x", qps("batched") / qps("serial"));
-    }
-    if qps("json_serial") > 0.0 {
-        let _ = writeln!(
-            out,
-            "speedup ssb pipelined vs json serial: {:.2}x",
-            qps("ssb_pipelined") / qps("json_serial")
-        );
-    }
+    out.push_str(&render_phase_table(&phases));
     // When the server samples traces, surface the slowest sampled
     // requests (by end-to-end time) with their trace ids, so a slow run
     // can be cross-referenced against `trace` dumps / `--trace-out` files.

@@ -9,8 +9,9 @@
 //! processes without clock agreement.
 //!
 //! The flat-list-with-parent-index layout (rather than nested
-//! structures) keeps the wire encodings trivial — both the JSONL export
-//! and the `ssb/1` admin op serialize the list in order — and makes the
+//! structures) keeps the wire encoding trivial — the JSONL export and
+//! the `trace` admin op, on either codec, serialize the list in order —
+//! and makes the
 //! nesting invariant checkable in one pass: a span's interval must lie
 //! within its parent's (see [`Trace::validate`]).
 //!

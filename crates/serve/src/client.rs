@@ -153,11 +153,6 @@ impl Client {
         self.format
     }
 
-    /// The configured pipelining depth.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline
-    }
-
     /// Sends one request and waits for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         let id = self.send(req)?;

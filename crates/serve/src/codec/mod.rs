@@ -7,9 +7,12 @@
 //!   the wire: responses arrive in request order and both peers count.
 //! * [`ssb`] — `ssb/1`, a length-prefixed binary format framed with
 //!   `ssr-store`'s LEB128 varints. Every frame carries an explicit
-//!   request id, which is what makes deep pipelining safe; floats travel
-//!   as raw IEEE-754 bits, so scores are bit-identical to the JSON path
-//!   (which uses shortest-round-trip decimals) by construction.
+//!   request id, which is what makes deep pipelining safe. Queries,
+//!   pings and their replies are coded field by field, with floats as
+//!   raw IEEE-754 bits, so scores are bit-identical to the JSON path
+//!   (which uses shortest-round-trip decimals) by construction. Every
+//!   admin message travels as its `json/1` line inside one frame, so
+//!   [`jsonl`] is the one encoding of each admin message.
 //!
 //! A server sniffs the protocol from the first byte of a connection: an
 //! `ssb/1` client opens with the 4-byte magic [`SSB_MAGIC`] (first byte

@@ -19,64 +19,54 @@
 //! Responses still arrive in request order per connection (the server is
 //! FIFO), so epoch monotonicity guarantees carry over from the JSON path.
 //!
+//! ## One encoding per message
+//!
+//! Only the hot path is coded field by field: the `query` and `ping`
+//! requests, and the query-reply, pong, shed and error responses. Every
+//! other message — the admin ops and their replies — travels as one
+//! frame holding its `json/1` line (request opcode `0x0A`, response kind
+//! `0x0B`, then `string(line)`), rendered and parsed by [`super::jsonl`].
+//! An admin value therefore reads the same on both wires, integers
+//! included: past 2⁵³ both carry JSON's f64 precision. Request opcodes
+//! `0x03`–`0x09` and response kinds `0x02`–`0x06`, `0x09` and `0x0A`
+//! once coded admin messages field by field; they are retired, never
+//! reused, and decode as unknown, so an old peer gets a typed error.
+//!
 //! ## Robustness
 //!
 //! The decoder never panics on hostile bytes. Truncated buffers come back
 //! [`Decoded::Incomplete`]; a frame whose declared length exceeds
 //! [`super::MAX_FRAME_BYTES`] (a *length lie*) or whose length prefix
 //! cannot terminate is [`Malformed`] and unrecoverable (the stream has
-//! lost framing); a complete frame with a bad opcode, truncated fields, or
-//! trailing bytes is [`Malformed`] but recoverable — the length prefix
-//! still frames the stream, so the connection survives with an error
-//! response. The corruption battery in `tests/protocol_props.rs` drives
-//! truncations, bit flips, and length lies through this decoder.
+//! lost framing); a complete frame with a bad opcode, truncated fields, a
+//! JSON line that does not parse, or trailing bytes is [`Malformed`] but
+//! recoverable — the length prefix still frames the stream, so the
+//! connection survives with an error response. The corruption battery in
+//! `tests/protocol_props.rs` drives truncations, bit flips, and length
+//! lies through this decoder.
 
-use super::{Decoded, Malformed, MAX_FRAME_BYTES};
-use crate::batcher::BatcherStats;
-use crate::cache::CacheStats;
-use crate::protocol::{
-    CacheDirective, MetricsReply, QueryReply, Request, Response, StatsReply, TraceReply,
-};
+use super::{jsonl, Decoded, Malformed, MAX_FRAME_BYTES};
+use crate::protocol::{QueryReply, Request, Response};
 use ssr_graph::NodeId;
-use ssr_obs::{HistSnap, RegistrySnapshot, Trace, TraceSpan};
 use ssr_store::varint::{read_varint, write_varint};
 use std::sync::Arc;
 
-/// Request opcodes (third wire byte group of a request frame).
+/// Request opcodes (the byte after a request frame's id).
 mod op {
     pub const QUERY: u8 = 0x01;
     pub const PING: u8 = 0x02;
-    pub const STATS: u8 = 0x03;
-    pub const RELOAD: u8 = 0x04;
-    pub const EDGE_DELTA: u8 = 0x05;
-    pub const CONFIG: u8 = 0x06;
-    pub const SHUTDOWN: u8 = 0x07;
-    pub const METRICS: u8 = 0x08;
-    pub const TRACE: u8 = 0x09;
+    /// Any other request, as its `json/1` line.
+    pub const JSON: u8 = 0x0A;
 }
 
 /// Response kinds.
 mod kind {
     pub const QUERY: u8 = 0x00;
     pub const PONG: u8 = 0x01;
-    pub const STATS: u8 = 0x02;
-    pub const RELOADED: u8 = 0x03;
-    pub const DELTA: u8 = 0x04;
-    pub const CONFIG: u8 = 0x05;
-    pub const SHUTTING_DOWN: u8 = 0x06;
     pub const SHED: u8 = 0x07;
     pub const ERROR: u8 = 0x08;
-    pub const METRICS: u8 = 0x09;
-    pub const TRACE: u8 = 0x0A;
-}
-
-/// Presence flags of the `config` request body.
-mod cfg {
-    pub const WINDOW: u8 = 0x01;
-    pub const MAX_BATCH: u8 = 0x02;
-    pub const CACHE: u8 = 0x04;
-    pub const SLOW_QUERY: u8 = 0x08;
-    pub const TRACE_SAMPLE: u8 = 0x10;
+    /// Any other response, as its `json/1` line.
+    pub const JSON: u8 = 0x0B;
 }
 
 /// The `ssb/1` codec. Stateless; see the module docs.
@@ -97,58 +87,10 @@ impl super::Codec for SsbCodec {
                     write_varint(body, *k as u64);
                 }
                 Request::Ping => body.push(op::PING),
-                Request::Stats => body.push(op::STATS),
-                Request::Metrics => body.push(op::METRICS),
-                Request::Trace => body.push(op::TRACE),
-                Request::Reload { path } => {
-                    body.push(op::RELOAD);
-                    put_str(body, path);
+                admin => {
+                    body.push(op::JSON);
+                    put_str(body, &jsonl::render_request(admin));
                 }
-                Request::EdgeDelta { add, remove } => {
-                    body.push(op::EDGE_DELTA);
-                    put_edges(body, add);
-                    put_edges(body, remove);
-                }
-                Request::Config { window_us, max_batch, cache, slow_query_us, trace_sample } => {
-                    body.push(op::CONFIG);
-                    let mut flags = 0u8;
-                    if window_us.is_some() {
-                        flags |= cfg::WINDOW;
-                    }
-                    if max_batch.is_some() {
-                        flags |= cfg::MAX_BATCH;
-                    }
-                    if cache.is_some() {
-                        flags |= cfg::CACHE;
-                    }
-                    if slow_query_us.is_some() {
-                        flags |= cfg::SLOW_QUERY;
-                    }
-                    if trace_sample.is_some() {
-                        flags |= cfg::TRACE_SAMPLE;
-                    }
-                    body.push(flags);
-                    if let Some(w) = window_us {
-                        write_varint(body, *w);
-                    }
-                    if let Some(m) = max_batch {
-                        write_varint(body, *m as u64);
-                    }
-                    if let Some(c) = cache {
-                        body.push(match c {
-                            CacheDirective::Off => 0,
-                            CacheDirective::On => 1,
-                            CacheDirective::Clear => 2,
-                        });
-                    }
-                    if let Some(t) = slow_query_us {
-                        write_varint(body, *t);
-                    }
-                    if let Some(t) = trace_sample {
-                        write_varint(body, *t);
-                    }
-                }
-                Request::Shutdown => body.push(op::SHUTDOWN),
             }
         });
     }
@@ -182,46 +124,6 @@ impl super::Codec for SsbCodec {
                     body.push(kind::PONG);
                     write_varint(body, *epoch);
                 }
-                Response::Stats(s) => {
-                    body.push(kind::STATS);
-                    put_stats(body, s);
-                }
-                Response::Metrics(m) => {
-                    body.push(kind::METRICS);
-                    put_metrics(body, m);
-                }
-                Response::Trace(t) => {
-                    body.push(kind::TRACE);
-                    put_traces(body, t);
-                }
-                Response::Reloaded { epoch, nodes, edges } => {
-                    body.push(kind::RELOADED);
-                    write_varint(body, *epoch);
-                    write_varint(body, *nodes);
-                    write_varint(body, *edges);
-                }
-                Response::DeltaApplied { epoch, nodes, added, removed } => {
-                    body.push(kind::DELTA);
-                    write_varint(body, *epoch);
-                    write_varint(body, *nodes);
-                    write_varint(body, *added);
-                    write_varint(body, *removed);
-                }
-                Response::Config {
-                    window_us,
-                    max_batch,
-                    cache_enabled,
-                    slow_query_us,
-                    trace_sample,
-                } => {
-                    body.push(kind::CONFIG);
-                    write_varint(body, *window_us);
-                    write_varint(body, *max_batch);
-                    body.push(u8::from(*cache_enabled));
-                    write_varint(body, *slow_query_us);
-                    write_varint(body, *trace_sample);
-                }
-                Response::ShuttingDown => body.push(kind::SHUTTING_DOWN),
                 Response::Shed { reason } => {
                     body.push(kind::SHED);
                     put_str(body, reason);
@@ -229,6 +131,10 @@ impl super::Codec for SsbCodec {
                 Response::Error { message } => {
                     body.push(kind::ERROR);
                     put_str(body, message);
+                }
+                admin => {
+                    body.push(kind::JSON);
+                    put_str(body, &jsonl::render_response(admin));
                 }
             }
         });
@@ -255,89 +161,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_edges(out: &mut Vec<u8>, edges: &[(NodeId, NodeId)]) {
-    write_varint(out, edges.len() as u64);
-    for &(a, b) in edges {
-        write_varint(out, u64::from(a));
-        write_varint(out, u64::from(b));
-    }
-}
-
-fn put_metrics(out: &mut Vec<u8>, m: &MetricsReply) {
-    write_varint(out, m.version);
-    for pairs in [&m.snapshot.counters, &m.snapshot.gauges] {
-        write_varint(out, pairs.len() as u64);
-        for (name, v) in pairs {
-            put_str(out, name);
-            write_varint(out, *v);
-        }
-    }
-    write_varint(out, m.snapshot.hists.len() as u64);
-    for h in &m.snapshot.hists {
-        put_str(out, &h.name);
-        for v in [h.count, h.sum, h.max, h.p50, h.p90, h.p99, h.p999] {
-            write_varint(out, v);
-        }
-    }
-}
-
-fn put_attrs(out: &mut Vec<u8>, attrs: &[(String, String)]) {
-    write_varint(out, attrs.len() as u64);
-    for (k, v) in attrs {
-        put_str(out, k);
-        put_str(out, v);
-    }
-}
-
-fn put_traces(out: &mut Vec<u8>, t: &TraceReply) {
-    write_varint(out, t.version);
-    write_varint(out, t.sample_every);
-    write_varint(out, t.traces.len() as u64);
-    for trace in &t.traces {
-        write_varint(out, trace.id);
-        write_varint(out, trace.total_ns);
-        put_attrs(out, &trace.attrs);
-        write_varint(out, trace.spans.len() as u64);
-        for span in &trace.spans {
-            put_str(out, &span.name);
-            // `parent` is ≥ −1 (−1 = root), so shift by one to stay in
-            // unsigned varint territory.
-            write_varint(out, (span.parent + 1) as u64);
-            write_varint(out, span.start_ns);
-            write_varint(out, span.dur_ns);
-            put_attrs(out, &span.attrs);
-        }
-    }
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &StatsReply) {
-    write_varint(out, s.epoch);
-    write_varint(out, s.epoch_swaps);
-    write_varint(out, s.nodes);
-    write_varint(out, s.edges);
-    put_f64(out, s.c);
-    write_varint(out, s.iterations);
-    put_f64(out, s.uptime_ms);
-    write_varint(out, s.requests);
-    write_varint(out, s.connections);
-    write_varint(out, s.shed_connections);
-    write_varint(out, s.worker_threads);
-    out.push(u8::from(s.cache_enabled));
-    write_varint(out, s.cache.hits);
-    write_varint(out, s.cache.misses);
-    write_varint(out, s.cache.inserts);
-    write_varint(out, s.cache.evictions);
-    write_varint(out, s.cache.entries as u64);
-    write_varint(out, s.window_us);
-    write_varint(out, s.max_batch);
-    write_varint(out, s.batcher.submitted);
-    write_varint(out, s.batcher.shed);
-    write_varint(out, s.batcher.flushes);
-    write_varint(out, s.batcher.flushed_jobs);
-    write_varint(out, s.batcher.unique_lanes);
-    write_varint(out, s.batcher.max_flush);
 }
 
 /// Splits one length-prefixed frame off `buf` and decodes its body.
@@ -398,46 +221,7 @@ fn decode_request_body(r: &mut Reader) -> Result<Request, String> {
             Ok(Request::Query { node, k })
         }
         op::PING => Ok(Request::Ping),
-        op::STATS => Ok(Request::Stats),
-        op::RELOAD => Ok(Request::Reload { path: r.string("path")? }),
-        op::EDGE_DELTA => {
-            let add = r.edges("add")?;
-            let remove = r.edges("remove")?;
-            Ok(Request::EdgeDelta { add, remove })
-        }
-        op::CONFIG => {
-            let flags = r.byte("config flags")?;
-            let known =
-                cfg::WINDOW | cfg::MAX_BATCH | cfg::CACHE | cfg::SLOW_QUERY | cfg::TRACE_SAMPLE;
-            if flags & !known != 0 {
-                return Err(format!("unknown config flags {flags:#04x}"));
-            }
-            let window_us =
-                if flags & cfg::WINDOW != 0 { Some(r.varint("window_us")?) } else { None };
-            let max_batch = if flags & cfg::MAX_BATCH != 0 {
-                Some(r.varint("max_batch")? as usize)
-            } else {
-                None
-            };
-            let cache = if flags & cfg::CACHE != 0 {
-                Some(match r.byte("cache directive")? {
-                    0 => CacheDirective::Off,
-                    1 => CacheDirective::On,
-                    2 => CacheDirective::Clear,
-                    other => return Err(format!("bad cache directive {other}")),
-                })
-            } else {
-                None
-            };
-            let slow_query_us =
-                if flags & cfg::SLOW_QUERY != 0 { Some(r.varint("slow_query_us")?) } else { None };
-            let trace_sample =
-                if flags & cfg::TRACE_SAMPLE != 0 { Some(r.varint("trace_sample")?) } else { None };
-            Ok(Request::Config { window_us, max_batch, cache, slow_query_us, trace_sample })
-        }
-        op::SHUTDOWN => Ok(Request::Shutdown),
-        op::METRICS => Ok(Request::Metrics),
-        op::TRACE => Ok(Request::Trace),
+        op::JSON => jsonl::parse_request(&r.string("json/1 request")?),
         other => Err(format!("unknown request opcode {other:#04x}")),
     }
 }
@@ -471,136 +255,11 @@ fn decode_response_body(r: &mut Reader) -> Result<Response, String> {
             }))
         }
         kind::PONG => Ok(Response::Pong { epoch: r.varint("epoch")? }),
-        kind::STATS => Ok(Response::Stats(Box::new(decode_stats(r)?))),
-        kind::METRICS => Ok(Response::Metrics(Box::new(decode_metrics(r)?))),
-        kind::TRACE => Ok(Response::Trace(Box::new(decode_traces(r)?))),
-        kind::RELOADED => Ok(Response::Reloaded {
-            epoch: r.varint("epoch")?,
-            nodes: r.varint("nodes")?,
-            edges: r.varint("edges")?,
-        }),
-        kind::DELTA => Ok(Response::DeltaApplied {
-            epoch: r.varint("epoch")?,
-            nodes: r.varint("nodes")?,
-            added: r.varint("added")?,
-            removed: r.varint("removed")?,
-        }),
-        kind::CONFIG => Ok(Response::Config {
-            window_us: r.varint("window_us")?,
-            max_batch: r.varint("max_batch")?,
-            cache_enabled: r.flag("cache_enabled")?,
-            slow_query_us: r.varint("slow_query_us")?,
-            trace_sample: r.varint("trace_sample")?,
-        }),
-        kind::SHUTTING_DOWN => Ok(Response::ShuttingDown),
         kind::SHED => Ok(Response::Shed { reason: r.string("reason")? }),
         kind::ERROR => Ok(Response::Error { message: r.string("message")? }),
+        kind::JSON => jsonl::parse_response(&r.string("json/1 response")?),
         other => Err(format!("unknown response kind {other:#04x}")),
     }
-}
-
-fn decode_metrics(r: &mut Reader) -> Result<MetricsReply, String> {
-    fn pairs(r: &mut Reader, what: &str) -> Result<Vec<(String, u64)>, String> {
-        let n = r.varint(what)? as usize;
-        // ≥2 bytes per honest pair bounds the pre-allocation.
-        let mut out = Vec::with_capacity(n.min(r.remaining() / 2 + 1));
-        for _ in 0..n {
-            let name = r.string(what)?;
-            let v = r.varint(what)?;
-            out.push((name, v));
-        }
-        Ok(out)
-    }
-    let version = r.varint("metrics version")?;
-    let counters = pairs(r, "counters")?;
-    let gauges = pairs(r, "gauges")?;
-    let n = r.varint("histograms")? as usize;
-    let mut hists = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        let name = r.string("histogram name")?;
-        hists.push(HistSnap {
-            name,
-            count: r.varint("count")?,
-            sum: r.varint("sum")?,
-            max: r.varint("max")?,
-            p50: r.varint("p50")?,
-            p90: r.varint("p90")?,
-            p99: r.varint("p99")?,
-            p999: r.varint("p999")?,
-        });
-    }
-    Ok(MetricsReply { version, snapshot: RegistrySnapshot { counters, gauges, hists } })
-}
-
-fn decode_attrs(r: &mut Reader, what: &str) -> Result<Vec<(String, String)>, String> {
-    let n = r.varint(what)? as usize;
-    // ≥2 bytes per honest key/value pair bounds the pre-allocation.
-    let mut attrs = Vec::with_capacity(n.min(r.remaining() / 2 + 1));
-    for _ in 0..n {
-        let k = r.string(what)?;
-        let v = r.string(what)?;
-        attrs.push((k, v));
-    }
-    Ok(attrs)
-}
-
-fn decode_traces(r: &mut Reader) -> Result<TraceReply, String> {
-    let version = r.varint("trace version")?;
-    let sample_every = r.varint("sample_every")?;
-    let n = r.varint("trace count")? as usize;
-    let mut traces = Vec::with_capacity(n.min(r.remaining() / 4 + 1));
-    for _ in 0..n {
-        let id = r.varint("trace id")?;
-        let total_ns = r.varint("total_ns")?;
-        let attrs = decode_attrs(r, "trace attrs")?;
-        let m = r.varint("span count")? as usize;
-        let mut spans = Vec::with_capacity(m.min(r.remaining() / 5 + 1));
-        for _ in 0..m {
-            let name = r.string("span name")?;
-            // Shifted by one on the wire so the root's −1 fits a varint.
-            let parent = r.varint("span parent")? as i64 - 1;
-            let start_ns = r.varint("start_ns")?;
-            let dur_ns = r.varint("dur_ns")?;
-            let attrs = decode_attrs(r, "span attrs")?;
-            spans.push(TraceSpan { name, parent, start_ns, dur_ns, attrs });
-        }
-        traces.push(Trace { id, total_ns, attrs, spans });
-    }
-    Ok(TraceReply { version, sample_every, traces })
-}
-
-fn decode_stats(r: &mut Reader) -> Result<StatsReply, String> {
-    Ok(StatsReply {
-        epoch: r.varint("epoch")?,
-        epoch_swaps: r.varint("epoch_swaps")?,
-        nodes: r.varint("nodes")?,
-        edges: r.varint("edges")?,
-        c: r.f64("c")?,
-        iterations: r.varint("iterations")?,
-        uptime_ms: r.f64("uptime_ms")?,
-        requests: r.varint("requests")?,
-        connections: r.varint("connections")?,
-        shed_connections: r.varint("shed_connections")?,
-        worker_threads: r.varint("worker_threads")?,
-        cache_enabled: r.flag("cache_enabled")?,
-        cache: CacheStats {
-            hits: r.varint("hits")?,
-            misses: r.varint("misses")?,
-            inserts: r.varint("inserts")?,
-            evictions: r.varint("evictions")?,
-            entries: r.varint("entries")? as usize,
-        },
-        window_us: r.varint("window_us")?,
-        max_batch: r.varint("max_batch")?,
-        batcher: BatcherStats {
-            submitted: r.varint("submitted")?,
-            shed: r.varint("shed")?,
-            flushes: r.varint("flushes")?,
-            flushed_jobs: r.varint("flushed_jobs")?,
-            unique_lanes: r.varint("unique_lanes")?,
-            max_flush: r.varint("max_flush")?,
-        },
-    })
 }
 
 /// Cursor over one frame body. Every accessor returns a typed error on
@@ -654,18 +313,6 @@ impl Reader<'_> {
         std::str::from_utf8(bytes).map(str::to_string).map_err(|_| format!("{what} is not UTF-8"))
     }
 
-    fn edges(&mut self, what: &str) -> Result<Vec<(NodeId, NodeId)>, String> {
-        let n = self.varint(what)? as usize;
-        // ≥2 bytes per edge on the wire bounds the honest pre-allocation.
-        let mut edges = Vec::with_capacity(n.min(self.remaining() / 2 + 1));
-        for _ in 0..n {
-            let a = self.node_id()?;
-            let b = self.node_id()?;
-            edges.push((a, b));
-        }
-        Ok(edges)
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -682,7 +329,11 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::BatcherStats;
+    use crate::cache::CacheStats;
     use crate::codec::Codec;
+    use crate::protocol::{CacheDirective, MetricsReply, StatsReply, TraceReply};
+    use ssr_obs::{HistSnap, RegistrySnapshot, Trace, TraceSpan};
 
     fn all_requests() -> Vec<Request> {
         vec![
@@ -944,6 +595,134 @@ mod tests {
                 assert!(m.recoverable);
             }
             other => panic!("{other:?}"),
+        }
+        // A JSON frame whose line is not JSON, one whose line is not
+        // UTF-8, and a retired admin opcode.
+        let bodies: [(u64, &[u8]); 3] = [
+            (9, &[op::JSON, 3, b'{', b'o', b'p']),
+            (10, &[op::JSON, 2, 0xC3, 0x28]),
+            (11, &[0x03]),
+        ];
+        for (id, rest) in bodies {
+            let mut buf = Vec::new();
+            frame(&mut buf, |body| {
+                write_varint(body, id);
+                body.extend_from_slice(rest);
+            });
+            match c.decode_request(&buf) {
+                Decoded::Malformed(m) => {
+                    assert_eq!(m.consumed, buf.len(), "id {id}");
+                    assert_eq!(m.id, Some(id));
+                    assert!(m.recoverable, "id {id}");
+                }
+                other => panic!("id {id}: {other:?}"),
+            }
+        }
+    }
+
+    /// Hand-written frames of every field-coded message. They pin the hot
+    /// path's wire layout: these bytes must never move.
+    #[test]
+    fn hot_path_frames_match_golden_bytes() {
+        let c = SsbCodec;
+        // Query reply, id 128, epoch 3, node 7, k 2, cached, trace id 200,
+        // matches [(4, 0.5), (300, -0.0)]; scores are little-endian bits.
+        let reply = [
+            vec![30, 0x80, 0x01, 0x00, 3, 7, 2, 1, 1, 0xC8, 0x01, 2],
+            vec![4, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F],
+            vec![0xAC, 0x02, 0, 0, 0, 0, 0, 0, 0, 0x80],
+        ]
+        .concat();
+        let requests: [(u64, Request, Vec<u8>); 2] = [
+            (5, Request::Query { node: 300, k: 10 }, vec![5, 5, 0x01, 0xAC, 0x02, 10]),
+            (7, Request::Ping, vec![2, 7, 0x02]),
+        ];
+        for (id, req, golden) in requests {
+            let mut buf = Vec::new();
+            c.encode_request(id, &req, &mut buf);
+            assert_eq!(buf, golden, "{req:?}");
+            assert_eq!(
+                c.decode_request(&golden),
+                Decoded::Frame { consumed: buf.len(), id: Some(id), value: req }
+            );
+        }
+        let responses: [(u64, Response, Vec<u8>); 4] = [
+            (
+                128,
+                Response::Query(QueryReply {
+                    epoch: 3,
+                    node: 7,
+                    k: 2,
+                    cached: true,
+                    matches: Arc::new(vec![(4, 0.5), (300, -0.0)]),
+                    trace_id: Some(200),
+                }),
+                reply,
+            ),
+            (1, Response::Pong { epoch: 300 }, vec![4, 1, 0x01, 0xAC, 0x02]),
+            (
+                2,
+                Response::Shed { reason: "full".into() },
+                vec![7, 2, 0x07, 4, b'f', b'u', b'l', b'l'],
+            ),
+            (3, Response::Error { message: "bad".into() }, vec![6, 3, 0x08, 3, b'b', b'a', b'd']),
+        ];
+        for (id, resp, golden) in responses {
+            let mut buf = Vec::new();
+            c.encode_response(id, &resp, &mut buf);
+            assert_eq!(buf, golden, "{resp:?}");
+            assert_eq!(
+                c.decode_response(&golden),
+                Decoded::Frame { consumed: buf.len(), id: Some(id), value: resp }
+            );
+        }
+    }
+
+    /// Every message without a field-by-field coding is one frame holding
+    /// exactly its `json/1` line: `varint(id) u8(JSON) string(line)`.
+    #[test]
+    fn admin_messages_travel_as_their_json_line() {
+        fn expected(id: u64, code: u8, line: &str) -> Vec<u8> {
+            let mut body = Vec::new();
+            write_varint(&mut body, id);
+            body.push(code);
+            write_varint(&mut body, line.len() as u64);
+            body.extend_from_slice(line.as_bytes());
+            let mut buf = Vec::new();
+            write_varint(&mut buf, body.len() as u64);
+            buf.extend_from_slice(&body);
+            buf
+        }
+        let c = SsbCodec;
+        let admin_requests: Vec<Request> = all_requests()
+            .into_iter()
+            .filter(|r| !matches!(r, Request::Query { .. } | Request::Ping))
+            .collect();
+        assert_eq!(admin_requests.len(), 9);
+        for (id, req) in admin_requests.iter().enumerate() {
+            let id = 300 + id as u64;
+            let mut buf = Vec::new();
+            c.encode_request(id, req, &mut buf);
+            assert_eq!(buf, expected(id, 0x0A, &jsonl::render_request(req)), "{req:?}");
+        }
+        let admin_responses: Vec<Response> = all_responses()
+            .into_iter()
+            .filter(|r| {
+                !matches!(
+                    r,
+                    Response::Query(_)
+                        | Response::Pong { .. }
+                        | Response::Shed { .. }
+                        | Response::Error { .. }
+                )
+            })
+            .collect();
+        assert_eq!(admin_responses.len(), 7);
+        for (id, resp) in admin_responses.iter().enumerate() {
+            let id = 300 + id as u64;
+            let mut buf = Vec::new();
+            c.encode_response(id, resp, &mut buf);
+            assert_eq!(buf, expected(id, 0x0B, &jsonl::render_response(resp)), "{resp:?}");
         }
     }
 

@@ -150,11 +150,17 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// the workspace writes nests a few levels; the cap keeps a request line
+/// of brackets from overflowing the parsing thread's stack, which would
+/// abort the whole server.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry a byte offset and message.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -178,10 +184,13 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth_left: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth_left == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -194,7 +203,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth_left - 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -216,7 +225,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth_left - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -333,6 +342,10 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("{\"a\": 1} trailing").is_err());
         assert!(parse_json("[1, 2").is_err());
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

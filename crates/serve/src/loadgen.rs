@@ -1,5 +1,5 @@
 //! Closed-loop load generation against a running server, plus the
-//! `ssr-bench/serve/v1` report renderer.
+//! `ssr-bench/serve/v1` report and phase-table renderers.
 //!
 //! One thread per simulated client, each with its own connection. With
 //! `pipeline == 1` a client sends its next request as soon as the
@@ -34,6 +34,7 @@ use crate::json::Json;
 use crate::protocol::CacheDirective;
 use ssr_graph::NodeId;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -548,8 +549,7 @@ pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> Strin
             ("mean_flush".into(), Json::Num(round3(p.mean_flush()))),
         ])
     };
-    let qps_of =
-        |name: &str| phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
+    let qps_of = |name: &str| phase_qps(phases, name);
     let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     let speedup = ratio(qps_of("batched"), qps_of("serial"));
     let speedup_ssb = ratio(qps_of("ssb_pipelined"), qps_of("json_serial"));
@@ -586,6 +586,48 @@ pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> Strin
         ),
     ]);
     doc.render() + "\n"
+}
+
+/// Renders the phase table `simstar bench-serve` and `exp_serve` print:
+/// one row per phase, then the headline speedups, each omitted when its
+/// serial baseline did not run.
+pub fn render_phase_table(phases: &[PhaseResult]) -> String {
+    let mut out = format!(
+        "{:<14} {:>7} {:>4} {:>9} {:>10} {:>10} {:>8} {:>6} {:>6}\n",
+        "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"
+    );
+    for p in phases {
+        let _ = writeln!(
+            out,
+            "{:<14} {:>7} {:>4} {:>9.1} {:>10.1} {:>10.1} {:>7.1}% {:>6} {:>6}",
+            p.name,
+            p.protocol,
+            p.pipeline,
+            p.report.qps(),
+            p.report.percentile_us(0.50),
+            p.report.percentile_us(0.99),
+            100.0 * p.hit_rate(),
+            p.shed,
+            p.connections,
+        );
+    }
+    let qps = |name: &str| phase_qps(phases, name);
+    if qps("serial") > 0.0 {
+        let _ = writeln!(out, "speedup batched vs serial: {:.2}x", qps("batched") / qps("serial"));
+    }
+    if qps("json_serial") > 0.0 {
+        let _ = writeln!(
+            out,
+            "speedup ssb pipelined vs json serial: {:.2}x",
+            qps("ssb_pipelined") / qps("json_serial")
+        );
+    }
+    out
+}
+
+/// Throughput of the phase called `name`; 0 when it did not run.
+fn phase_qps(phases: &[PhaseResult], name: &str) -> f64 {
+    phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps())
 }
 
 fn round1(v: f64) -> f64 {
@@ -692,5 +734,19 @@ mod tests {
         assert!((speedup - 2.5).abs() < 1e-9);
         let sp = ds.get("speedup_ssb_pipelined_vs_json_serial").and_then(Json::as_num).unwrap();
         assert!((sp - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phase_table_has_a_row_per_phase_and_guarded_speedups() {
+        let phases = [phase("serial", 1.0), phase("batched", 2.5), phase("ssb_pipelined", 3.0)];
+        let table = render_phase_table(&phases);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 5, "{table}");
+        assert!(lines[0].starts_with("mode ") && lines[0].contains(" hit_rate "));
+        assert!(lines[3].starts_with("ssb_pipelined") && lines[3].contains("  30.0% "));
+        assert_eq!(lines[0].len(), lines[1].len(), "header and rows align");
+        assert_eq!(lines[4], "speedup batched vs serial: 2.50x");
+        // No json_serial phase ran, so its speedup line is left out.
+        assert!(!table.contains("json serial"));
     }
 }

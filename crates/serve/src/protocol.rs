@@ -5,8 +5,10 @@
 //! socket is the business of the [`crate::codec`] module, which provides
 //! two interchangeable wire encodings behind one API: the original
 //! newline-delimited JSON (unchanged on the wire) and the length-prefixed
-//! binary `ssb/1` format. Server handlers and clients speak these types
-//! only, so adding a codec never touches a handler.
+//! binary `ssb/1` format, which codes queries, pings and their replies
+//! field by field and carries every admin message as its JSON line.
+//! Server handlers and clients speak these types only, so adding a codec
+//! never touches a handler.
 //!
 //! Responses are paired to requests by a per-connection *request id*. The
 //! binary codec carries the id on the wire (which is what makes pipelining

@@ -60,10 +60,11 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Per-connection request-buffer cap. The codec's 64 MiB frame limit is
 /// sized for responses (large result sets); letting every connection
 /// buffer a 64 MiB *request* would cost ~16 GiB across the default
-/// connection cap. Requests are small (the largest, `edge-delta`, fits
-/// ~250k edges in 4 MiB), so a single frame still incomplete past this
-/// many buffered bytes is rejected with a typed error and the connection
-/// closed.
+/// connection cap. Requests are small: the largest, `edge-delta`, travels
+/// as its JSON document on both codecs, 14 bytes per edge (`[12345,16400],`)
+/// at five-digit ids, so about 300k edges fit in 4 MiB. A single frame
+/// still incomplete past this many buffered bytes is rejected with a typed
+/// error and the connection closed.
 const RBUF_CAP: usize = 4 << 20;
 
 /// What a connection has negotiated so far.

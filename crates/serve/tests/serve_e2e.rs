@@ -115,6 +115,9 @@ fn config_op_retunes_batcher_and_cache() {
 fn malformed_requests_get_errors_not_disconnects() {
     let server = start(ServerOptions::default());
     let mut client = Client::connect(server.addr()).unwrap();
+    // A megabyte of brackets: without a nesting cap, parsing it overflows
+    // the event loop's stack and aborts the server.
+    let deep = "[".repeat(1 << 20);
     for bad in [
         "not json",
         r#"{"op":"nope"}"#,
@@ -123,6 +126,7 @@ fn malformed_requests_get_errors_not_disconnects() {
         r#"{"op":"query","node":-3}"#,
         // A valid u32 id that would size the graph at 2^32 nodes.
         r#"{"op":"edge-delta","add":[[4294967295,0]]}"#,
+        &deep,
     ] {
         let resp = client.request_line(bad).unwrap();
         assert!(matches!(resp, Response::Error { .. }), "{bad}: {resp:?}");

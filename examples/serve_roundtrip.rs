@@ -37,9 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(via_ssb.matches, first.matches);
     println!("ssb/1 answer is bit-identical to the JSON answer");
 
-    // 5. An edge delta publishes a new epoch; queries after it see the new
-    //    graph, and the response epoch says so.
-    let epoch = client.edge_delta(&[(8, 4), (4, 8)], &[])?;
+    // 5. An edge delta, sent over ssb/1 (admin ops travel as their JSON
+    //    document inside one binary frame), publishes a new epoch; the JSON
+    //    client's next query sees the new graph, and its epoch says so.
+    let epoch = binary.edge_delta(&[(8, 4), (4, 8)], &[])?;
     let Reply::Ok(fresh) = client.query(8, 3)? else { panic!("query failed") };
     println!("\nafter edge-delta: epoch {epoch}, top-3 for node 8:");
     for (v, s) in fresh.matches.iter() {
