@@ -125,6 +125,9 @@ mod tests {
         let a = coupling(&g);
         let b = cocitation(&g.transpose());
         assert!(a.matrix().approx_eq(b.matrix(), 0.0));
+        let a = coupling_cosine(&g);
+        let b = cocitation_cosine(&g.transpose());
+        assert!(a.matrix().approx_eq(b.matrix(), 0.0));
     }
 
     #[test]

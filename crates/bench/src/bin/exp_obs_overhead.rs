@@ -2,7 +2,7 @@
 //! the trace sampler's sampling-off draw — versus the serve smoke
 //! benchmark, asserted at ≤3% of the measured p50.
 //!
-//! The serve runtime records a fixed bundle of metrics per request
+//! The serve runtime records a fixed bundle of metrics per query
 //! (stage histograms, codec histograms, counters).
 //! This binary replays that exact bundle against a live registry and
 //! against [`ssr_obs::Registry::disabled`] — the kill switch where
@@ -20,10 +20,12 @@ use ssr_obs::{Counter, Histogram, Registry};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The per-request record bundle, mirroring `ssr-serve`'s runtime: one
-/// histogram record per pipeline stage (decode, cache, queue, engine,
-/// encode, total), one per codec direction, plus the request/response
-/// counters.
+/// The per-query record bundle, mirroring `ssr-serve`'s runtime for a
+/// cache miss: the six stage histograms `ServeMetrics::observe_query`
+/// records from the query's record when its reply is encoded (decode,
+/// cache, queue, engine, encode, total), plus what the event loop records
+/// around it for every frame: one codec histogram per direction and the
+/// request/response counters.
 struct Bundle {
     stages: Vec<Histogram>,
     codec_decode: Histogram,

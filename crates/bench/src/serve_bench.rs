@@ -97,12 +97,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) {
             params,
             cache_capacity: 4096,
             cache_shards: 8,
-            batch: BatcherOptions {
-                window_us: WINDOW_US,
-                max_batch: 64,
-                queue_capacity: 1024,
-                workers: 1,
-            },
+            batch: BatcherOptions { window_us: WINDOW_US, max_batch: 64, queue_capacity: 1024 },
             max_connections: idle_conns + p_clients + 32,
             ..Default::default()
         },

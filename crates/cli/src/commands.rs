@@ -53,12 +53,14 @@ COMMANDS:
             formats)
             --input FILE [--host 127.0.0.1] [--port 0] [--announce FILE]
             [--c 0.6] [--k 5] [--window-us 500] [--max-batch 64]
-            [--workers 1] [--queue 1024] [--cache 4096] [--cache-shards 8]
-            [--max-conns 256] [--trace-sample 0] [--trace-out FILE]
+            [--queue 1024] [--cache 4096] [--cache-shards 8]
+            [--max-conns 256] [--slow-query-us 0] [--metrics-dump FILE]
+            [--trace-sample 0] [--trace-out FILE]
             port 0 binds an ephemeral port; --announce writes the bound
-            address to FILE once listening; --trace-sample N records a span trace for 1 in N requests
-            (0 = off, retunable via the admin config op), fetched through
-            the trace op or streamed as JSONL with --trace-out
+            address to FILE once listening; one flush worker runs every
+            engine call; --trace-sample N records a span trace for 1 in N
+            requests (0 = off, retunable via the admin config op), fetched
+            through the trace op or streamed as JSONL with --trace-out
   bench-serve  closed-loop load generator against a running serve instance
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--clients 16] [--requests 125] [--top-k 10]

@@ -27,7 +27,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
             "k",
             "window-us",
             "max-batch",
-            "workers",
             "queue",
             "cache",
             "cache-shards",
@@ -52,7 +51,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
             window_us: args.get("window-us", 500u64)?,
             max_batch: args.get("max-batch", 64usize)?,
             queue_capacity: args.get("queue", 1024usize)?,
-            workers: args.get("workers", 1usize)?,
         },
         max_connections: args.get("max-conns", 256usize)?,
         slow_query_us: args.get("slow-query-us", 0u64)?,

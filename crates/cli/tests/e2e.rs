@@ -114,6 +114,15 @@ fn bad_flag_exits_1_with_message() {
 }
 
 #[test]
+fn serve_has_no_workers_flag() {
+    // The batcher's one flush worker is a constant, not an option.
+    let out =
+        simstar().args(["serve", "--input", "g.txt", "--workers", "2"]).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--workers`"));
+}
+
+#[test]
 fn help_via_subcommand() {
     let h = run_ok(&["help"]);
     assert!(h.contains("COMMANDS"));

@@ -19,10 +19,9 @@
 //!   [`RegistrySnapshot`] is a flat list of `(String, u64)` pairs —
 //!   trivially wire-encodable and directly renderable as
 //!   Prometheus-compatible text ([`RegistrySnapshot::render_prometheus`]).
-//! * **Kill switch.** A registry built disabled (or with
-//!   `SSR_OBS_DISABLE=1` in the environment) hands out no-op handles:
-//!   the same code paths run, every record is an early return. This is
-//!   what the CI overhead gate compares against.
+//! * **Kill switch.** A registry built with [`Registry::disabled`] hands
+//!   out no-op handles: the same code paths run, every record is an early
+//!   return. This is what the CI overhead gate compares against.
 //!
 //! Quantiles are nearest-rank over the frozen bucket counts and report
 //! each bucket's inclusive upper bound, so `p50 <= p90 <= p99 <= p999`
@@ -503,14 +502,6 @@ impl Registry {
     /// baseline the overhead gate measures against.
     pub fn disabled() -> Registry {
         Registry { on: false, inner: Mutex::new(RegistryInner::default()) }
-    }
-
-    /// A registry honoring the `SSR_OBS_DISABLE=1` kill switch.
-    pub fn from_env() -> Registry {
-        match std::env::var("SSR_OBS_DISABLE") {
-            Ok(v) if v == "1" => Registry::disabled(),
-            _ => Registry::new(),
-        }
     }
 
     /// Whether handles from this registry record.

@@ -6,7 +6,9 @@
 //! list of [`TraceSpan`]s encoding a tree via parent indices. Spans
 //! carry *relative* start offsets (nanoseconds since the request was
 //! accepted), so a trace is self-contained and comparable across
-//! processes without clock agreement.
+//! processes without clock agreement. The serve crate measures each stage
+//! span's offset rather than laying durations end to end, so a gap
+//! between two stage spans is time that no stage names.
 //!
 //! The flat-list-with-parent-index layout (rather than nested
 //! structures) keeps the wire encoding trivial — the JSONL export and

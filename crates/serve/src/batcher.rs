@@ -2,10 +2,10 @@
 //!
 //! Every cache-missing query is submitted as a job into one bounded queue
 //! (the admission-control point — a full queue sheds instead of building
-//! unbounded backlog) and executed by a small pool of flush workers. A
-//! worker that finds the queue non-empty parks for a tiny window
-//! (`window_us`) collecting whatever concurrent requests arrive, then
-//! flushes the whole batch through one
+//! unbounded backlog) and executed by one flush worker. When it finds the
+//! queue non-empty, the worker parks for a tiny window (`window_us`)
+//! collecting whatever concurrent requests arrive, then flushes the whole
+//! batch through one
 //! [`simrank_star::QueryEngine::top_k_batch`] call. The engine cuts the
 //! flush into 8-query chunks: a full chunk runs as one 8-lane sweep, so
 //! adjacency indices are read once per chunk instead of once per request,
@@ -19,7 +19,14 @@
 //! Routing *everything* through the pipeline (instead of executing on
 //! connection threads) also bounds engine concurrency: each in-flight
 //! sweep owns one scratch set, `K + 2` frontiers of at most `8·n` values,
-//! so `workers`, not the connection count, caps peak memory.
+//! and the one worker runs one sweep at a time, whatever the connection
+//! count. (A second worker measured slower and costlier per request on a
+//! 2-vCPU machine whose load generator shared the cores.)
+//!
+//! The batcher records nothing into the server's metrics: each answer
+//! carries its [`QueryTrace`], the instants and durations of its cache
+//! probe, queue wait and engine call, and the event loop derives the
+//! stage histograms and traces from it when the reply is encoded.
 //!
 //! Results are bit-identical however requests get coalesced because every
 //! engine lane's bits are independent of the other lanes and of the lane
@@ -28,7 +35,7 @@
 
 use crate::cache::{CacheKey, CachedMatches, ShardedCache};
 use crate::epoch::EpochStore;
-use crate::metrics::{QueryTrace, ServeMetrics};
+use crate::metrics::QueryTrace;
 use simrank_star::EngineTrace;
 use ssr_graph::NodeId;
 use std::collections::VecDeque;
@@ -47,13 +54,11 @@ pub struct BatcherOptions {
     /// Bounded queue depth — the admission-control limit. Submissions
     /// beyond it are shed.
     pub queue_capacity: usize,
-    /// Number of flush workers (clamped to ≥ 1).
-    pub workers: usize,
 }
 
 impl Default for BatcherOptions {
     fn default() -> Self {
-        BatcherOptions { window_us: 500, max_batch: 64, queue_capacity: 1024, workers: 1 }
+        BatcherOptions { window_us: 500, max_batch: 64, queue_capacity: 1024 }
     }
 }
 
@@ -66,33 +71,10 @@ pub struct QueryAnswer {
     pub cached: bool,
     /// Ranked `(node, score)` matches.
     pub matches: CachedMatches,
-    /// Server-side per-stage timings accumulated on the way to this
-    /// answer. Cache hits carry only `cache_ns`; flushed answers add
-    /// queue wait and engine compute.
+    /// The query's record on the way to this answer: cache hits carry
+    /// only the probe; flushed answers add queue wait, engine compute and
+    /// the flush's context.
     pub trace: QueryTrace,
-    /// Pipeline context captured for sampled requests only (`None` on the
-    /// untraced fast path — tracing costs nothing when off).
-    pub detail: Option<Box<TraceDetail>>,
-}
-
-/// What a sampled request saw on its way through the pipeline; attached
-/// to [`QueryAnswer::detail`] and flattened into span attributes by the
-/// runtime's trace assembly.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceDetail {
-    /// Result-cache shard the admission probe touched.
-    pub cache_shard: usize,
-    /// Whether that probe hit.
-    pub cache_hit: bool,
-    /// Jobs already waiting in the bounded queue at admission.
-    pub queue_depth: usize,
-    /// Jobs in the flush that executed this query (`0` for cache hits).
-    pub batch_size: usize,
-    /// Duplicate jobs the flush collapsed into shared engine lanes.
-    pub dedup: usize,
-    /// The flush's per-step engine trace, shared by every traced job of
-    /// the flush.
-    pub engine: Arc<EngineTrace>,
 }
 
 /// Why a submission did not produce an answer.
@@ -124,20 +106,13 @@ pub trait CompletionSink: Send + Sync {
 struct Job {
     node: NodeId,
     k: usize,
+    /// The request is trace-sampled: its flush captures the engine trace.
+    traced: bool,
     /// Where the outcome goes, and the caller's correlation tag for it.
     sink: Arc<dyn CompletionSink>,
     tag: u64,
-    /// Cache-probe time spent at admission, carried into the trace.
-    cache_ns: u64,
-    /// When the job entered the bounded queue (queue-wait stage start).
-    queued_at: Instant,
-    /// The request is trace-sampled: the flush captures engine traces
-    /// and attaches a [`TraceDetail`] to the answer.
-    traced: bool,
-    /// Result-cache shard probed at admission (trace context).
-    cache_shard: usize,
-    /// Queue depth observed at admission (trace context).
-    queue_depth: usize,
+    /// The query's record so far: admission's cache probe and enqueue.
+    trace: QueryTrace,
 }
 
 impl Job {
@@ -184,7 +159,6 @@ struct Inner {
     queue_capacity: usize,
     store: Arc<EpochStore>,
     cache: Arc<ShardedCache>,
-    metrics: Arc<ServeMetrics>,
     submitted: AtomicU64,
     shed: AtomicU64,
     flushes: AtomicU64,
@@ -195,26 +169,16 @@ struct Inner {
     queue_high_water: AtomicU64,
 }
 
-/// The micro-batcher: bounded queue + flush workers. See the module docs.
+/// The micro-batcher: bounded queue + one flush worker. See the module
+/// docs.
 pub struct Batcher {
     inner: Arc<Inner>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Batcher {
-    /// Starts the flush workers with a private metric registry.
+    /// Starts the flush worker.
     pub fn start(store: Arc<EpochStore>, cache: Arc<ShardedCache>, opts: BatcherOptions) -> Self {
-        Self::start_instrumented(store, cache, opts, Arc::new(ServeMetrics::new()))
-    }
-
-    /// Starts the flush workers recording into the server's shared
-    /// [`ServeMetrics`] (cache/queue/engine stage histograms).
-    pub(crate) fn start_instrumented(
-        store: Arc<EpochStore>,
-        cache: Arc<ShardedCache>,
-        opts: BatcherOptions,
-        metrics: Arc<ServeMetrics>,
-    ) -> Self {
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
@@ -224,7 +188,6 @@ impl Batcher {
             queue_capacity: opts.queue_capacity.max(1),
             store,
             cache,
-            metrics,
             submitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -233,13 +196,11 @@ impl Batcher {
             unique_lanes: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
         });
-        let workers = (0..opts.workers.max(1))
-            .map(|_| {
-                let inner = inner.clone();
-                std::thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
-        Batcher { inner, workers: Mutex::new(workers) }
+        let worker = {
+            let inner = inner.clone();
+            std::thread::spawn(move || worker_loop(&inner))
+        };
+        Batcher { inner, worker: Mutex::new(Some(worker)) }
     }
 
     /// Submits one query: snapshot range check, cache lookup, bounded
@@ -261,23 +222,17 @@ impl Batcher {
             return Err(SubmitError::BadNode { nodes: snapshot.nodes });
         }
         let key = CacheKey::new(snapshot.epoch, node, k, snapshot.params_key);
-        let cache_shard = self.inner.cache.shard_index(&key);
-        let cache_started = Instant::now();
+        let shard = self.inner.cache.shard_index(&key);
+        let cache_at = Instant::now();
         let hit = self.inner.cache.get(&key);
-        let cache_ns = cache_started.elapsed().as_nanos() as u64;
-        self.inner.metrics.stage_cache.record(cache_ns / 1_000);
+        let mut trace = QueryTrace {
+            cache_at: Some(cache_at),
+            cache_ns: cache_at.elapsed().as_nanos() as u64,
+            shard,
+            ..QueryTrace::default()
+        };
         if let Some(matches) = hit {
-            self.inner.metrics.inline_cache_hits.inc();
-            let detail = traced.then(|| {
-                Box::new(TraceDetail { cache_shard, cache_hit: true, ..TraceDetail::default() })
-            });
-            return Ok(Some(QueryAnswer {
-                epoch: snapshot.epoch,
-                cached: true,
-                matches,
-                trace: QueryTrace { cache_ns, ..QueryTrace::default() },
-                detail,
-            }));
+            return Ok(Some(QueryAnswer { epoch: snapshot.epoch, cached: true, matches, trace }));
         }
         drop(snapshot);
         {
@@ -290,18 +245,9 @@ impl Batcher {
                 self.inner.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Shed);
             }
-            let queue_depth = queue.len();
-            queue.push_back(Job {
-                node,
-                k,
-                sink: sink.clone(),
-                tag,
-                cache_ns,
-                queued_at: Instant::now(),
-                traced,
-                cache_shard,
-                queue_depth,
-            });
+            trace.queue_depth = queue.len();
+            trace.queued_at = Some(Instant::now());
+            queue.push_back(Job { node, k, traced, sink: sink.clone(), tag, trace });
             self.inner.queue_high_water.fetch_max(queue.len() as u64, Ordering::Relaxed);
             self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         }
@@ -341,16 +287,15 @@ impl Batcher {
         }
     }
 
-    /// Stops accepting jobs, drains the workers, and joins them. Queued
-    /// jobs are failed with [`SubmitError::Closed`].
+    /// Stops accepting jobs, lets the worker finish its flush, and joins
+    /// it. Queued jobs are failed with [`SubmitError::Closed`].
     pub fn shutdown(&self) {
         self.inner.open.store(false, Ordering::Relaxed);
         self.inner.nonempty.notify_all();
-        let workers: Vec<_> = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
-        for w in workers {
-            let _ = w.join();
+        if let Some(worker) = self.worker.lock().expect("worker poisoned").take() {
+            let _ = worker.join();
         }
-        // Fail anything the workers left behind.
+        // Fail anything the worker left behind.
         for job in self.inner.queue.lock().expect("batch queue poisoned").drain(..) {
             job.reply(Err(SubmitError::Closed));
         }
@@ -429,7 +374,7 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
     nodes.dedup();
     let k_max = runnable.iter().map(|j| j.k).max().unwrap_or(0);
     let engine = snapshot.engine();
-    let engine_started = Instant::now();
+    let engine_at = Instant::now();
     // Only a flush carrying a sampled job builds an engine trace; the
     // untraced path allocates nothing for tracing.
     let (ranked, engine_trace) = if runnable.iter().any(|j| j.traced) {
@@ -439,12 +384,13 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
     } else {
         (engine.top_k_batch(&nodes, k_max), None)
     };
-    let engine_ns = engine_started.elapsed().as_nanos() as u64;
+    let engine_ns = engine_at.elapsed().as_nanos() as u64;
     inner.flushes.fetch_add(1, Ordering::Relaxed);
     inner.flushed_jobs.fetch_add(runnable.len() as u64, Ordering::Relaxed);
     inner.unique_lanes.fetch_add(nodes.len() as u64, Ordering::Relaxed);
     inner.max_flush.fetch_max(runnable.len() as u64, Ordering::Relaxed);
-    let batch_size_total = runnable.len();
+    let flush_size = runnable.len();
+    let waited = |queued_at: Instant| drained.duration_since(queued_at).as_nanos() as u64;
     for job in runnable {
         let lane = nodes.binary_search(&job.node).expect("node came from this batch");
         let full = &ranked[lane];
@@ -455,23 +401,16 @@ fn flush(inner: &Inner, batch: Vec<Job>) {
         };
         let key = CacheKey::new(snapshot.epoch, job.node, job.k, snapshot.params_key);
         inner.cache.insert(key, matches.clone());
-        // Both stages record once per job, so their histograms count
-        // requests, not flushes.
-        let queue_ns = drained.duration_since(job.queued_at).as_nanos() as u64;
-        inner.metrics.stage_queue.record(queue_ns / 1_000);
-        inner.metrics.stage_engine.record(engine_ns / 1_000);
-        let trace = QueryTrace { cache_ns: job.cache_ns, queue_ns, engine_ns };
-        let detail = job.traced.then(|| {
-            Box::new(TraceDetail {
-                cache_shard: job.cache_shard,
-                cache_hit: false,
-                queue_depth: job.queue_depth,
-                batch_size: batch_size_total,
-                dedup: batch_size_total - nodes.len(),
-                engine: engine_trace.clone().unwrap_or_default(),
-            })
-        });
-        job.reply(Ok(QueryAnswer { epoch: snapshot.epoch, cached: false, matches, trace, detail }));
+        let trace = QueryTrace {
+            queue_ns: job.trace.queued_at.map_or(0, waited),
+            engine_at: Some(engine_at),
+            engine_ns,
+            flush_size,
+            dedup: flush_size - nodes.len(),
+            engine: engine_trace.clone(),
+            ..job.trace
+        };
+        job.reply(Ok(QueryAnswer { epoch: snapshot.epoch, cached: false, matches, trace }));
     }
 }
 

@@ -152,6 +152,18 @@ fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
         .map(|v| v as u64)
 }
 
+/// A required field of `doc`, read by `as_t`; a missing or mistyped value
+/// is an error naming the field.
+fn field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    as_t: impl Fn(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<T, String> {
+    let v = doc.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
+    as_t(v).ok_or_else(|| format!("field `{key}` must be {kind}"))
+}
+
 /// Narrows a parsed integer to a [`NodeId`], rejecting (instead of
 /// truncating) values past `u32::MAX` — a wrapped id would silently pass
 /// the node-range check and serve a *different* node's results.
@@ -388,102 +400,97 @@ fn render_metrics(m: &MetricsReply) -> String {
     ])
 }
 
-fn parse_metrics(doc: &Json) -> MetricsReply {
-    let u = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(0.0) as u64;
-    let pairs = |key: &str| -> Vec<(String, u64)> {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|pair| {
-                        let p = pair.as_arr()?;
-                        Some((p.first()?.as_str()?.to_string(), p.get(1)?.as_num()? as u64))
-                    })
-                    .collect()
+fn parse_metrics(doc: &Json) -> Result<MetricsReply, String> {
+    let pairs = |key: &str| -> Result<Vec<(String, u64)>, String> {
+        field(doc, key, Json::as_arr, "an array")?
+            .iter()
+            .map(|pair| match pair.as_arr() {
+                Some([Json::Str(name), v]) => Ok((name.clone(), num_field(v, key)? as u64)),
+                _ => Err(format!("field `{key}` must contain [name, value] pairs")),
             })
-            .unwrap_or_default()
+            .collect()
     };
-    let hists = doc
-        .get("histograms")
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .map(|h| HistSnap {
-                    name: h.get("name").and_then(Json::as_str).unwrap_or("").to_string(),
-                    count: u(h.get("count")),
-                    sum: u(h.get("sum")),
-                    max: u(h.get("max")),
-                    p50: u(h.get("p50")),
-                    p90: u(h.get("p90")),
-                    p99: u(h.get("p99")),
-                    p999: u(h.get("p999")),
-                })
-                .collect()
+    let hists = field(doc, "histograms", Json::as_arr, "an array")?
+        .iter()
+        .map(|h| {
+            Ok(HistSnap {
+                name: field(h, "name", Json::as_str, "a string")?.to_string(),
+                count: field_u64(h, "count")?,
+                sum: field_u64(h, "sum")?,
+                max: field_u64(h, "max")?,
+                p50: field_u64(h, "p50")?,
+                p90: field_u64(h, "p90")?,
+                p99: field_u64(h, "p99")?,
+                p999: field_u64(h, "p999")?,
+            })
         })
-        .unwrap_or_default();
-    MetricsReply {
-        version: u(doc.get("version")),
-        snapshot: RegistrySnapshot { counters: pairs("counters"), gauges: pairs("gauges"), hists },
-    }
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(MetricsReply {
+        version: field_u64(doc, "version")?,
+        snapshot: RegistrySnapshot {
+            counters: pairs("counters")?,
+            gauges: pairs("gauges")?,
+            hists,
+        },
+    })
 }
 
-/// Parses one response line into the typed [`Response`].
+/// Parses one response line into the typed [`Response`]. Every field
+/// [`render_response`] always writes is required: a missing or mistyped
+/// one is an error that names it. Only a query reply's `trace_id` is
+/// optional.
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let doc = parse_json(line.trim()).map_err(|e| format!("bad JSON: {e}"))?;
-    let status = doc
-        .get("status")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string field `status`".to_string())?;
-    let u = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(0.0) as u64;
-    match status {
-        "shed" => Ok(Response::Shed {
-            reason: doc.get("reason").and_then(Json::as_str).unwrap_or("").to_string(),
-        }),
-        "error" => Ok(Response::Error {
-            message: doc.get("error").and_then(Json::as_str).unwrap_or("").to_string(),
-        }),
-        "ok" => match doc.get("op").and_then(Json::as_str) {
+    let u = |key: &str| field_u64(&doc, key);
+    let op = doc.get("op").map(|v| v.as_str().ok_or("field `op` must be a string")).transpose()?;
+    match field(&doc, "status", Json::as_str, "a string")? {
+        "shed" => {
+            Ok(Response::Shed { reason: field(&doc, "reason", Json::as_str, "a string")?.into() })
+        }
+        "error" => {
+            Ok(Response::Error { message: field(&doc, "error", Json::as_str, "a string")?.into() })
+        }
+        "ok" => match op {
             None => Ok(Response::Query(QueryReply {
-                epoch: u(doc.get("epoch")),
-                node: u(doc.get("node")) as NodeId,
-                k: u(doc.get("k")),
-                cached: doc.get("cached").and_then(Json::as_bool).unwrap_or(false),
-                matches: Arc::new(parse_matches(doc.get("matches"))),
-                trace_id: doc.get("trace_id").and_then(Json::as_num).map(|v| v as u64),
+                epoch: u("epoch")?,
+                node: node_id(u("node")?, "node")?,
+                k: u("k")?,
+                cached: field(&doc, "cached", Json::as_bool, "a boolean")?,
+                matches: Arc::new(parse_matches(&doc)?),
+                trace_id: doc
+                    .get("trace_id")
+                    .map(|v| num_field(v, "trace_id"))
+                    .transpose()?
+                    .map(|v| v as u64),
             })),
-            Some("ping") => Ok(Response::Pong { epoch: u(doc.get("epoch")) }),
-            Some("stats") => Ok(Response::Stats(Box::new(parse_stats(&doc)))),
-            Some("metrics") => Ok(Response::Metrics(Box::new(parse_metrics(&doc)))),
+            Some("ping") => Ok(Response::Pong { epoch: u("epoch")? }),
+            Some("stats") => Ok(Response::Stats(Box::new(parse_stats(&doc)?))),
+            Some("metrics") => Ok(Response::Metrics(Box::new(parse_metrics(&doc)?))),
             Some("trace") => Ok(Response::Trace(Box::new(TraceReply {
-                version: u(doc.get("version")),
-                sample_every: u(doc.get("sample_every")),
-                traces: doc
-                    .get("traces")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
+                version: u("version")?,
+                sample_every: u("sample_every")?,
+                traces: field(&doc, "traces", Json::as_arr, "an array")?
                     .iter()
                     .map(parse_trace)
                     .collect::<Result<Vec<_>, String>>()?,
             }))),
             Some("reload") => Ok(Response::Reloaded {
-                epoch: u(doc.get("epoch")),
-                nodes: u(doc.get("nodes")),
-                edges: u(doc.get("edges")),
+                epoch: u("epoch")?,
+                nodes: u("nodes")?,
+                edges: u("edges")?,
             }),
             Some("edge-delta") => Ok(Response::DeltaApplied {
-                epoch: u(doc.get("epoch")),
-                nodes: u(doc.get("nodes")),
-                added: u(doc.get("added")),
-                removed: u(doc.get("removed")),
+                epoch: u("epoch")?,
+                nodes: u("nodes")?,
+                added: u("added")?,
+                removed: u("removed")?,
             }),
             Some("config") => Ok(Response::Config {
-                window_us: u(doc.get("window_us")),
-                max_batch: u(doc.get("max_batch")),
-                cache_enabled: doc.get("cache_enabled").and_then(Json::as_bool).unwrap_or(false),
-                slow_query_us: u(doc.get("slow_query_us")),
-                trace_sample: u(doc.get("trace_sample")),
+                window_us: u("window_us")?,
+                max_batch: u("max_batch")?,
+                cache_enabled: field(&doc, "cache_enabled", Json::as_bool, "a boolean")?,
+                slow_query_us: u("slow_query_us")?,
+                trace_sample: u("trace_sample")?,
             }),
             Some("shutdown") => Ok(Response::ShuttingDown),
             Some(other) => Err(format!("unknown response op `{other}`")),
@@ -492,61 +499,57 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     }
 }
 
-fn parse_stats(doc: &Json) -> StatsReply {
-    let u = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(0.0) as u64;
-    let f = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(0.0);
-    let cache = doc.get("cache");
-    let batcher = doc.get("batcher");
-    let c = |key: &str| u(cache.and_then(|o| o.get(key)));
-    let b = |key: &str| u(batcher.and_then(|o| o.get(key)));
-    StatsReply {
-        epoch: u(doc.get("epoch")),
-        epoch_swaps: u(doc.get("epoch_swaps")),
-        nodes: u(doc.get("nodes")),
-        edges: u(doc.get("edges")),
-        c: f(doc.get("params").and_then(|p| p.get("c"))),
-        iterations: u(doc.get("params").and_then(|p| p.get("k"))),
-        uptime_ms: f(doc.get("uptime_ms")),
-        requests: u(doc.get("requests")),
-        connections: u(doc.get("connections")),
-        shed_connections: u(doc.get("shed_connections")),
-        worker_threads: u(doc.get("worker_threads")),
-        cache_enabled: cache
-            .and_then(|o| o.get("enabled"))
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
+fn parse_stats(doc: &Json) -> Result<StatsReply, String> {
+    let object = |key: &str| field(doc, key, |v| v.as_obj().map(|_| v), "an object");
+    let (params, cache, batcher) = (object("params")?, object("cache")?, object("batcher")?);
+    let u = |key: &str| field_u64(doc, key);
+    let c = |key: &str| field_u64(cache, key);
+    let b = |key: &str| field_u64(batcher, key);
+    Ok(StatsReply {
+        epoch: u("epoch")?,
+        epoch_swaps: u("epoch_swaps")?,
+        nodes: u("nodes")?,
+        edges: u("edges")?,
+        c: field(params, "c", Json::as_num, "a number")?,
+        iterations: field_u64(params, "k")?,
+        uptime_ms: field(doc, "uptime_ms", Json::as_num, "a number")?,
+        requests: u("requests")?,
+        connections: u("connections")?,
+        shed_connections: u("shed_connections")?,
+        worker_threads: u("worker_threads")?,
+        cache_enabled: field(cache, "enabled", Json::as_bool, "a boolean")?,
         cache: CacheStats {
-            hits: c("hits"),
-            misses: c("misses"),
-            inserts: c("inserts"),
-            evictions: c("evictions"),
-            entries: c("entries") as usize,
+            hits: c("hits")?,
+            misses: c("misses")?,
+            inserts: c("inserts")?,
+            evictions: c("evictions")?,
+            entries: c("entries")? as usize,
         },
-        window_us: b("window_us"),
-        max_batch: b("max_batch"),
+        window_us: b("window_us")?,
+        max_batch: b("max_batch")?,
         batcher: BatcherStats {
-            submitted: b("submitted"),
-            shed: b("shed"),
-            flushes: b("flushes"),
-            flushed_jobs: b("flushed_jobs"),
-            max_flush: b("max_flush"),
-            unique_lanes: b("unique_lanes"),
+            submitted: b("submitted")?,
+            shed: b("shed")?,
+            flushes: b("flushes")?,
+            flushed_jobs: b("flushed_jobs")?,
+            max_flush: b("max_flush")?,
+            unique_lanes: b("unique_lanes")?,
         },
-    }
+    })
 }
 
-fn parse_matches(v: Option<&Json>) -> Vec<(NodeId, f64)> {
-    v.and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|pair| {
-                    let p = pair.as_arr()?;
-                    Some((p.first()?.as_num()? as NodeId, p.get(1)?.as_num()?))
-                })
-                .collect()
+/// The ranked `[node, score]` pairs of a query reply; a malformed pair is
+/// an error, never dropped.
+fn parse_matches(doc: &Json) -> Result<Vec<(NodeId, f64)>, String> {
+    field(doc, "matches", Json::as_arr, "an array")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([node, Json::Num(score)]) => {
+                Ok((node_id(num_field(node, "matches")? as u64, "matches")?, *score))
+            }
+            _ => Err("field `matches` must contain [node, score] pairs".to_string()),
         })
-        .unwrap_or_default()
+        .collect()
 }
 
 /// The `matches` value shared by serve responses and the CLI's JSON
@@ -677,6 +680,32 @@ mod tests {
             assert_eq!(pair[0].as_num(), Some(v as f64));
             assert_eq!(pair[1].as_num().unwrap().to_bits(), s.to_bits());
         }
+    }
+
+    #[test]
+    fn responses_missing_or_mistyping_a_field_are_errors() {
+        let delta =
+            render_response(&Response::DeltaApplied { epoch: 2, nodes: 10, added: 1, removed: 0 });
+        let err = parse_response(&delta.replace("\"epoch\"", "\"epocj\"")).unwrap_err();
+        assert!(err.contains("`epoch`"), "{err}");
+        let query = render_response(&Response::Query(QueryReply {
+            epoch: 1,
+            node: 4,
+            k: 2,
+            cached: false,
+            matches: Arc::new(vec![(1, 0.5)]),
+            trace_id: None,
+        }));
+        assert!(parse_response(&query).is_ok());
+        let no_matches = query.replace(",\"matches\":[[1,0.5]]", "");
+        assert!(parse_response(&no_matches).unwrap_err().contains("`matches`"));
+        let short_pair = query.replace("[[1,0.5]]", "[[1]]");
+        assert!(parse_response(&short_pair).unwrap_err().contains("`matches`"));
+        let mistyped = query.replace("\"cached\":false", "\"cached\":0");
+        assert!(parse_response(&mistyped).unwrap_err().contains("`cached`"));
+        // The one optional field: present, it must still be an id.
+        let traced = query.replace("\"matches\"", "\"trace_id\":\"x\",\"matches\"");
+        assert!(parse_response(&traced).unwrap_err().contains("`trace_id`"));
     }
 
     #[test]

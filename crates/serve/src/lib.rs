@@ -16,10 +16,10 @@
 //!   and hit/miss/insert/eviction counters.
 //! * [`batcher`] — the **coalescing micro-batcher**: cache misses enter a
 //!   bounded queue (the admission-control point — overflow sheds instead
-//!   of queueing unboundedly) and flush workers park briefly to coalesce
-//!   concurrent requests into one [`QueryEngine::top_k_batch`] call. The
-//!   engine sweeps each full 8-query chunk of a flush at 8 lanes and a
-//!   small remainder (a solo request, say) at one lane, so server
+//!   of queueing unboundedly) and one flush worker parks briefly to
+//!   coalesce concurrent requests into one [`QueryEngine::top_k_batch`]
+//!   call. The engine sweeps each full 8-query chunk of a flush at 8 lanes
+//!   and a small remainder (a solo request, say) at one lane, so server
 //!   throughput inherits the batched path's speedup while a lone request
 //!   pays for one lane, not eight. Every engine sweep is deterministic,
 //!   so results are bit-identical however requests get coalesced — the
@@ -33,7 +33,7 @@
 //! * [`server`] / [`runtime`](crate::server) — the **event-driven TCP
 //!   server**: one poll-loop thread (epoll on Linux) owns every
 //!   connection's buffers and parser state, queries run asynchronously in
-//!   the batcher's flush workers, and admin ops on a dedicated executor —
+//!   the batcher's flush worker, and admin ops on a dedicated executor —
 //!   a fixed thread budget at any connection count. `stats` surfaces
 //!   every counter; admin `config` retunes the batcher/cache at runtime.
 //! * [`client`] / [`loadgen`] — the blocking protocol [`Client`] (builder
@@ -80,7 +80,7 @@ pub mod server;
 pub mod tracing;
 
 pub use batcher::{
-    Batcher, BatcherOptions, BatcherStats, CompletionSink, QueryAnswer, SubmitError, TraceDetail,
+    Batcher, BatcherOptions, BatcherStats, CompletionSink, QueryAnswer, SubmitError,
 };
 pub use cache::{CacheKey, CacheStats, ShardedCache};
 pub use client::{Client, ClientBuilder, ClientError, Reply};

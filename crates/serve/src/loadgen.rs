@@ -512,7 +512,7 @@ pub struct ServeBenchMeta {
     pub pipeline: usize,
     /// Idle connections held through the `conns_1k` phase.
     pub idle_conns: usize,
-    /// Server thread budget (event loop + flush workers + admin).
+    /// Server thread budget (event loop + flush worker + admin).
     pub worker_threads: u64,
     /// `k` of every query.
     pub top_k: usize,

@@ -1,14 +1,14 @@
 //! Serve-side observability: the registry every pipeline stage records
-//! into, the per-request trace that rides a query through the batcher,
-//! and the structured slow-query log.
+//! into, the one record a query carries from accept to encode, and the
+//! structured slow-query log.
 //!
-//! One `ServeMetrics` (crate-internal) per server, shared by the event
-//! loop and the batcher's flush workers. All hot-path handles
-//! ([`ssr_obs::Counter`] / [`ssr_obs::Histogram`]) are registered once
-//! at server start, so recording is lock-free throughout. Stage
-//! histograms are in **microseconds**; the per-request [`QueryTrace`]
-//! carries **nanoseconds** so sub-microsecond stages (a cache probe)
-//! still sum correctly before flooring.
+//! One `ServeMetrics` (crate-internal) per server, owned by the event
+//! loop's shared state. All hot-path handles ([`ssr_obs::Counter`] /
+//! [`ssr_obs::Histogram`]) are registered once at server start, so
+//! recording is lock-free throughout. Stage histograms are in
+//! **microseconds**; the per-query record carries **nanoseconds** and
+//! [`Instant`]s, so sub-microsecond stages (a cache probe) still sum
+//! correctly before flooring and every span sits at its measured offset.
 //!
 //! The stage decomposition of a query (see README "Observability"):
 //!
@@ -16,36 +16,98 @@
 //! accepted ──decode──►─cache──►─queue──►─engine──►─encode──► done
 //! ```
 //!
-//! Stages are disjoint sub-intervals of `[accepted, encode done]`, so
-//! `Σ floor(stage_us) ≤ floor(total_us)` holds for every request — the
-//! invariant the e2e suite asserts. Every stage histogram records one
-//! sample per request that reached the stage. Lifetime counters live
-//! here (or in the cache/batcher, also server-lifetime) and **never**
-//! reset on epoch swaps; only the engine gauges are epoch-scoped,
-//! because the engine is rebuilt per epoch.
+//! The batcher fills a [`QueryTrace`] per query (cache probe, queue wait
+//! and engine call, each with the instant it began); the event loop wraps
+//! it in a `RequestRecord` (accept instant, decode and encode times, trace
+//! id). When the reply is encoded, `ServeMetrics::observe_query` records
+//! the six `ssr_stage_us` histograms, the inline-hit counter and the
+//! slow-query line from that record, and [`crate::tracing`] projects a
+//! sampled query's span tree from it. `decode`, `cache`, `encode` and
+//! `total` take one sample per query reply, `queue` and `engine` one per
+//! cache miss. Stages are disjoint sub-intervals of
+//! `[accepted, encode done]`, so `Σ floor(stage_us) ≤ floor(total_us)`
+//! holds for every request — the invariant the e2e suite asserts.
+//! Lifetime counters live here (or in the cache/batcher, also
+//! server-lifetime) and **never** reset on epoch swaps; only the engine
+//! gauges are epoch-scoped, because the engine is rebuilt per epoch.
 
 use crate::codec::WireFormat;
 use crate::protocol::{MetricsReply, QueryReply, Response, METRICS_VERSION};
+use simrank_star::EngineTrace;
 use ssr_obs::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Ring-buffer capacity of retained slow-query lines.
 const SLOW_LOG_CAP: usize = 256;
 
-/// Per-request stage timings in nanoseconds, accumulated as a query
-/// moves through the batcher pipeline and delivered back to the event
-/// loop inside the answer. Decode/encode/total are measured by the loop
-/// itself and never ride here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The batcher's record of one query: when each of its stages began, how
+/// long it took, and the pipeline context a trace shows. Filled at
+/// admission (cache probe, enqueue) and by the flush (queue wait, engine
+/// call), and delivered back to the event loop inside the answer. A cache
+/// hit never enters the queue, so its `queued_at` and `engine_at` stay
+/// `None`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryTrace {
+    /// When the result-cache probe began.
+    pub cache_at: Option<Instant>,
     /// Result-cache probe.
     pub cache_ns: u64,
-    /// Bounded-queue wait (submission to flush drain).
+    /// Result-cache shard the probe touched.
+    pub shard: usize,
+    /// When the job entered the bounded queue.
+    pub queued_at: Option<Instant>,
+    /// Bounded-queue wait (enqueue to flush drain).
     pub queue_ns: u64,
+    /// Jobs already waiting in the queue when this one entered.
+    pub queue_depth: usize,
+    /// When the flush called the engine.
+    pub engine_at: Option<Instant>,
     /// Engine compute: the flush's `top_k_batch` call.
     pub engine_ns: u64,
+    /// Jobs in the flush that answered this query.
+    pub flush_size: usize,
+    /// Jobs of that flush that shared another job's engine lane.
+    pub dedup: usize,
+    /// The flush's per-step engine trace, set only when the flush carried
+    /// a sampled job (the untraced path allocates nothing for tracing).
+    pub engine: Option<Arc<EngineTrace>>,
+}
+
+/// The event loop's record of one request: the runtime's timings around
+/// the batcher's [`QueryTrace`]. Decode fills the first fields, a query's
+/// answer its `query`, and the reply's encode the last two; then
+/// [`ServeMetrics::observe_query`] and [`crate::tracing::assemble_trace`]
+/// read it.
+pub(crate) struct RequestRecord {
+    /// When decoding of the request frame began: offset 0 of every span.
+    pub(crate) accepted: Instant,
+    /// Decode time of the frame.
+    pub(crate) decode_ns: u64,
+    /// The request's trace id when the sampler kept it.
+    pub(crate) trace_id: Option<u64>,
+    /// The batcher's record, joined when a query's answer lands.
+    pub(crate) query: QueryTrace,
+    /// Encode time of the reply.
+    pub(crate) encode_ns: u64,
+    /// Accept to the end of the reply's encode: the `total` stage.
+    pub(crate) total_ns: u64,
+}
+
+impl RequestRecord {
+    /// The record of a request decoded from `accepted` on in `decode_ns`.
+    pub(crate) fn new(accepted: Instant, decode_ns: u64, trace_id: Option<u64>) -> RequestRecord {
+        RequestRecord {
+            accepted,
+            decode_ns,
+            trace_id,
+            query: QueryTrace::default(),
+            encode_ns: 0,
+            total_ns: 0,
+        }
+    }
 }
 
 /// The codec label both counters and histograms are keyed by.
@@ -75,17 +137,17 @@ pub(crate) struct ServeMetrics {
     /// Currently open connections (maintained by the event loop).
     pub(crate) connections: Gauge,
     /// Queries answered from the cache without entering the queue.
-    pub(crate) inline_cache_hits: Counter,
+    inline_cache_hits: Counter,
     /// Queries that crossed the slow-query threshold.
-    pub(crate) slow_queries: Counter,
-    /// Per-stage latency histograms (µs).
-    pub(crate) stage_decode: Histogram,
-    pub(crate) stage_cache: Histogram,
-    pub(crate) stage_queue: Histogram,
-    pub(crate) stage_engine: Histogram,
-    pub(crate) stage_encode: Histogram,
-    pub(crate) stage_total: Histogram,
-    /// Decode/encode keyed per codec (µs).
+    slow_queries: Counter,
+    /// Per-stage latency histograms (µs), one sample per query reply.
+    stage_decode: Histogram,
+    stage_cache: Histogram,
+    stage_queue: Histogram,
+    stage_engine: Histogram,
+    stage_encode: Histogram,
+    stage_total: Histogram,
+    /// Decode/encode keyed per codec (µs), one sample per frame.
     decode_json: Histogram,
     decode_ssb: Histogram,
     encode_json: Histogram,
@@ -97,10 +159,9 @@ pub(crate) struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Registers every serve metric against a fresh registry (honoring
-    /// the `SSR_OBS_DISABLE=1` kill switch).
+    /// Registers every serve metric against a fresh live registry.
     pub(crate) fn new() -> ServeMetrics {
-        let registry = Registry::from_env();
+        let registry = Registry::new();
         let stage = |name: &str| registry.histogram("ssr_stage_us", &[("stage", name)]);
         // Info-style metric: the value is always 1, the payload is the
         // labels — crate version, wire protocols, readable .ssg versions.
@@ -187,20 +248,23 @@ impl ServeMetrics {
         self.slow_threshold_us.store(us, Ordering::Relaxed);
     }
 
-    /// Observes one finished query at encode time: records the total
-    /// histogram and, when the threshold is armed and crossed, emits one
-    /// structured slow-query line (stderr + retained ring). Stage values
-    /// are floored to µs, so their sum never exceeds `total_us`.
-    pub(crate) fn observe_query(
-        &self,
-        fmt: WireFormat,
-        reply: &QueryReply,
-        decode_ns: u64,
-        trace: QueryTrace,
-        encode_ns: u64,
-        total_ns: u64,
-    ) {
-        let total_us = total_ns / 1_000;
+    /// Observes one query at the end of its reply's encode: records every
+    /// stage histogram the query went through and the inline-hit counter
+    /// from its record and, when the threshold is armed and crossed, emits
+    /// one structured slow-query line (stderr + retained ring). Stage
+    /// values are floored to µs, so their sum never exceeds `total_us`.
+    pub(crate) fn observe_query(&self, fmt: WireFormat, reply: &QueryReply, rec: &RequestRecord) {
+        let q = &rec.query;
+        self.stage_decode.record(rec.decode_ns / 1_000);
+        self.stage_cache.record(q.cache_ns / 1_000);
+        if reply.cached {
+            self.inline_cache_hits.inc();
+        } else {
+            self.stage_queue.record(q.queue_ns / 1_000);
+            self.stage_engine.record(q.engine_ns / 1_000);
+        }
+        self.stage_encode.record(rec.encode_ns / 1_000);
+        let total_us = rec.total_ns / 1_000;
         self.stage_total.record(total_us);
         let threshold = self.slow_query_us();
         if threshold == 0 || total_us < threshold {
@@ -215,14 +279,14 @@ impl ServeMetrics {
             reply.epoch,
             reply.cached,
             codec_label(fmt),
-            decode_ns / 1_000,
-            trace.cache_ns / 1_000,
-            trace.queue_ns / 1_000,
-            trace.engine_ns / 1_000,
-            encode_ns / 1_000,
+            rec.decode_ns / 1_000,
+            q.cache_ns / 1_000,
+            q.queue_ns / 1_000,
+            q.engine_ns / 1_000,
+            rec.encode_ns / 1_000,
         );
         // Sampled queries cross-reference their span tree by trace id.
-        if let Some(t) = reply.trace_id {
+        if let Some(t) = rec.trace_id {
             line.push_str(&format!(" trace={t}"));
         }
         eprintln!("{line}");
@@ -267,7 +331,6 @@ impl std::fmt::Debug for ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn query_reply() -> QueryReply {
         QueryReply {
@@ -280,16 +343,26 @@ mod tests {
         }
     }
 
+    /// A miss's record: decoded in `decode_ns`, answered with the given
+    /// stage times, encoded in `encode_ns`, `total_ns` after accept.
+    fn record(decode_ns: u64, encode_ns: u64, total_ns: u64) -> RequestRecord {
+        let mut rec = RequestRecord::new(Instant::now(), decode_ns, Some(6));
+        rec.query =
+            QueryTrace { cache_ns: 800, queue_ns: 2_000, engine_ns: 5_000, ..Default::default() };
+        rec.encode_ns = encode_ns;
+        rec.total_ns = total_ns;
+        rec
+    }
+
     #[test]
     fn slow_log_is_threshold_gated_and_bounded() {
         let m = ServeMetrics::new();
-        let trace = QueryTrace { cache_ns: 800, queue_ns: 2_000, engine_ns: 5_000 };
         // Disarmed: nothing retained.
-        m.observe_query(WireFormat::Jsonl, &query_reply(), 1_500, trace, 900, 12_000);
+        m.observe_query(WireFormat::Jsonl, &query_reply(), &record(1_500, 900, 12_000));
         assert!(m.slow_lines().is_empty());
         // Armed at 10µs: a 12µs query logs with its breakdown.
         m.set_slow_query_us(10);
-        m.observe_query(WireFormat::Ssb, &query_reply(), 1_500, trace, 900, 12_000);
+        m.observe_query(WireFormat::Ssb, &query_reply(), &record(1_500, 900, 12_000));
         let lines = m.slow_lines();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("total_us=12"), "{}", lines[0]);
@@ -298,11 +371,11 @@ mod tests {
         assert!(lines[0].contains("trace=6"));
         assert_eq!(m.slow_queries.get(), 1);
         // Below threshold: not logged.
-        m.observe_query(WireFormat::Ssb, &query_reply(), 100, trace, 100, 9_000);
+        m.observe_query(WireFormat::Ssb, &query_reply(), &record(100, 100, 9_000));
         assert_eq!(m.slow_lines().len(), 1);
         // The ring stays bounded.
         for _ in 0..(2 * SLOW_LOG_CAP) {
-            m.observe_query(WireFormat::Jsonl, &query_reply(), 0, trace, 0, 50_000);
+            m.observe_query(WireFormat::Jsonl, &query_reply(), &record(0, 0, 50_000));
         }
         assert_eq!(m.slow_lines().len(), SLOW_LOG_CAP);
     }

@@ -216,7 +216,7 @@ pub struct StatsReply {
     pub connections: u64,
     /// Connections shed by the connection cap.
     pub shed_connections: u64,
-    /// Threads the server runs in total (event loop + flush workers +
+    /// Threads the server runs in total (event loop + flush worker +
     /// admin executor) — the bound that holds however many connections
     /// are open.
     pub worker_threads: u64,

@@ -5,7 +5,7 @@
 //! non-blocking; the loop parks in `Poller::wait` and touches only the
 //! connections the kernel reports ready — so 10k idle connections cost
 //! their buffers, not 10k parked threads. Query execution still happens in
-//! the batcher's flush workers (submitted asynchronously, completed
+//! the batcher's flush worker (submitted asynchronously, completed
 //! through a queue + [`crate::poller::Waker`]); slow admin ops (reload,
 //! edge-delta) run on one dedicated executor thread, so a multi-second
 //! graph rebuild never stalls query traffic. The loop itself only parses,
@@ -25,13 +25,23 @@
 //! stops being read until it drains — backpressure, not memory growth —
 //! while a single request frame too large for the read cap is answered
 //! with a typed error and the connection closed.
+//!
+//! ## Per-request record
+//!
+//! Each pending entry carries one [`RequestRecord`]: the accept instant
+//! (when the frame's decode began), the decode time and the trace id; a
+//! query's answer joins the batcher's [`crate::metrics::QueryTrace`] to
+//! it. When the reply is encoded, the loop adds the encode time and the
+//! end-to-end total and derives the stage histograms, the slow-query
+//! line and a sampled query's span tree from that record, in one place
+//! (`encode_ready`).
 
-use crate::batcher::{SubmitError, TraceDetail};
+use crate::batcher::{QueryAnswer, SubmitError};
 use crate::codec::{jsonl, Decoded, WireFormat, SSB_MAGIC};
-use crate::metrics::{codec_label, QueryTrace};
+use crate::metrics::{codec_label, RequestRecord};
 use crate::poller::{self, Event, Interest, Poller, RawId, WakeRx};
 use crate::protocol::{CacheDirective, QueryReply, Request, Response, StatsReply, TraceReply};
-use crate::server::{AdminJob, AdminOp, CompletionPayload, Inner};
+use crate::server::{AdminJob, AdminOp, CompletionPayload, Inner, WORKER_THREADS};
 use crate::tracing::assemble_trace;
 use ssr_graph::NodeId;
 use ssr_obs::TRACE_SCHEMA_VERSION;
@@ -81,18 +91,8 @@ struct Pending {
     /// (where the codec ignores it — pairing is positional).
     id: u64,
     state: PendingState,
-    /// When decoding of this frame began — the start of the server-side
-    /// end-to-end interval (`ssr_stage_us{stage="total"}` ends when the
-    /// response is encoded).
-    accepted: Instant,
-    /// Decode-stage time for this frame.
-    decode_ns: u64,
-    /// Batcher-side stage timings, filled when a query answer lands.
-    trace: QueryTrace,
-    /// The request's trace id when the sampler kept it.
-    trace_id: Option<u64>,
-    /// Pipeline context for sampled queries, filled with the answer.
-    detail: Option<Box<TraceDetail>>,
+    /// What the server measured of this request so far.
+    record: RequestRecord,
 }
 
 enum PendingState {
@@ -288,21 +288,14 @@ impl EventLoop {
             for p in conn.pending.iter_mut() {
                 let response = match p.state {
                     PendingState::WaitingQuery { tag, node, k } if tag == done.tag => {
-                        match &done.payload {
-                            CompletionPayload::Query(result) => {
-                                if let Ok(answer) = result {
-                                    p.trace = answer.trace;
-                                    p.detail = answer.detail.clone();
-                                }
-                                query_response(
-                                    node,
-                                    k,
-                                    p.trace_id,
-                                    result,
-                                    &mut conn.close_after_flush,
-                                )
+                        match done.payload {
+                            CompletionPayload::Query(Ok(answer)) => {
+                                query_reply(node, k, &mut p.record, answer)
                             }
-                            CompletionPayload::Admin(resp) => resp.clone(),
+                            CompletionPayload::Query(Err(err)) => {
+                                query_error(node, &err, &mut conn.close_after_flush)
+                            }
+                            CompletionPayload::Admin(resp) => resp,
                         }
                     }
                     PendingState::WaitingAdmin { tag } if tag == done.tag => match done.payload {
@@ -450,7 +443,6 @@ impl EventLoop {
                     consumed += n;
                     self.requests += 1;
                     self.inner.metrics.requests(fmt).inc();
-                    self.inner.metrics.stage_decode.record(decode_ns / 1_000);
                     self.inner.metrics.decode_hist(fmt).record(decode_ns / 1_000);
                     let id = id.unwrap_or_else(|| {
                         let seq = conn.next_seq;
@@ -472,11 +464,7 @@ impl EventLoop {
                     conn.pending.push_back(Pending {
                         id,
                         state: PendingState::Ready(Response::Error { message: m.error }),
-                        accepted: decode_started,
-                        decode_ns,
-                        trace: QueryTrace::default(),
-                        trace_id: None,
-                        detail: None,
+                        record: RequestRecord::new(decode_started, decode_ns, None),
                     });
                     if !m.recoverable {
                         framed = false;
@@ -502,11 +490,7 @@ impl EventLoop {
                         "request frame exceeds per-connection buffer cap ({RBUF_CAP} bytes)"
                     ),
                 }),
-                accepted: Instant::now(),
-                decode_ns: 0,
-                trace: QueryTrace::default(),
-                trace_id: None,
-                detail: None,
+                record: RequestRecord::new(Instant::now(), 0, None),
             });
             framed = false;
         }
@@ -532,9 +516,7 @@ impl EventLoop {
         // Every decoded request draws a trace id; only sampled queries
         // grow a span tree.
         let (trace_seq, sampled) = self.inner.tracer.issue();
-        let trace_id = sampled.then_some(trace_seq);
-        let mut trace = QueryTrace::default();
-        let mut detail = None;
+        let mut record = RequestRecord::new(accepted, decode_ns, sampled.then_some(trace_seq));
         let state = match request {
             Request::Query { node, k } => {
                 let tag = self.next_tag;
@@ -542,16 +524,7 @@ impl EventLoop {
                 match self.inner.batcher.submit(node, k, sampled, &self.inner.completion_sink, tag)
                 {
                     Ok(Some(answer)) => {
-                        trace = answer.trace;
-                        detail = answer.detail;
-                        PendingState::Ready(Response::Query(QueryReply {
-                            epoch: answer.epoch,
-                            node,
-                            k: k as u64,
-                            cached: answer.cached,
-                            matches: answer.matches,
-                            trace_id,
-                        }))
+                        PendingState::Ready(query_reply(node, k, &mut record, answer))
                     }
                     Ok(None) => {
                         self.tags.insert(tag, token);
@@ -611,7 +584,7 @@ impl EventLoop {
                 PendingState::Ready(Response::ShuttingDown)
             }
         };
-        conn.pending.push_back(Pending { id, state, accepted, decode_ns, trace, trace_id, detail });
+        conn.pending.push_back(Pending { id, state, record });
     }
 
     /// Queues a slow admin op on the executor thread.
@@ -626,36 +599,29 @@ impl EventLoop {
     }
 
     /// Encodes every `Ready` entry at the *front* of the FIFO — responses
-    /// never overtake an earlier request still in flight. Encode and
-    /// end-to-end ("total") stages are recorded here; queries that cross
-    /// the armed slow-query threshold are logged with their breakdown.
+    /// never overtake an earlier request still in flight. A query's record
+    /// is complete once its reply is encoded; it then feeds the stage
+    /// histograms, the slow-query log and, when sampled, the trace ring.
     fn encode_ready(&self, conn: &mut Conn) {
         let Format::Wire(fmt) = conn.format else { return };
         let codec = fmt.codec();
         let m = &self.inner.metrics;
         while matches!(conn.pending.front(), Some(p) if matches!(p.state, PendingState::Ready(_))) {
-            let p = conn.pending.pop_front().expect("front checked");
-            let PendingState::Ready(resp) = p.state else { unreachable!("front checked") };
+            let Pending { id, state, mut record } =
+                conn.pending.pop_front().expect("front checked");
+            let PendingState::Ready(resp) = state else { unreachable!("front checked") };
             let encode_started = Instant::now();
-            codec.encode_response(p.id, &resp, &mut conn.wbuf);
-            let encode_ns = encode_started.elapsed().as_nanos() as u64;
-            m.stage_encode.record(encode_ns / 1_000);
+            codec.encode_response(id, &resp, &mut conn.wbuf);
+            let encoded = Instant::now();
+            let encode_ns = encoded.duration_since(encode_started).as_nanos() as u64;
             m.encode_hist(fmt).record(encode_ns / 1_000);
             m.count_response(&resp);
             if let Response::Query(reply) = &resp {
-                let total_ns = p.accepted.elapsed().as_nanos() as u64;
-                m.observe_query(fmt, reply, p.decode_ns, p.trace, encode_ns, total_ns);
-                if let Some(trace_id) = p.trace_id {
-                    self.inner.tracer.record(assemble_trace(
-                        trace_id,
-                        codec_label(fmt),
-                        reply,
-                        p.decode_ns,
-                        &p.trace,
-                        p.detail.as_deref(),
-                        encode_ns,
-                        total_ns,
-                    ));
+                record.encode_ns = encode_ns;
+                record.total_ns = encoded.duration_since(record.accepted).as_nanos() as u64;
+                m.observe_query(fmt, reply, &record);
+                if let Some(trace) = assemble_trace(codec_label(fmt), reply, &record) {
+                    self.inner.tracer.record(trace);
                 }
             }
         }
@@ -696,7 +662,7 @@ impl EventLoop {
             // The connection asking is out of the map while being pumped.
             connections: self.conns.len() as u64 + 1,
             shed_connections: self.shed_connections,
-            worker_threads: self.inner.worker_threads,
+            worker_threads: WORKER_THREADS,
             cache_enabled: self.inner.cache.is_enabled(),
             cache: self.inner.cache.stats(),
             window_us,
@@ -706,28 +672,27 @@ impl EventLoop {
     }
 }
 
-/// Maps a completed batcher submission to its wire response, preserving
-/// the thread-per-connection server's exact messages.
-fn query_response(
+/// The reply to a query the batcher answered (inline or through a
+/// completion); the answer's record joins the request's.
+fn query_reply(
     node: NodeId,
     k: usize,
-    trace_id: Option<u64>,
-    result: &Result<crate::batcher::QueryAnswer, SubmitError>,
-    close_after_flush: &mut bool,
+    record: &mut RequestRecord,
+    answer: QueryAnswer,
 ) -> Response {
-    match result {
-        Ok(answer) => Response::Query(QueryReply {
-            epoch: answer.epoch,
-            node,
-            k: k as u64,
-            cached: answer.cached,
-            matches: answer.matches.clone(),
-            trace_id,
-        }),
-        Err(err) => query_error(node, err, close_after_flush),
-    }
+    record.query = answer.trace;
+    Response::Query(QueryReply {
+        epoch: answer.epoch,
+        node,
+        k: k as u64,
+        cached: answer.cached,
+        matches: answer.matches,
+        trace_id: record.trace_id,
+    })
 }
 
+/// Maps a failed submission to its wire response, preserving the
+/// thread-per-connection server's exact messages.
 fn query_error(node: NodeId, err: &SubmitError, close_after_flush: &mut bool) -> Response {
     match err {
         SubmitError::Shed => Response::Shed { reason: "queue full".into() },

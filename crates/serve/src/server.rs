@@ -3,16 +3,16 @@
 //!
 //! [`Server::start`] binds the listener and spawns exactly one event-loop
 //! thread (the `runtime` module) plus one admin-executor thread; query
-//! execution runs in the batcher's flush workers. That fixed thread budget
-//! — surfaced as `worker_threads` in `stats` — holds at any connection
-//! count: ten thousand idle sockets are ten thousand buffer pairs in the
-//! loop's map, not ten thousand parked threads. Admission control is
-//! layered as before: a connection cap sheds new sockets, the batcher's
-//! bounded queue sheds individual requests.
+//! execution runs in the batcher's flush worker. That fixed budget of
+//! three threads — surfaced as `worker_threads` in `stats` — holds at any
+//! connection count: ten thousand idle sockets are ten thousand buffer
+//! pairs in the loop's map, not ten thousand parked threads. Admission
+//! control is layered as before: a connection cap sheds new sockets, the
+//! batcher's bounded queue sheds individual requests.
 //!
-//! Threads meet in two places: the completion queue (flush workers and the
-//! admin executor push results, the loop drains after a waker nudge) and
-//! the epoch store. Everything else — buffers, parser state, pending
+//! Threads meet in two places: the completion queue (the flush worker and
+//! the admin executor push results, the loop drains after a waker nudge)
+//! and the epoch store. Everything else — buffers, parser state, pending
 //! FIFOs — is owned by the loop thread and never locked.
 
 use crate::batcher::{Batcher, BatcherOptions, CompletionSink, QueryAnswer, SubmitError};
@@ -30,6 +30,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
+
+/// Threads a server runs: the event loop, the batcher's flush worker and
+/// the admin executor, at any connection count.
+pub(crate) const WORKER_THREADS: u64 = 3;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -88,7 +92,7 @@ pub(crate) enum CompletionPayload {
     Admin(Response),
 }
 
-/// The cross-thread completion queue: flush workers and the admin
+/// The cross-thread completion queue: the flush worker and the admin
 /// executor push, the event loop drains after each waker nudge.
 pub(crate) struct CompletionQueue {
     queue: Mutex<Vec<Completion>>,
@@ -143,9 +147,6 @@ pub(crate) struct Inner {
     stopped_cv: Condvar,
     waker: Waker,
     pub(crate) max_connections: usize,
-    /// Total server threads: 1 event loop + flush workers + 1 admin
-    /// executor. The bound reported by `stats`.
-    pub(crate) worker_threads: u64,
     pub(crate) started: Instant,
 }
 
@@ -236,12 +237,7 @@ impl Server {
         let metrics = Arc::new(ServeMetrics::new());
         metrics.set_slow_query_us(opts.slow_query_us);
         let tracer = Arc::new(TraceCollector::new(opts.trace_sample, opts.trace_out.as_deref())?);
-        let batcher = Batcher::start_instrumented(
-            store.clone(),
-            cache.clone(),
-            opts.batch.clone(),
-            metrics.clone(),
-        );
+        let batcher = Batcher::start(store.clone(), cache.clone(), opts.batch.clone());
         let (waker, wake_rx) = poller::waker()?;
         let completions =
             Arc::new(CompletionQueue { queue: Mutex::new(Vec::new()), waker: waker.clone() });
@@ -259,7 +255,6 @@ impl Server {
             stopped_cv: Condvar::new(),
             waker,
             max_connections: opts.max_connections.max(1),
-            worker_threads: 1 + opts.batch.workers.max(1) as u64 + 1,
             started: Instant::now(),
         });
         let (admin_tx, admin_rx) = mpsc::channel::<AdminJob>();
@@ -274,10 +269,10 @@ impl Server {
         self.addr
     }
 
-    /// Total server threads: 1 event loop + flush workers + 1 admin
-    /// executor. Constant at any connection count.
+    /// Total server threads: the event loop, the flush worker and the
+    /// admin executor. Constant at any connection count.
     pub fn worker_threads(&self) -> u64 {
-        self.inner.worker_threads
+        WORKER_THREADS
     }
 
     /// The current `metrics` payload, exactly as the `metrics` admin op

@@ -11,14 +11,18 @@
 //! sample the same requests, and the id also appears in slow-query-log
 //! lines — the two systems cross-reference.
 //!
+//! A sampled query's span tree is projected from the same record that
+//! feeds its stage histograms and slow-query line (`assemble_trace`):
+//! each stage span starts at its measured offset from accept, so the
+//! gaps between stages stay visible as time that no stage names.
+//!
 //! A recorded [`Trace`] lands in a bounded ring (last
 //! [`TRACE_RING_CAP`] traces, fetched via the admin `trace` op) and,
 //! when `--trace-out` is set, as one JSON document per line in the
 //! export file. Both carry [`ssr_obs::TRACE_SCHEMA_VERSION`].
 
-use crate::batcher::TraceDetail;
 use crate::json::{parse_json, Json};
-use crate::metrics::QueryTrace;
+use crate::metrics::RequestRecord;
 use crate::protocol::QueryReply;
 use ssr_obs::{Trace, TraceSpan, NO_PARENT, TRACE_SCHEMA_VERSION};
 use std::collections::VecDeque;
@@ -27,6 +31,7 @@ use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Capacity of the in-process trace ring the `trace` admin op drains.
 pub const TRACE_RING_CAP: usize = 512;
@@ -103,42 +108,60 @@ impl TraceCollector {
     }
 }
 
-/// Appends one stage span under the root, advancing the cursor. Stage
-/// durations are clamped so the cumulative sum never escapes
-/// `[0, total_ns]` — measured sub-intervals are disjoint in wall time,
-/// but clock reads have slack and the analyzer's nesting invariants must
-/// hold unconditionally.
-fn push_stage(t: &mut Trace, cur: &mut u64, name: &str, dur_ns: u64) -> usize {
-    let dur = dur_ns.min(t.total_ns.saturating_sub(*cur));
-    let idx = t.spans.len();
-    t.spans.push(TraceSpan::new(name, 0, *cur, dur));
-    *cur += dur;
-    idx
-}
-
-/// Builds the span tree of one finished sampled query from everything
-/// the event loop observed: stage timings, pipeline context, and the
-/// reply itself. Root is `request`; its children are the disjoint stage
-/// spans (`decode`/`cache`/`queue`/`engine`/`encode`); the `engine` span
-/// nests the sweep's per-step (`theta-i`/`lambda-i`) frontier/dense
-/// trace.
-///
-/// One parameter per pipeline observation point — collapsing them into a
-/// struct would just move the field list one call site up.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_trace(
-    trace_id: u64,
+/// Projects one finished query's record onto its span tree, or `None`
+/// when the sampler did not keep the request. Root is `request`, from
+/// accept to the end of the reply's encode (`total_ns`); its children are
+/// the stage spans (`decode`/`cache`/`queue`/`engine`/`encode`), each at
+/// its measured offset from accept. The `engine` span nests the sweep's
+/// per-step (`theta-i`/`lambda-i`) frontier/dense trace, laid end to end
+/// from the engine call's start.
+pub(crate) fn assemble_trace(
     codec: &str,
     reply: &QueryReply,
-    decode_ns: u64,
-    stages: &QueryTrace,
-    detail: Option<&TraceDetail>,
-    encode_ns: u64,
-    total_ns: u64,
-) -> Trace {
-    let mut t = Trace {
-        id: trace_id,
-        total_ns,
+    rec: &RequestRecord,
+) -> Option<Trace> {
+    let id = rec.trace_id?;
+    let q = &rec.query;
+    let offset = |at: Instant| at.saturating_duration_since(rec.accepted).as_nanos() as u64;
+    let mut spans = vec![
+        TraceSpan::new("request", NO_PARENT, 0, rec.total_ns),
+        TraceSpan::new("decode", 0, 0, rec.decode_ns),
+    ];
+    if let Some(at) = q.cache_at {
+        spans.push(
+            TraceSpan::new("cache", 0, offset(at), q.cache_ns)
+                .attr("shard", q.shard)
+                .attr("hit", reply.cached),
+        );
+    }
+    if let Some(at) = q.queued_at {
+        spans.push(TraceSpan::new("queue", 0, offset(at), q.queue_ns).attr("depth", q.queue_depth));
+    }
+    if let Some(at) = q.engine_at {
+        let steps = q.engine.as_deref().map_or(&[][..], |e| &e.steps[..]);
+        let parent = spans.len() as i64;
+        let mut start = offset(at);
+        spans.push(
+            TraceSpan::new("engine", 0, start, q.engine_ns)
+                .attr("batch_size", q.flush_size)
+                .attr("dedup", q.dedup)
+                .attr("dense_steps", q.engine.as_ref().map_or(0, |e| e.dense_steps())),
+        );
+        for step in steps {
+            let kind = if step.pass == 0 { "theta" } else { "lambda" };
+            spans.push(
+                TraceSpan::new(&format!("{kind}-{}", step.index), parent, start, step.dur_ns)
+                    .attr("frontier", step.frontier)
+                    .attr("dense", step.dense),
+            );
+            start += step.dur_ns;
+        }
+    }
+    let encode_start = rec.total_ns.saturating_sub(rec.encode_ns);
+    spans.push(TraceSpan::new("encode", 0, encode_start, rec.encode_ns));
+    Some(Trace {
+        id,
+        total_ns: rec.total_ns,
         attrs: vec![
             ("codec".into(), codec.into()),
             ("node".into(), reply.node.to_string()),
@@ -146,49 +169,8 @@ pub fn assemble_trace(
             ("epoch".into(), reply.epoch.to_string()),
             ("cached".into(), reply.cached.to_string()),
         ],
-        spans: vec![TraceSpan::new("request", NO_PARENT, 0, total_ns)],
-    };
-    let mut cur = 0u64;
-    push_stage(&mut t, &mut cur, "decode", decode_ns);
-    let cache_idx = push_stage(&mut t, &mut cur, "cache", stages.cache_ns);
-    if let Some(d) = detail {
-        t.spans[cache_idx] =
-            t.spans[cache_idx].clone().attr("shard", d.cache_shard).attr("hit", d.cache_hit);
-    }
-    if !reply.cached {
-        let queue_idx = push_stage(&mut t, &mut cur, "queue", stages.queue_ns);
-        let engine_idx = push_stage(&mut t, &mut cur, "engine", stages.engine_ns);
-        if let Some(d) = detail {
-            t.spans[queue_idx] = t.spans[queue_idx].clone().attr("depth", d.queue_depth);
-            t.spans[engine_idx] = t.spans[engine_idx]
-                .clone()
-                .attr("batch_size", d.batch_size)
-                .attr("dedup", d.dedup)
-                .attr("dense_steps", d.engine.dense_steps());
-            let (e_start, e_dur) = (t.spans[engine_idx].start_ns, t.spans[engine_idx].dur_ns);
-            let mut scur = 0u64;
-            for step in &d.engine.steps {
-                let dur = step.dur_ns.min(e_dur.saturating_sub(scur));
-                let kind = if step.pass == 0 { "theta" } else { "lambda" };
-                t.spans.push(
-                    TraceSpan::new(
-                        &format!("{kind}-{}", step.index),
-                        engine_idx as i64,
-                        e_start + scur,
-                        dur,
-                    )
-                    .attr("frontier", step.frontier)
-                    .attr("dense", step.dense),
-                );
-                scur += dur;
-            }
-        }
-    }
-    // Encode runs last; anchor it to the end of the request, clamped so
-    // it never overlaps the stages already placed.
-    let e_start = cur.max(total_ns.saturating_sub(encode_ns));
-    t.spans.push(TraceSpan::new("encode", 0, e_start, total_ns - e_start));
-    t
+        spans,
+    })
 }
 
 fn attrs_json(attrs: &[(String, String)]) -> Json {
@@ -276,7 +258,10 @@ pub fn parse_trace_line(line: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::QueryTrace;
     use ssr_obs::NO_PARENT;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn sample(id: u64) -> Trace {
         Trace {
@@ -341,23 +326,39 @@ mod tests {
         }
     }
 
+    /// A sampled request accepted at `accepted`, decoded in 250 ns, its
+    /// reply encoded in 80 ns and done 5 µs after accept.
+    fn record(accepted: Instant, query: QueryTrace) -> RequestRecord {
+        let mut rec = RequestRecord::new(accepted, 250, Some(12));
+        rec.query = query;
+        rec.encode_ns = 80;
+        rec.total_ns = 5_000;
+        rec
+    }
+
     #[test]
     fn assembled_traces_validate_with_engine_steps() {
         use simrank_star::{EngineStep, EngineTrace};
-        let stages = QueryTrace { cache_ns: 100, queue_ns: 400, engine_ns: 3_000 };
+        let t0 = Instant::now();
+        let at = |ns: u64| Some(t0 + Duration::from_nanos(ns));
         let steps = vec![
             EngineStep { pass: 0, index: 0, frontier: 9, dense: false, dur_ns: 700 },
             EngineStep { pass: 1, index: 2, frontier: 20, dense: true, dur_ns: 900 },
         ];
-        let detail = TraceDetail {
-            cache_shard: 1,
-            cache_hit: false,
+        let query = QueryTrace {
+            cache_at: at(300),
+            cache_ns: 100,
+            shard: 1,
+            queued_at: at(500),
+            queue_ns: 400,
             queue_depth: 3,
-            batch_size: 4,
+            engine_at: at(1_000),
+            engine_ns: 3_000,
+            flush_size: 4,
             dedup: 1,
-            engine: std::sync::Arc::new(EngineTrace { steps }),
+            engine: Some(Arc::new(EngineTrace { steps })),
         };
-        let t = assemble_trace(12, "ssb", &reply(false), 250, &stages, Some(&detail), 80, 5_000);
+        let t = assemble_trace("ssb", &reply(false), &record(t0, query)).unwrap();
         t.validate().unwrap();
         assert_eq!(t.attr("codec"), Some("ssb"));
         let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
@@ -377,21 +378,52 @@ mod tests {
 
     #[test]
     fn cache_hit_assembly_is_minimal_and_valid() {
-        let stages = QueryTrace { cache_ns: 30, ..QueryTrace::default() };
-        let detail = TraceDetail { cache_shard: 0, cache_hit: true, ..TraceDetail::default() };
-        let t = assemble_trace(13, "json", &reply(true), 50, &stages, Some(&detail), 20, 200);
+        let t0 = Instant::now();
+        let query = QueryTrace {
+            cache_at: Some(t0 + Duration::from_nanos(400)),
+            cache_ns: 30,
+            ..QueryTrace::default()
+        };
+        let t = assemble_trace("json", &reply(true), &record(t0, query)).unwrap();
         t.validate().unwrap();
         let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["request", "decode", "cache", "encode"]);
+        // An unsampled request has no span tree.
+        let unsampled = RequestRecord { trace_id: None, ..record(t0, QueryTrace::default()) };
+        assert_eq!(assemble_trace("json", &reply(true), &unsampled), None);
     }
 
     #[test]
-    fn assembly_clamps_overlong_stage_timings() {
-        // Stage clock reads that (pathologically) exceed the end-to-end
-        // interval must still produce a tree the analyzer accepts.
-        let stages = QueryTrace { cache_ns: u64::MAX / 4, queue_ns: 1_000, engine_ns: 1_000 };
-        let t = assemble_trace(1, "json", &reply(false), 500, &stages, None, 500, 1_000);
+    fn stage_spans_sit_at_their_measured_offsets() {
+        // Every stage leaves a gap before the next one starts: dispatch
+        // before the cache probe, the flush's set-up before the engine
+        // call, the hand-back before the encode.
+        let t0 = Instant::now();
+        let at = |ns: u64| Some(t0 + Duration::from_nanos(ns));
+        let query = QueryTrace {
+            cache_at: at(600),
+            cache_ns: 150,
+            queued_at: at(900),
+            queue_ns: 1_100,
+            engine_at: at(2_300),
+            engine_ns: 1_700,
+            ..QueryTrace::default()
+        };
+        let t = assemble_trace("json", &reply(false), &record(t0, query)).unwrap();
         t.validate().unwrap();
+        let span = |name: &str| {
+            let s = t.spans.iter().find(|s| s.name == name).unwrap();
+            (s.start_ns, s.end_ns())
+        };
+        assert_eq!(span("request"), (0, 5_000));
+        assert_eq!(span("decode"), (0, 250));
+        assert_eq!(span("cache"), (600, 750));
+        assert_eq!(span("queue"), (900, 2_000));
+        assert_eq!(span("engine"), (2_300, 4_000));
+        assert_eq!(span("encode"), (4_920, 5_000));
+        assert_eq!(t.total_ns, 5_000, "encode ends at the request's total");
+        let staged: u64 = t.children(0).map(|(_, s)| s.dur_ns).sum();
+        assert_eq!(t.total_ns - staged, 1_720, "the gaps are time no stage names");
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn huge_k_does_not_alias_a_small_k_in_the_cache() {
 #[test]
 fn bounded_queue_sheds_under_pressure() {
     let server = start(ServerOptions {
-        batch: BatcherOptions { window_us: 100_000, max_batch: 2, queue_capacity: 2, workers: 1 },
+        batch: BatcherOptions { window_us: 100_000, max_batch: 2, queue_capacity: 2 },
         cache_capacity: 0,
         ..Default::default()
     });
@@ -706,6 +706,47 @@ fn metrics_op_is_equivalent_across_codecs_with_one_sample_per_request() {
     assert_eq!(get(&a, "ssr_requests_total{codec=\"json\"}"), 9);
     assert_eq!(get(&b, "ssr_requests_total{codec=\"json\"}"), 9);
     assert_eq!(get(&b, "ssr_requests_total{codec=\"ssb\"}"), 9);
+    server.shutdown();
+}
+
+/// Every stage histogram counts query replies and nothing else. Cache
+/// misses, cache hits, an out-of-range query and `ping`/`stats`/`metrics`
+/// ops over both codecs leave `decode`, `cache`, `encode` and `total` one
+/// sample per query reply, and `queue` and `engine` one per miss among
+/// them.
+#[test]
+fn stage_histograms_count_one_sample_per_query_reply() {
+    let server = start(ServerOptions::default());
+    let addr = server.addr();
+    let halves: [(WireFormat, std::ops::Range<NodeId>); 2] =
+        [(WireFormat::Jsonl, 0..4), (WireFormat::Ssb, 4..8)];
+    for (format, nodes) in halves {
+        let mut client = Client::builder().protocol(format).connect(addr).unwrap();
+        for _ in 0..2 {
+            // The first pass misses, the second hits the cache.
+            for node in nodes.clone() {
+                assert!(matches!(client.query(node, 3).unwrap(), Reply::Ok(_)));
+            }
+        }
+        assert!(matches!(client.query(99, 3).unwrap(), Reply::Error(_)));
+        client.ping().unwrap();
+        client.stats().unwrap();
+        client.metrics().unwrap();
+    }
+    let m = Client::connect(addr).unwrap().metrics().unwrap();
+    let count = |stage: &str| {
+        let name = format!("ssr_stage_us{{stage=\"{stage}\"}}");
+        m.snapshot.hists.iter().find(|h| h.name == name).map(|h| h.count)
+    };
+    for stage in ["decode", "cache", "encode", "total"] {
+        assert_eq!(count(stage), Some(16), "`{stage}` counts the 16 query replies");
+    }
+    for stage in ["queue", "engine"] {
+        assert_eq!(count(stage), Some(8), "`{stage}` counts the 8 misses");
+    }
+    let counter = |name: &str| m.snapshot.counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+    assert_eq!(counter("ssr_inline_cache_hits_total"), Some(8));
+    assert_eq!(counter("ssr_cache_misses_total"), Some(8));
     server.shutdown();
 }
 
